@@ -9,7 +9,8 @@ part of K and C is the Hermitian part of its skew piece, C = (K - K^T)/(2i).
 This module computes those extreme eigenvalues (dense solves at desk scale,
 Lanczos in the M-inner product beyond), assembles the safety-inflated
 rectangle, estimates the condition number of M, and certifies left-half-plane
-location.
+location. ``analyze_pencil`` computes the tau-independent part (extremes and
+condition estimate) once, for reuse across time steps.
 """
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ __all__ = [
     "SymSkewSplit",
     "BoundingRectangle",
     "CondEstimate",
+    "PencilAnalysis",
+    "RawExtremes",
     "split",
     "extreme_eigs_sym_pencil",
     "extreme_eig_skew_pencil",
@@ -34,6 +37,7 @@ __all__ = [
     "rectangle_from_extremes",
     "bounding_rectangle",
     "cond_estimate",
+    "analyze_pencil",
     "is_lhp_certified",
 ]
 
@@ -195,6 +199,35 @@ def _dense_transformed(B, M):
     return T, L
 
 
+def _dense_sym_extremes(B, M, whichs) -> list[tuple[float, float]]:
+    """(theta, residual) of the dense pencil (B, M) at each end in ``whichs``.
+
+    One Cholesky transform and one ``eigh`` serve every requested end; the
+    n x n temporaries are freed when this returns.
+    """
+    if M is None:
+        Bd = B.toarray() if is_sparse(B) else np.asarray(B)
+        w, V = np.linalg.eigh(0.5 * (Bd + Bd.T))
+    else:
+        T, L = _dense_transformed(B, M)
+        w, V = np.linalg.eigh(0.5 * (T + T.T))
+    out = []
+    for which in whichs:
+        idx = -1 if which == "max" else 0
+        theta = float(w[idx])
+        if M is None:
+            x = V[:, idx]
+            Mx = x
+        else:
+            x = sla.solve_triangular(L.T, V[:, idx], lower=False)
+            Mx = M @ x
+        Bx = B @ x
+        denom = abs(theta) * np.linalg.norm(Mx) + np.linalg.norm(Bx)
+        resid = float(np.linalg.norm(Bx - theta * Mx) / denom) if denom > 0.0 else 0.0
+        out.append((theta, resid))
+    return out
+
+
 def extreme_eigs_sym_pencil(
     B,
     M,
@@ -217,24 +250,7 @@ def extreme_eigs_sym_pencil(
     if M is not None and M.shape != B.shape:
         raise DimensionMismatch("B and M sizes differ")
     if n <= dense_cutoff:
-        if M is None:
-            Bd = B.toarray() if is_sparse(B) else np.asarray(B)
-            w, V = np.linalg.eigh(0.5 * (Bd + Bd.T))
-            idx = -1 if which == "max" else 0
-            theta = float(w[idx])
-            x = V[:, idx]
-            Mx = x
-        else:
-            T, L = _dense_transformed(B, M)
-            w, V = np.linalg.eigh(0.5 * (T + T.T))
-            idx = -1 if which == "max" else 0
-            theta = float(w[idx])
-            x = sla.solve_triangular(L.T, V[:, idx], lower=False)
-            Mx = M @ x
-        Bx = B @ x
-        denom = abs(theta) * np.linalg.norm(Mx) + np.linalg.norm(Bx)
-        resid = float(np.linalg.norm(Bx - theta * Mx) / denom) if denom > 0.0 else 0.0
-        return theta, resid
+        return _dense_sym_extremes(B, M, (which,))[0]
     B_mv, M_mv, M_solve = _pencil_ops(B, M)
     theta, resid, _ = _lanczos_extreme(
         B_mv, M_mv, M_solve, n, which, rel_resid_tol, max_iter or 5 * n, seed
@@ -373,14 +389,22 @@ def raw_extremes(
     dense_cutoff: int = DENSE_CUTOFF,
     seed: int = 0,
 ) -> RawExtremes:
-    """Extreme eigenvalues of (D, M) and (C, M) for the unit time step."""
+    """Extreme eigenvalues of (D, M) and (C, M) for the unit time step.
+
+    On the dense path both ends of (D, M) come from one eigendecomposition.
+    """
     parts = split(K)
-    mu_min, r0 = extreme_eigs_sym_pencil(
-        parts.D, M, "min", rel_resid_tol, dense_cutoff, seed=seed
-    )
-    mu_max, r1 = extreme_eigs_sym_pencil(
-        parts.D, M, "max", rel_resid_tol, dense_cutoff, seed=seed
-    )
+    if parts.D.shape[0] <= dense_cutoff:
+        if M.shape != parts.D.shape:
+            raise DimensionMismatch("K and M sizes differ")
+        (mu_min, r0), (mu_max, r1) = _dense_sym_extremes(parts.D, M, ("min", "max"))
+    else:
+        mu_min, r0 = extreme_eigs_sym_pencil(
+            parts.D, M, "min", rel_resid_tol, dense_cutoff, seed=seed
+        )
+        mu_max, r1 = extreme_eigs_sym_pencil(
+            parts.D, M, "max", rel_resid_tol, dense_cutoff, seed=seed
+        )
     nu_max, r2 = extreme_eig_skew_pencil(parts.S, M, rel_resid_tol, dense_cutoff, seed=seed)
     return RawExtremes(
         mu_min=mu_min,
@@ -490,3 +514,64 @@ def cond_estimate(
         d = 0.05 if delta is None else float(delta)
     kappa = max(kappa, 1.0)
     return CondEstimate(kappa_tilde=kappa, delta=d, kappa_safe=kappa / (1.0 - d))
+
+
+# --------------------------------------------------------------------------
+# tau-independent pencil analysis
+# --------------------------------------------------------------------------
+
+def _same_matrix(A, B) -> bool:
+    return A is B or (A.shape == B.shape and (A != B).nnz == 0)
+
+
+@dataclass(frozen=True, eq=False)
+class PencilAnalysis:
+    """Enclosure data of the pencil (M, K) that no time step changes.
+
+    ``extremes`` are the unit-step extreme eigenvalues, which
+    ``rectangle_from_extremes`` scales by tau, and ``cond`` is the condition
+    estimate of M. Both were computed with the recorded settings, so one
+    analysis serves every tau of the pencil.
+    """
+
+    M: sp.csr_array
+    K: sp.csr_array
+    extremes: RawExtremes
+    cond: CondEstimate
+    rel_resid_tol: float
+    dense_cutoff: int
+    seed: int
+    delta: float | None
+
+    def check_fits(self, p: Pencil, rel_resid_tol: float, dense_cutoff: int,
+                   seed: int, delta: float | None) -> None:
+        """Raise ValueError unless this analysis is of p's M and K, computed
+        with the given settings."""
+        if not (_same_matrix(p.M, self.M) and _same_matrix(p.K, self.K)):
+            raise ValueError("the pencil analysis was computed for a different pencil")
+        wanted = {"rel_resid_tol": rel_resid_tol, "dense_cutoff": dense_cutoff,
+                  "seed": seed, "delta": delta}
+        differ = {k: (getattr(self, k), v) for k, v in wanted.items() if getattr(self, k) != v}
+        if differ:
+            raise ValueError(f"pencil analysis settings differ (analysis, request): {differ}")
+
+
+def analyze_pencil(
+    M,
+    K,
+    rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
+    dense_cutoff: int = DENSE_CUTOFF,
+    seed: int = 0,
+    delta: float | None = None,
+) -> PencilAnalysis:
+    """Enclose the pencil (M, K) once: unit-step extremes and kappa(M)."""
+    return PencilAnalysis(
+        M=sp.csr_array(M),
+        K=sp.csr_array(K),
+        extremes=raw_extremes(M, K, rel_resid_tol, dense_cutoff, seed=seed),
+        cond=cond_estimate(M, delta, rel_resid_tol, dense_cutoff, seed=seed),
+        rel_resid_tol=rel_resid_tol,
+        dense_cutoff=dense_cutoff,
+        seed=seed,
+        delta=delta,
+    )

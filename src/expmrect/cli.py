@@ -18,14 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fem, mmio
-from .bounds import (
-    Pencil,
-    bounding_rectangle,
-    cond_estimate,
-    is_lhp_certified,
-    raw_extremes,
-    rectangle_from_extremes,
-)
+from .bounds import Pencil, analyze_pencil, is_lhp_certified, rectangle_from_extremes
 from .errors import DegreeExhausted, ExpmrectError, RefitFailed, ScalingExhausted
 from .expmv import ExpmvRequest, expm_dense_oracle, expmv_controlled
 from .linalg import lu_factor, norm2
@@ -130,8 +123,9 @@ def cmd_bound(args) -> int:
     M, K, _, h_bar, _ = _load_system(args)
     tau = _resolve_tau(args, h_bar)
     p = Pencil(tau=tau, M=M, K=K)
-    rect = bounding_rectangle(p, rel_resid_tol=args.rel_resid_tol, seed=args.seed)
-    est = cond_estimate(M, seed=args.seed)
+    analysis = analyze_pencil(p.M, p.K, args.rel_resid_tol, seed=args.seed)
+    rect = rectangle_from_extremes(analysis.extremes, tau, args.rel_resid_tol)
+    est = analysis.cond
     payload = {
         "schema": "expmrect/bound-v1",
         "rectangle": rect.as_dict(),
@@ -253,7 +247,8 @@ def run_sweep(config: dict) -> list[dict]:
 
     Rows appear in deterministic order (systems x tau x method x mode x
     eps). Failures are recorded with the ``--`` marker in the degree and
-    bound columns and the exception class name in ``status``; the verifying
+    bound columns and the exception class name in ``status``. Each system
+    is enclosed once and its analysis shared by every cell; the verifying
     oracle is cached per (system, tau).
     """
     rows: list[dict] = []
@@ -267,15 +262,14 @@ def run_sweep(config: dict) -> list[dict]:
             int(spec_sys.get("refine", 4)),
             float(spec_sys["d"]),
         )
-        est = cond_estimate(system.M, seed=seed)
-        ext = raw_extremes(system.M, system.K, seed=seed)
+        analysis = analyze_pencil(system.M, system.K, seed=seed)
         base = {
             "shape": domain,
             "element": "P1",
             "d": _fmt(float(spec_sys["d"])),
             "n": system.n,
             "h_bar": _fmt(mesh.h_bar),
-            "kappa": _fmt(est.kappa_tilde),
+            "kappa": _fmt(analysis.cond.kappa_safe),
         }
         for tf in config.get("tau_factors", [1.0]):
             tau = float(tf) * mesh.h_bar
@@ -301,6 +295,7 @@ def run_sweep(config: dict) -> list[dict]:
                             method=method,
                             mode=mode,
                             seed=seed,
+                            analysis=analysis,
                         )
                         try:
                             x, cert = expmv_controlled(req)

@@ -34,8 +34,10 @@ from .aaa import aaa_poles, refit_partial_fractions
 from .bounds import (
     BoundingRectangle,
     Pencil,
+    PencilAnalysis,
     bounding_rectangle,
     cond_estimate,
+    rectangle_from_extremes,
 )
 from .errors import (
     DegreeExhausted,
@@ -45,7 +47,7 @@ from .errors import (
     SingularShift,
     SingularMatrix,
 )
-from .linalg import is_sparse, lu_factor
+from .linalg import lu_factor
 from .rational import (
     CertifiedApproximant,
     DEFAULT_SAMPLES_PER_SIDE,
@@ -162,7 +164,14 @@ def apply_scaled_pade(pade: PadeRational, p: Pencil, b: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class ExpmvRequest:
-    """Everything needed to run the controlled-accuracy driver once."""
+    """Everything needed to run the controlled-accuracy driver once.
+
+    ``analysis`` optionally carries the pencil's tau-independent enclosure
+    (see ``bounds.analyze_pencil``); mode "ii" then reuses it instead of
+    enclosing again. It must be of this pencil's M and K and computed with
+    this request's ``rel_resid_tol``, ``dense_cutoff``, ``seed`` and
+    ``delta``, or the request raises ValueError.
+    """
 
     pencil: Pencil
     b: np.ndarray
@@ -177,6 +186,7 @@ class ExpmvRequest:
     s_max: int = 64
     m_max: int = 128
     seed: int = 0
+    analysis: PencilAnalysis | None = None
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
@@ -187,6 +197,10 @@ class ExpmvRequest:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.kappa_power not in (0.5, 1.0):
             raise ValueError("kappa_power must be 0.5 or 1.0")
+        if self.analysis is not None:
+            self.analysis.check_fits(
+                self.pencil, self.rel_resid_tol, self.dense_cutoff, self.seed, self.delta
+            )
 
 
 @dataclass(frozen=True)
@@ -291,6 +305,9 @@ def expmv_controlled(req: ExpmvRequest) -> tuple[np.ndarray, ExpmvCertificate]:
     if req.mode == "i":
         rect = plain_range_rectangle(p, req.rel_resid_tol, req.dense_cutoff)
         kappa_safe = 1.0
+    elif req.analysis is not None:
+        rect = rectangle_from_extremes(req.analysis.extremes, p.tau, req.rel_resid_tol)
+        kappa_safe = req.analysis.cond.kappa_safe
     else:
         rect = bounding_rectangle(p, req.rel_resid_tol, req.dense_cutoff, seed=req.seed)
         est = cond_estimate(p.M, req.delta, req.rel_resid_tol, req.dense_cutoff, seed=req.seed)

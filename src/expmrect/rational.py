@@ -20,7 +20,7 @@ sample density.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np

@@ -129,6 +129,20 @@ def test_rectangle_validation_and_accessors():
     assert r.contains(-0.99, margin=0.02)
 
 
+def test_raw_extremes_dense_matches_separate_solves(random_pencil_60):
+    # one shared eigendecomposition must give both ends bit for bit
+    p = random_pencil_60
+    D = split(p.K).D
+    ext = raw_extremes(p.M, p.K)
+    assert (ext.mu_min, ext.resid_mu_min) == extreme_eigs_sym_pencil(D, p.M, "min")
+    assert (ext.mu_max, ext.resid_mu_max) == extreme_eigs_sym_pencil(D, p.M, "max")
+
+
+def test_raw_extremes_rejects_size_mismatch(random_pencil_60):
+    with pytest.raises(DimensionMismatch):
+        raw_extremes(sp.eye_array(3).tocsr(), random_pencil_60.K)
+
+
 def test_rectangle_tau_linearity_without_inflation(square_sys_8):
     s = square_sys_8
     ext = raw_extremes(s.M, s.K)

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from expmrect import cli, mmio
+from expmrect import bounds, cli, expmv, mmio
 from expmrect.expmv import expm_dense_oracle
 from expmrect.linalg import lu_factor, norm2
 
@@ -160,6 +160,60 @@ def test_sweep_records_failures_with_marker(tmp_path):
     assert fields["degree"] == cli.FAILURE_MARK
     assert fields["certified_bound"] == cli.FAILURE_MARK
     assert fields["status"] == "ScalingExhausted"
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls to bounds.<name>, through every module that holds it."""
+    calls = []
+    original = getattr(bounds, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (bounds, cli, expmv):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_encloses_each_system_once(monkeypatch):
+    enclosures = _count_calls(monkeypatch, "raw_extremes")
+    kappas = _count_calls(monkeypatch, "cond_estimate")
+    rows = cli.run_sweep({
+        "systems": [{"domain": "square", "divisions": 8, "d": 1e-1}],
+        "tau_factors": [1.0, 10.0],
+        "eps": [1e-4],
+        "methods": ["sub-pade", "rat-interp"],
+        "modes": ["ii"],
+    })
+    assert len(rows) == 4 and all(row["status"] == "ok" for row in rows)
+    assert len(enclosures) == 1 and len(kappas) == 1
+
+
+def test_sweep_kappa_column_is_kappa_safe_beyond_dense_cutoff(monkeypatch):
+    # n = 3025 > 3000 takes the iterative path, where kappa_safe and
+    # kappa_tilde differ by the 1 / (1 - delta) margin
+    runs = []
+    original = cli.expmv_controlled
+
+    def recorded(req):
+        x, cert = original(req)
+        runs.append((req, cert))
+        return x, cert
+
+    monkeypatch.setattr(cli, "expmv_controlled", recorded)
+    rows = cli.run_sweep({
+        "systems": [{"domain": "square", "divisions": 56, "d": 1e-1}],
+        "tau_factors": [1.0],
+        "eps": [1e-2],
+        "methods": ["sub-pade"],
+        "modes": ["ii"],
+    })
+    (row,), ((req, cert),) = rows, runs
+    assert row["n"] == 3025 and row["status"] == "ok"
+    assert row["kappa"] == repr(cert.kappa_safe)
+    assert cert.kappa_safe != req.analysis.cond.kappa_tilde
 
 
 def test_sweep_empty_systems_header_only(tmp_path):

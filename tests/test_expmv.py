@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 from expmrect import fem
-from expmrect.bounds import Pencil
+from expmrect.bounds import Pencil, analyze_pencil
 from expmrect.errors import DimensionMismatch, ScalingExhausted
 from expmrect.expmv import (
     ExpmvRequest,
@@ -186,6 +186,47 @@ def test_driver_request_validation(square_pencil_8):
         expmv_controlled(
             ExpmvRequest(pencil=square_pencil_8, b=np.ones(3), eps=1e-6)
         )
+
+
+@pytest.mark.parametrize("method", ["sub-pade", "rat-interp"])
+def test_expmv_with_analysis_is_bit_identical(square_pencil_8, method):
+    p = square_pencil_8
+    b = np.ones(p.n)
+    analysis = analyze_pencil(p.M, p.K)
+    # one analysis serves every time step of the pencil
+    for tau in (p.tau, 10.0 * p.tau):
+        q = Pencil(tau, p.M, p.K)
+        x1, c1 = expmv_controlled(
+            ExpmvRequest(pencil=q, b=b, eps=1e-6, method=method, analysis=analysis)
+        )
+        x2, c2 = expmv_controlled(ExpmvRequest(pencil=q, b=b, eps=1e-6, method=method))
+        assert np.array_equal(x1, x2)
+        assert c1.to_json() == c2.to_json()
+
+
+def test_expmv_rejects_mismatched_analysis(square_pencil_8, square_sys_8):
+    p = square_pencil_8
+    b = np.ones(p.n)
+    analysis = analyze_pencil(p.M, p.K)
+    ok = ExpmvRequest(pencil=Pencil(3.0 * p.tau, p.M, p.K.copy()), b=b, eps=1e-6,
+                      analysis=analysis)
+    assert ok.analysis is analysis
+    mismatched = [
+        {"seed": 1},
+        {"rel_resid_tol": 1e-4},
+        {"delta": 0.05},
+        {"dense_cutoff": 10},
+    ]
+    for settings in mismatched:
+        with pytest.raises(ValueError, match="settings differ"):
+            expmv_controlled(ExpmvRequest(pencil=p, b=b, eps=1e-6, analysis=analysis,
+                                          **settings))
+    other_d = fem.assemble_p1(square_sys_8.mesh, d=1e-3)
+    other_n = fem.assemble_p1(fem.mesh_square(6), d=0.1)
+    for sysm in (other_d, other_n):
+        with pytest.raises(ValueError, match="different pencil"):
+            expmv_controlled(ExpmvRequest(pencil=Pencil(p.tau, sysm.M, sysm.K), b=sysm.b0,
+                                          eps=1e-6, analysis=analysis))
 
 
 def test_driver_strict_kappa_power_tightens_target(square_pencil_8):
