@@ -31,12 +31,13 @@ from .rational import (
     classify_conjugate_poles,
     sup_error_on_rectangle,
     _pole_in_rectangle,
-    _sup_on_samples,
 )
 
 __all__ = ["aaa_poles", "refit_partial_fractions"]
 
 FROISSART_RTOL = 1e-13
+MAX_DOUBLINGS = 4  # boundary-density doublings while the AAA degree settles
+MAX_REFINEMENTS = 4  # double-double refinement steps of the least-squares refit
 
 
 # --------------------------------------------------------------------------
@@ -289,16 +290,16 @@ def aaa_poles(
     boundary: RegionBoundary,
     target: float,
     m_max: int = 128,
-    max_refinements: int = 4,
 ) -> np.ndarray:
     """Pole set for a rational approximant of exp on the boundary's rectangle.
 
     Runs the greedy barycentric fit with stopping tolerance ``target / 2``
     (the headroom is spent later by the refit), refining the boundary
-    sampling by doubling until the selected denominator degree stabilizes
-    between consecutive densities. Spurious poles are filtered before the
-    set is returned; for rectangles symmetric about the real axis the
-    result is exactly closed under conjugation.
+    sampling by doubling, at most ``MAX_DOUBLINGS`` times, until the
+    selected denominator degree stabilizes between consecutive densities.
+    Spurious poles are filtered before the set is returned; for rectangles
+    symmetric about the real axis the result is exactly closed under
+    conjugation.
     """
     if target <= 0.0:
         raise ValueError("target must be positive")
@@ -308,7 +309,7 @@ def aaa_poles(
     prev_degree = None
     poles = np.empty(0, dtype=complex)
     n = boundary.n_per_side
-    for _ in range(max_refinements + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         b = boundary_samples(rect, n)
         Z = b.samples
         F = np.exp(Z)
@@ -334,7 +335,7 @@ def _ls_basis(poles: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _solve_refined(A: np.ndarray, rhs: np.ndarray, max_refinements: int) -> np.ndarray:
+def _solve_refined(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least squares through a column-equilibrated SVD, then
     iterative refinement with the residual carried in double-double; the
     iterate with the smallest max-abs residual wins."""
@@ -354,7 +355,7 @@ def _solve_refined(A: np.ndarray, rhs: np.ndarray, max_refinements: int) -> np.n
     x = ls_apply(rhs)
     best_x = x
     best_err = float(np.max(np.abs(A @ x - rhs)))
-    for _ in range(max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         r = dd(A, x, rhs)
         x = x + ls_apply(r)
         err = float(np.max(np.abs(A @ x - rhs)))
@@ -399,7 +400,6 @@ def refit_partial_fractions(
     poles: np.ndarray,
     boundary: RegionBoundary,
     target: float,
-    max_refinements: int = 4,
 ) -> CertifiedApproximant:
     """Least-squares weights for fixed poles, certified on the rectangle.
 
@@ -430,11 +430,10 @@ def refit_partial_fractions(
         t = _solve_refined(
             np.vstack([C.real, C.imag]),
             np.concatenate([rhs.real, rhs.imag]),
-            max_refinements,
         )
         gamma, weights = _weights_from_real_solution(t, poles.size, real_idx, pairs)
     else:
-        x = _solve_refined(_ls_basis(poles, z), rhs, max_refinements)
+        x = _solve_refined(_ls_basis(poles, z), rhs)
         gamma, weights = x[0], x[1:]
     pf = PartialFractionRational(gamma=gamma, poles=poles, weights=weights)
     achieved = sup_error_on_rectangle(pf, rect, n_per_side=2 * boundary.n_per_side)

@@ -114,12 +114,7 @@ def _pencil_ops(B, M):
     B_mv = (lambda v: B @ v)
     if M is None:
         return B_mv, (lambda v: v), (lambda v: v)
-    fac = lu_factor(M) if is_sparse(M) else None
-    if fac is not None:
-        return B_mv, (lambda v: M @ v), fac.solve
-    Mf = np.asarray(M)
-    lu = lu_factor(Mf)
-    return B_mv, (lambda v: Mf @ v), lu.solve
+    return B_mv, (lambda v: M @ v), lu_factor(sp.csc_array(M)).solve
 
 
 def _lanczos_extreme(B_mv, M_mv, M_solve, n, which, tol, max_iter, seed):
@@ -193,7 +188,7 @@ def _tridiag_eig(alphas, betas):
 def _dense_transformed(B, M):
     """Form inv(L) B inv(L)^T densely from the Cholesky factor of M."""
     Bd = B.toarray() if is_sparse(B) else np.asarray(B)
-    L = cholesky(M).lower
+    L = cholesky(M)
     Y = sla.solve_triangular(L, Bd, lower=True)
     T = sla.solve_triangular(L, Y.T, lower=True).T
     return T, L
@@ -386,26 +381,26 @@ def raw_extremes(
     M,
     K,
     rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-    dense_cutoff: int = DENSE_CUTOFF,
     seed: int = 0,
 ) -> RawExtremes:
     """Extreme eigenvalues of (D, M) and (C, M) for the unit time step.
 
-    On the dense path both ends of (D, M) come from one eigendecomposition.
+    Dense solves up to ``DENSE_CUTOFF`` unknowns, Lanczos beyond. On the
+    dense path both ends of (D, M) come from one eigendecomposition.
     """
     parts = split(K)
-    if parts.D.shape[0] <= dense_cutoff:
+    if parts.D.shape[0] <= DENSE_CUTOFF:
         if M.shape != parts.D.shape:
             raise DimensionMismatch("K and M sizes differ")
         (mu_min, r0), (mu_max, r1) = _dense_sym_extremes(parts.D, M, ("min", "max"))
     else:
         mu_min, r0 = extreme_eigs_sym_pencil(
-            parts.D, M, "min", rel_resid_tol, dense_cutoff, seed=seed
+            parts.D, M, "min", rel_resid_tol, DENSE_CUTOFF, seed=seed
         )
         mu_max, r1 = extreme_eigs_sym_pencil(
-            parts.D, M, "max", rel_resid_tol, dense_cutoff, seed=seed
+            parts.D, M, "max", rel_resid_tol, DENSE_CUTOFF, seed=seed
         )
-    nu_max, r2 = extreme_eig_skew_pencil(parts.S, M, rel_resid_tol, dense_cutoff, seed=seed)
+    nu_max, r2 = extreme_eig_skew_pencil(parts.S, M, rel_resid_tol, DENSE_CUTOFF, seed=seed)
     return RawExtremes(
         mu_min=mu_min,
         mu_max=mu_max,
@@ -420,15 +415,12 @@ def rectangle_from_extremes(
     ext: RawExtremes,
     tau: float,
     rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-    inflate: bool = True,
 ) -> BoundingRectangle:
     """Scale unit-step extremes by tau and apply the safety inflation."""
-    mu_lo, mu_hi = tau * ext.mu_min, tau * ext.mu_max
+    rel = 2.0 * rel_resid_tol
+    mu_lo, mu_hi = _inflate(tau * ext.mu_min, tau * ext.mu_max, rel)
     nu_hi = tau * ext.nu_max
-    rel = 2.0 * rel_resid_tol if inflate else 0.0
-    if inflate:
-        mu_lo, mu_hi = _inflate(mu_lo, mu_hi, rel)
-        nu_hi = nu_hi + max(rel * abs(nu_hi), INFLATION_FLOOR)
+    nu_hi += max(rel * abs(nu_hi), INFLATION_FLOOR)
     return BoundingRectangle(
         mu_min=mu_lo, mu_max=mu_hi, nu_min=-nu_hi, nu_max=nu_hi, inflation=rel
     )
@@ -437,8 +429,6 @@ def rectangle_from_extremes(
 def bounding_rectangle(
     p: Pencil,
     rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-    dense_cutoff: int = DENSE_CUTOFF,
-    inflate: bool = True,
     seed: int = 0,
 ) -> BoundingRectangle:
     """Rectangle enclosing the numerical range of the mass-symmetrized pencil.
@@ -449,8 +439,8 @@ def bounding_rectangle(
     outward by max(2 * rel_resid_tol * |endpoint|, 1e-12) so that
     eigenvalue-solver tolerance cannot shave the enclosure.
     """
-    ext = raw_extremes(p.M, p.K, rel_resid_tol, dense_cutoff, seed=seed)
-    return rectangle_from_extremes(ext, p.tau, rel_resid_tol, inflate)
+    ext = raw_extremes(p.M, p.K, rel_resid_tol, seed=seed)
+    return rectangle_from_extremes(ext, p.tau, rel_resid_tol)
 
 
 def is_lhp_certified(r: BoundingRectangle) -> bool:
@@ -486,32 +476,30 @@ class CondEstimate:
 
 def cond_estimate(
     M,
-    delta: float | None = None,
     rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-    dense_cutoff: int = DENSE_CUTOFF,
     seed: int = 0,
 ) -> CondEstimate:
     """Estimate the spectral condition number of symmetric positive definite M.
 
-    Dense path (n <= dense_cutoff): exact extreme eigenvalues, default
-    delta 0. Iterative path: Lanczos estimates for both spectrum ends,
-    default delta 0.05 to absorb their residual tolerance.
+    Dense path (n <= DENSE_CUTOFF): exact extreme eigenvalues, delta 0.
+    Iterative path: Lanczos estimates for both spectrum ends, delta 0.05 to
+    absorb their residual tolerance.
     """
     n = M.shape[0]
-    if n <= dense_cutoff:
+    if n <= DENSE_CUTOFF:
         Md = M.toarray() if is_sparse(M) else np.asarray(M)
         w = np.linalg.eigvalsh(0.5 * (Md + Md.T))
         if w[0] <= 0.0:
             raise NotSPD("M has a nonpositive eigenvalue")
         kappa = float(w[-1] / w[0])
-        d = 0.0 if delta is None else float(delta)
+        d = 0.0
     else:
         lo, _ = extreme_eigs_sym_pencil(M, None, "min", rel_resid_tol, dense_cutoff=0, seed=seed)
         hi, _ = extreme_eigs_sym_pencil(M, None, "max", rel_resid_tol, dense_cutoff=0, seed=seed)
         if lo <= 0.0:
             raise NotSPD("Lanczos found a nonpositive Ritz value for M")
         kappa = float(hi / lo)
-        d = 0.05 if delta is None else float(delta)
+        d = 0.05
     kappa = max(kappa, 1.0)
     return CondEstimate(kappa_tilde=kappa, delta=d, kappa_safe=kappa / (1.0 - d))
 
@@ -539,18 +527,14 @@ class PencilAnalysis:
     extremes: RawExtremes
     cond: CondEstimate
     rel_resid_tol: float
-    dense_cutoff: int
     seed: int
-    delta: float | None
 
-    def check_fits(self, p: Pencil, rel_resid_tol: float, dense_cutoff: int,
-                   seed: int, delta: float | None) -> None:
+    def check_fits(self, p: Pencil, rel_resid_tol: float, seed: int) -> None:
         """Raise ValueError unless this analysis is of p's M and K, computed
         with the given settings."""
         if not (_same_matrix(p.M, self.M) and _same_matrix(p.K, self.K)):
             raise ValueError("the pencil analysis was computed for a different pencil")
-        wanted = {"rel_resid_tol": rel_resid_tol, "dense_cutoff": dense_cutoff,
-                  "seed": seed, "delta": delta}
+        wanted = {"rel_resid_tol": rel_resid_tol, "seed": seed}
         differ = {k: (getattr(self, k), v) for k, v in wanted.items() if getattr(self, k) != v}
         if differ:
             raise ValueError(f"pencil analysis settings differ (analysis, request): {differ}")
@@ -560,18 +544,14 @@ def analyze_pencil(
     M,
     K,
     rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-    dense_cutoff: int = DENSE_CUTOFF,
     seed: int = 0,
-    delta: float | None = None,
 ) -> PencilAnalysis:
     """Enclose the pencil (M, K) once: unit-step extremes and kappa(M)."""
     return PencilAnalysis(
         M=sp.csr_array(M),
         K=sp.csr_array(K),
-        extremes=raw_extremes(M, K, rel_resid_tol, dense_cutoff, seed=seed),
-        cond=cond_estimate(M, delta, rel_resid_tol, dense_cutoff, seed=seed),
+        extremes=raw_extremes(M, K, rel_resid_tol, seed=seed),
+        cond=cond_estimate(M, rel_resid_tol, seed=seed),
         rel_resid_tol=rel_resid_tol,
-        dense_cutoff=dense_cutoff,
         seed=seed,
-        delta=delta,
     )

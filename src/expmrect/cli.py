@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fem, mmio
 from .bounds import Pencil, analyze_pencil, is_lhp_certified, rectangle_from_extremes
 from .errors import DegreeExhausted, ExpmrectError, RefitFailed, ScalingExhausted
@@ -41,6 +39,9 @@ SWEEP_COLUMNS = [
     "measured_error",
     "status",
 ]
+
+SWEEP_KEYS = {"systems", "tau_factors", "eps", "methods", "modes", "verify", "seed"}
+SYSTEM_KEYS = {"domain", "divisions", "refine", "d"}
 
 
 def _fmt(x) -> str:
@@ -242,6 +243,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _check_sweep_keys(config: dict) -> None:
+    unknown = sorted(set(config) - SWEEP_KEYS)
+    if unknown:
+        raise ValueError(f"unknown sweep config key(s) {unknown}; known: {sorted(SWEEP_KEYS)}")
+    for spec_sys in config.get("systems", []):
+        unknown = sorted(set(spec_sys) - SYSTEM_KEYS)
+        if unknown:
+            raise ValueError(
+                f"unknown sweep system key(s) {unknown} in {spec_sys}; known: {sorted(SYSTEM_KEYS)}"
+            )
+
+
 def run_sweep(config: dict) -> list[dict]:
     """Execute a sweep configuration, returning CSV-ready row dicts.
 
@@ -249,8 +262,10 @@ def run_sweep(config: dict) -> list[dict]:
     eps). Failures are recorded with the ``--`` marker in the degree and
     bound columns and the exception class name in ``status``. Each system
     is enclosed once and its analysis shared by every cell; the verifying
-    oracle is cached per (system, tau).
+    oracle is cached per (system, tau). Raises ValueError on a key outside
+    ``SWEEP_KEYS``, or outside ``SYSTEM_KEYS`` in a system, before any run.
     """
+    _check_sweep_keys(config)
     rows: list[dict] = []
     seed = int(config.get("seed", 0))
     verify = bool(config.get("verify", False))
@@ -387,7 +402,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ExpmrectError as exc:
+    except (ExpmrectError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import bounds
 from .aaa import aaa_poles, refit_partial_fractions
 from .bounds import (
     BoundingRectangle,
@@ -169,8 +170,8 @@ class ExpmvRequest:
     ``analysis`` optionally carries the pencil's tau-independent enclosure
     (see ``bounds.analyze_pencil``); mode "ii" then reuses it instead of
     enclosing again. It must be of this pencil's M and K and computed with
-    this request's ``rel_resid_tol``, ``dense_cutoff``, ``seed`` and
-    ``delta``, or the request raises ValueError.
+    this request's ``rel_resid_tol`` and ``seed``, or the request raises
+    ValueError.
     """
 
     pencil: Pencil
@@ -180,8 +181,6 @@ class ExpmvRequest:
     mode: str = "ii"  # "ii": pencil rectangles; "i": dense W(A) rectangle
     kappa_power: float = 0.5
     rel_resid_tol: float = 1e-3
-    delta: float | None = None
-    dense_cutoff: int = 3000
     n_per_side: int = DEFAULT_SAMPLES_PER_SIDE
     s_max: int = 64
     m_max: int = 128
@@ -198,9 +197,7 @@ class ExpmvRequest:
         if self.kappa_power not in (0.5, 1.0):
             raise ValueError("kappa_power must be 0.5 or 1.0")
         if self.analysis is not None:
-            self.analysis.check_fits(
-                self.pencil, self.rel_resid_tol, self.dense_cutoff, self.seed, self.delta
-            )
+            self.analysis.check_fits(self.pencil, self.rel_resid_tol, self.seed)
 
 
 @dataclass(frozen=True)
@@ -249,18 +246,20 @@ class ExpmvCertificate:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def plain_range_rectangle(p: Pencil, rel_resid_tol: float = 1e-3,
-                          dense_cutoff: int = 3000) -> BoundingRectangle:
+def plain_range_rectangle(p: Pencil, rel_resid_tol: float = 1e-3) -> BoundingRectangle:
     """Rectangle around W(tau inv(M) K) itself, formed densely (mode "i").
 
-    Desk-scale only: A is materialized. Horizontal extent from the extreme
+    Desk-scale only: A is materialized, so n may not exceed
+    ``bounds.DENSE_CUTOFF``. Horizontal extent from the extreme
     eigenvalues of the symmetric part, vertical from the largest singular
     value of the skew part; the same inflation rule as the pencil path is
     applied so solver rounding cannot shave the enclosure.
     """
     n = p.n
-    if n > dense_cutoff:
-        raise ValueError(f"plain-range mode forms A densely, n={n} exceeds {dense_cutoff}")
+    if n > bounds.DENSE_CUTOFF:
+        raise ValueError(
+            f"plain-range mode forms A densely, n={n} exceeds {bounds.DENSE_CUTOFF}"
+        )
     Kd = p.K.toarray()
     A = p.tau * lu_factor(p.M).solve(Kd)
     H = 0.5 * (A + A.T)
@@ -303,15 +302,14 @@ def expmv_controlled(req: ExpmvRequest) -> tuple[np.ndarray, ExpmvCertificate]:
         raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
 
     if req.mode == "i":
-        rect = plain_range_rectangle(p, req.rel_resid_tol, req.dense_cutoff)
+        rect = plain_range_rectangle(p, req.rel_resid_tol)
         kappa_safe = 1.0
     elif req.analysis is not None:
         rect = rectangle_from_extremes(req.analysis.extremes, p.tau, req.rel_resid_tol)
         kappa_safe = req.analysis.cond.kappa_safe
     else:
-        rect = bounding_rectangle(p, req.rel_resid_tol, req.dense_cutoff, seed=req.seed)
-        est = cond_estimate(p.M, req.delta, req.rel_resid_tol, req.dense_cutoff, seed=req.seed)
-        kappa_safe = est.kappa_safe
+        rect = bounding_rectangle(p, req.rel_resid_tol, seed=req.seed)
+        kappa_safe = cond_estimate(p.M, req.rel_resid_tol, seed=req.seed).kappa_safe
     target = req.eps / (CROUZEIX_CONSTANT * kappa_safe**req.kappa_power)
 
     if req.method == "sub-pade":

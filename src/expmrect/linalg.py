@@ -2,8 +2,7 @@
 
 Thin, contract-checked wrappers around the LAPACK and SuperLU routines the
 rest of the package builds on: LU and Cholesky factorizations with explicit
-singularity detection, norms, a power-iteration spectral-norm estimate, and
-a dense symmetric eigensolver. Dense matrices are numpy arrays, sparse ones
+singularity detection, and the Euclidean norm. Dense matrices are numpy arrays, sparse ones
 are scipy.sparse arrays in CSR/CSC form; vectors are 1-d numpy arrays.
 """
 from __future__ import annotations
@@ -22,15 +21,10 @@ from .errors import DimensionMismatch, NotSPD, SingularMatrix
 __all__ = [
     "PIVOT_RTOL",
     "LuFactor",
-    "CholeskyFactor",
     "is_sparse",
     "lu_factor",
-    "solve",
     "cholesky",
-    "matvec",
     "norm2",
-    "spectral_norm_estimate",
-    "dense_sym_eig",
 ]
 
 # A pivot below PIVOT_RTOL * max|A| is treated as an exact zero: the factor
@@ -155,32 +149,12 @@ def lu_factor(A) -> LuFactor:
     return LuFactor(shape=A.shape, kind="dense", _lu=lu, _piv=piv)
 
 
-def solve(factor: LuFactor, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given an ``LuFactor`` of A."""
-    return factor.solve(b)
-
-
-@dataclass
-class CholeskyFactor:
-    """Lower-triangular Cholesky factor of a dense SPD matrix."""
-
-    lower: np.ndarray
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b)
-        if b.shape[0] != self.lower.shape[0]:
-            raise DimensionMismatch(
-                f"factor of order {self.lower.shape[0]} cannot solve rhs of shape {b.shape}"
-            )
-        y = sla.solve_triangular(self.lower, b, lower=True)
-        return sla.solve_triangular(self.lower.T, y, lower=False)
-
-
 SYMMETRY_RTOL = 1e-12
 
 
-def cholesky(M) -> CholeskyFactor:
-    """Cholesky-factor a symmetric positive definite matrix (densified).
+def cholesky(M) -> np.ndarray:
+    """Lower-triangular Cholesky factor of a symmetric positive definite
+    matrix (densified).
 
     The input must be symmetric to within ``SYMMETRY_RTOL`` relative
     asymmetry; positive definiteness is established by the factorization
@@ -193,63 +167,10 @@ def cholesky(M) -> CholeskyFactor:
     if scale == 0.0 or np.max(np.abs(Md - Md.T)) > SYMMETRY_RTOL * scale:
         raise NotSPD("matrix is not symmetric to working accuracy")
     try:
-        L = sla.cholesky(Md, lower=True, check_finite=False)
+        return sla.cholesky(Md, lower=True, check_finite=False)
     except sla.LinAlgError as exc:
         raise NotSPD(f"Cholesky failed: {exc}") from exc
-    return CholeskyFactor(lower=L)
-
-
-def matvec(A, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    if A.shape[1] != x.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shape {A.shape} by shape {x.shape}")
-    return A @ x
 
 
 def norm2(x: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(x)))
-
-
-def spectral_norm_estimate(A, iters: int = 50, seed: int = 0) -> float:
-    """Estimate the spectral norm of A by power iteration on A*A.
-
-    Returns a lower bound on ||A||_2 that improves monotonically with
-    ``iters`` in exact arithmetic (it is the square root of a Rayleigh
-    quotient of the positive semidefinite matrix A*A).
-    """
-    if A.shape[0] == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.shape[1])
-    if np.iscomplexobj(A.data if is_sparse(A) else A):
-        v = v + 1j * rng.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    AH = A.conj().T
-    for _ in range(max(1, iters)):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        est = nw
-        v = AH @ w
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return float(est)
-        v /= nv
-    return float(est)
-
-
-def dense_sym_eig(S) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues (ascending) and orthonormal eigenvectors of a dense
-    symmetric matrix. Raises ``NotSymmetric`` on asymmetric input."""
-    from .errors import NotSymmetric
-
-    _require_square(S)
-    Sd = S.toarray() if is_sparse(S) else np.asarray(S)
-    _require_finite(Sd)
-    scale = np.max(np.abs(Sd)) if Sd.size else 0.0
-    if scale > 0.0 and np.max(np.abs(Sd - Sd.T)) > SYMMETRY_RTOL * scale:
-        raise NotSymmetric("matrix is not symmetric to working accuracy")
-    w, V = np.linalg.eigh(Sd)
-    return w, V

@@ -20,7 +20,7 @@ def read_matrix_market(path) -> sp.csr_array:
     return sp.csr_array(A)
 
 
-def write_matrix_market(path, A, symmetric: bool = False, comment: str = "") -> None:
+def write_matrix_market(path, A, symmetric: bool = False) -> None:
     """Write a sparse matrix in Matrix Market coordinate format.
 
     With ``symmetric=True`` the matrix is checked for exact symmetry of the
@@ -33,7 +33,7 @@ def write_matrix_market(path, A, symmetric: bool = False, comment: str = "") -> 
         if diff.nnz and diff.max() != 0.0:
             raise ValueError("matrix is not symmetric, cannot write as symmetric")
         symmetry = "symmetric"
-    scipy.io.mmwrite(path, A, comment=comment, symmetry=symmetry)
+    scipy.io.mmwrite(path, A, symmetry=symmetry)
 
 
 def write_vector(path, x) -> None:

@@ -123,27 +123,6 @@ class PartialFractionRational:
     def degree(self) -> int:
         return int(self.poles.size)
 
-    def is_conjugate_closed(self, rtol: float = 1e-8) -> bool:
-        """True when the pole/weight set is closed under conjugation."""
-        scale = 1.0 + np.max(np.abs(self.poles), initial=0.0)
-        remaining = list(range(self.degree))
-        while remaining:
-            i = remaining.pop()
-            p, w = self.poles[i], self.weights[i]
-            if abs(p.imag) <= rtol * scale:
-                continue
-            match = None
-            for j in remaining:
-                if abs(self.poles[j] - np.conj(p)) <= rtol * scale and abs(
-                    self.weights[j] - np.conj(w)
-                ) <= rtol * (1.0 + abs(w)):
-                    match = j
-                    break
-            if match is None:
-                return False
-            remaining.remove(match)
-        return True
-
 
 def classify_conjugate_poles(poles: np.ndarray):
     """Split an exactly conjugate-closed pole set into real poles and
@@ -257,8 +236,6 @@ def _effective_poles(r) -> np.ndarray:
         return r.scaling * base
     if isinstance(r, PartialFractionRational):
         return r.poles
-    if isinstance(r, CertifiedApproximant):
-        return r.scaling * r.form.poles
     raise TypeError(f"not a rational form: {type(r)!r}")
 
 
@@ -280,7 +257,7 @@ def eval_rational(r, z):
 
     ``PadeRational`` with scaling s is evaluated as (p(z/s)/q(z/s))**s via
     the stable polynomial ratio; ``PartialFractionRational`` by direct pole
-    summation; ``CertifiedApproximant`` through its stored form and scaling.
+    summation.
     """
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -292,8 +269,6 @@ def eval_rational(r, z):
         vals = (npoly.polyval(w, r.num) / den) ** r.scaling
     elif isinstance(r, PartialFractionRational):
         vals = _eval_pf(r, zz)
-    elif isinstance(r, CertifiedApproximant):
-        vals = _eval_pf(r.form, zz / r.scaling) ** r.scaling
     else:
         raise TypeError(f"not a rational form: {type(r)!r}")
     return vals[0] if scalar else vals
@@ -315,26 +290,25 @@ def sup_error_on_rectangle(
     r,
     rect,
     n_per_side: int = DEFAULT_SAMPLES_PER_SIDE,
-    safety: float = SAMPLING_SAFETY,
 ) -> float:
     """Estimate sup over the rectangle of |r(z) - exp(z)| from the boundary.
 
     Requires that no pole of ``r`` lies inside or on the rectangle, so the
     maximum principle applies and boundary sampling is sound; otherwise
-    ``PoleInsideRegion`` is raised. The sampled maximum is multiplied by the
-    ``safety`` factor to cover the gaps between samples.
+    ``PoleInsideRegion`` is raised. The sampled maximum is multiplied by
+    ``SAMPLING_SAFETY`` to cover the gaps between samples.
     """
     if _pole_in_rectangle(_effective_poles(r), rect):
         raise PoleInsideRegion("a pole lies inside or on the rectangle")
     boundary = boundary_samples(rect, n_per_side)
-    return _sup_on_samples(r, boundary.samples, safety)
+    return _sup_on_samples(r, boundary.samples)
 
 
-def _sup_on_samples(r, samples: np.ndarray, safety: float = SAMPLING_SAFETY) -> float:
+def _sup_on_samples(r, samples: np.ndarray) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         err = np.abs(eval_rational(r, samples) - np.exp(samples))
     worst = float(np.max(err))
-    return safety * worst
+    return SAMPLING_SAFETY * worst
 
 
 def select_scaling(

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expmrect import fem
+from expmrect import bounds, fem
 from expmrect.bounds import (
     BoundingRectangle,
     CondEstimate,
@@ -144,21 +144,25 @@ def test_raw_extremes_rejects_size_mismatch(random_pencil_60):
 
 
 def test_rectangle_tau_linearity_without_inflation(square_sys_8):
+    # the endpoints are the unit-step extremes times tau, widened by
+    # max(rel * |endpoint|, 1e-12); here every rel * |endpoint| exceeds the floor
     s = square_sys_8
     ext = raw_extremes(s.M, s.K)
-    r1 = rectangle_from_extremes(ext, 1.0, inflate=False)
-    r3 = rectangle_from_extremes(ext, 3.0, inflate=False)
-    assert r3.mu_min == 3.0 * r1.mu_min
-    assert r3.mu_max == 3.0 * r1.mu_max
-    assert r3.nu_max == 3.0 * r1.nu_max
-    assert r1.nu_min == -r1.nu_max
+    rel = 2e-3
+    for tau in (1.0, 3.0):
+        r = rectangle_from_extremes(ext, tau)
+        assert r.mu_min == tau * ext.mu_min - rel * abs(tau * ext.mu_min)
+        assert r.mu_max == tau * ext.mu_max + rel * abs(tau * ext.mu_max)
+        assert r.nu_max == tau * ext.nu_max + rel * abs(tau * ext.nu_max)
+        assert r.nu_min == -r.nu_max
 
 
 def test_rectangle_inflation_widens_every_endpoint(square_pencil_8):
-    tight = bounding_rectangle(square_pencil_8, inflate=False)
-    wide = bounding_rectangle(square_pencil_8)
-    assert wide.mu_min < tight.mu_min <= tight.mu_max < wide.mu_max
-    assert wide.nu_max > tight.nu_max
+    p = square_pencil_8
+    ext = raw_extremes(p.M, p.K)
+    wide = bounding_rectangle(p)
+    assert wide.mu_min < p.tau * ext.mu_min <= p.tau * ext.mu_max < wide.mu_max
+    assert wide.nu_max > p.tau * ext.nu_max
     assert wide.inflation == 2e-3
 
 
@@ -204,10 +208,11 @@ def test_cond_estimate_dense_matches_eigvalsh(square_sys_8):
     assert est.kappa_safe == est.kappa_tilde
 
 
-def test_cond_estimate_iterative_margin(square_sys_8):
+def test_cond_estimate_iterative_margin(square_sys_8, monkeypatch):
     M = square_sys_8.M
     exact = cond_estimate(M).kappa_tilde
-    est = cond_estimate(M, dense_cutoff=0)
+    monkeypatch.setattr(bounds, "DENSE_CUTOFF", 0)
+    est = cond_estimate(M)
     assert est.delta == 0.05
     assert est.kappa_safe == est.kappa_tilde / 0.95
     assert abs(est.kappa_tilde - exact) <= 1e-2 * exact

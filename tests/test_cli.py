@@ -229,3 +229,33 @@ def test_main_reports_package_errors(capsys):
     # a 1-division square has no interior vertices: DegenerateMesh -> exit 1
     assert rc == 1
     assert "DegenerateMesh" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--eps", "2"), "eps must lie in"),
+    (("--mode", "i", "--divisions", "56"), "plain-range mode forms A densely"),
+])
+def test_main_reports_request_errors(argv, message, capsys):
+    # 56 divisions give n = 3025, beyond the dense cutoff that mode "i" needs
+    rc = run_cli("expmv", "--domain", "square", *argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ") and message in err
+
+
+def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau_factor": [10.0]}))
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 1
+    assert "'tau_factor'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_unknown_system_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"systems": [{"domain": "square", "division": 4, "d": 0.1}]}))
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 1
+    assert "'division'" in capsys.readouterr().err
+    assert not out.exists()

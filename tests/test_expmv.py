@@ -214,8 +214,6 @@ def test_expmv_rejects_mismatched_analysis(square_pencil_8, square_sys_8):
     mismatched = [
         {"seed": 1},
         {"rel_resid_tol": 1e-4},
-        {"delta": 0.05},
-        {"dense_cutoff": 10},
     ]
     for settings in mismatched:
         with pytest.raises(ValueError, match="settings differ"):
