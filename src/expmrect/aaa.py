@@ -30,7 +30,6 @@ from .rational import (
     boundary_samples,
     classify_conjugate_poles,
     sup_error_on_rectangle,
-    _pole_in_rectangle,
 )
 
 __all__ = ["aaa_poles", "refit_partial_fractions"]
@@ -228,14 +227,7 @@ def _filter_poles(poles, support, w, fsupp, rect, fscale):
     doublets whose barycentric residue is negligible."""
     if poles.size == 0:
         return poles
-    keep = np.ones(poles.size, dtype=bool)
-    inside = (
-        (poles.real >= rect.mu_min)
-        & (poles.real <= rect.mu_max)
-        & (poles.imag >= rect.nu_min)
-        & (poles.imag <= rect.nu_max)
-    )
-    keep &= ~inside
+    keep = ~rect.contains(poles)
     diff = poles[:, None] - support[None, :]
     num = (w * fsupp / diff).sum(axis=1)
     dden = -(w / diff**2).sum(axis=1)
@@ -413,7 +405,7 @@ def refit_partial_fractions(
     """
     poles = np.asarray(poles, dtype=complex)
     rect = boundary.rectangle
-    if _pole_in_rectangle(poles, rect):
+    if np.any(rect.contains(poles)):
         raise PoleInsideRegion("a candidate pole lies inside or on the rectangle")
     z = boundary.samples
     if z.size < 2 * (poles.size + 1):

@@ -34,6 +34,7 @@ __all__ = [
     "extreme_eigs_sym_pencil",
     "extreme_eig_skew_pencil",
     "raw_extremes",
+    "inflated_rectangle",
     "rectangle_from_extremes",
     "bounding_rectangle",
     "cond_estimate",
@@ -342,10 +343,14 @@ class BoundingRectangle:
     def height(self) -> float:
         return self.nu_max - self.nu_min
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
+    def contains(self, z):
+        """Closed-rectangle membership of z, elementwise for an array."""
+        z = np.asarray(z)
         return (
-            self.mu_min - margin <= z.real <= self.mu_max + margin
-            and self.nu_min - margin <= z.imag <= self.nu_max + margin
+            (self.mu_min <= z.real)
+            & (z.real <= self.mu_max)
+            & (self.nu_min <= z.imag)
+            & (z.imag <= self.nu_max)
         )
 
     def as_dict(self) -> dict:
@@ -358,10 +363,27 @@ class BoundingRectangle:
         }
 
 
-def _inflate(lo: float, hi: float, rel: float) -> tuple[float, float]:
-    return (
-        lo - max(rel * abs(lo), INFLATION_FLOOR),
-        hi + max(rel * abs(hi), INFLATION_FLOOR),
+def inflated_rectangle(
+    mu_min: float, mu_max: float, nu_max: float, rel_resid_tol: float
+) -> BoundingRectangle:
+    """The rectangle [mu_min, mu_max] x [-nu_max, nu_max], widened outward.
+
+    Each endpoint moves outward by max(2 * rel_resid_tol * |endpoint|,
+    ``INFLATION_FLOOR``), so that eigenvalue-solver tolerance cannot shave
+    the enclosure.
+    """
+    rel = 2.0 * rel_resid_tol
+
+    def margin(x):
+        return max(rel * abs(x), INFLATION_FLOOR)
+
+    nu_hi = nu_max + margin(nu_max)
+    return BoundingRectangle(
+        mu_min=mu_min - margin(mu_min),
+        mu_max=mu_max + margin(mu_max),
+        nu_min=-nu_hi,
+        nu_max=nu_hi,
+        inflation=rel,
     )
 
 
@@ -417,13 +439,7 @@ def rectangle_from_extremes(
     rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
 ) -> BoundingRectangle:
     """Scale unit-step extremes by tau and apply the safety inflation."""
-    rel = 2.0 * rel_resid_tol
-    mu_lo, mu_hi = _inflate(tau * ext.mu_min, tau * ext.mu_max, rel)
-    nu_hi = tau * ext.nu_max
-    nu_hi += max(rel * abs(nu_hi), INFLATION_FLOOR)
-    return BoundingRectangle(
-        mu_min=mu_lo, mu_max=mu_hi, nu_min=-nu_hi, nu_max=nu_hi, inflation=rel
-    )
+    return inflated_rectangle(tau * ext.mu_min, tau * ext.mu_max, tau * ext.nu_max, rel_resid_tol)
 
 
 def bounding_rectangle(
@@ -435,9 +451,8 @@ def bounding_rectangle(
 
     The horizontal extent comes from the extreme eigenvalues of (tau D, M),
     the vertical extent from the Hermitian pencil (tau C, M); for real K the
-    rectangle is symmetric about the real axis. Endpoints are widened
-    outward by max(2 * rel_resid_tol * |endpoint|, 1e-12) so that
-    eigenvalue-solver tolerance cannot shave the enclosure.
+    rectangle is symmetric about the real axis. Endpoints are widened by
+    ``inflated_rectangle``.
     """
     ext = raw_extremes(p.M, p.K, rel_resid_tol, seed=seed)
     return rectangle_from_extremes(ext, p.tau, rel_resid_tol)

@@ -17,9 +17,9 @@ from pathlib import Path
 
 from . import fem, mmio
 from .bounds import Pencil, analyze_pencil, is_lhp_certified, rectangle_from_extremes
-from .errors import DegreeExhausted, ExpmrectError, RefitFailed, ScalingExhausted
-from .expmv import ExpmvRequest, expm_dense_oracle, expmv_controlled
-from .linalg import lu_factor, norm2
+from .errors import ExpmrectError, ToleranceUnreachable
+from .expmv import ExpmvRequest, dense_operator, expm_dense_oracle, expmv_controlled
+from .linalg import norm2
 
 FAILURE_MARK = "--"
 
@@ -42,6 +42,7 @@ SWEEP_COLUMNS = [
 
 SWEEP_KEYS = {"systems", "tau_factors", "eps", "methods", "modes", "verify", "seed"}
 SYSTEM_KEYS = {"domain", "divisions", "refine", "d"}
+REQUIRED_SYSTEM_KEYS = {"domain", "d"}
 
 
 def _fmt(x) -> str:
@@ -82,12 +83,55 @@ def _load_system(args):
     return system.M, system.K, system.b0, mesh.h_bar, meta
 
 
+def _reference(p: Pencil, b):
+    """exp(tau inv(M) K) b from the dense oracle, the vector a verifying run
+    compares against."""
+    return expm_dense_oracle(dense_operator(p)) @ b
+
+
+def _row(head: dict, outcome, x=None, reference=None, b=None) -> dict:
+    """The ``SWEEP_COLUMNS`` row of one driver run.
+
+    ``head`` holds the columns fixed before the run: shape, d, n, h_bar,
+    tau_factor, method, mode and eps. ``outcome`` is the run's certificate
+    or its ``ToleranceUnreachable`` failure; ``kappa`` is the certificate's
+    ``kappa_safe``, taken from the failure's context on a failure row.
+    ``measured_error`` is ||x - reference|| / ||b|| when a reference is given.
+    """
+    head = dict(head, element="P1")
+    if isinstance(outcome, ToleranceUnreachable):
+        return dict(
+            head,
+            kappa=_fmt(outcome.context["kappa_safe"]),
+            degree=FAILURE_MARK,
+            certified_bound=FAILURE_MARK,
+            measured_error="",
+            status=type(outcome).__name__,
+        )
+    measured = "" if reference is None else _fmt(norm2(x - reference) / norm2(b))
+    return dict(
+        head,
+        kappa=_fmt(outcome.kappa_safe),
+        degree=outcome.degree,
+        certified_bound=_fmt(outcome.operator_bound),
+        measured_error=measured,
+        status="ok",
+    )
+
+
 def _resolve_tau(args, h_bar):
     if args.tau is not None:
         return float(args.tau)
     if h_bar is None:
         raise SystemExit("--tau-factor needs a generated system or a params.json with h_bar")
     return float(args.tau_factor) * float(h_bar)
+
+
+def _tau_factor_column(args, tau, h_bar) -> str:
+    """The factor given by --tau-factor; tau / h_bar only when --tau is given."""
+    if args.tau is None:
+        return _fmt(float(args.tau_factor))
+    return _fmt(tau / h_bar) if h_bar else ""
 
 
 # --------------------------------------------------------------------------
@@ -162,7 +206,7 @@ def cmd_expmv(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     try:
         x, cert = expmv_controlled(req)
-    except (ScalingExhausted, DegreeExhausted, RefitFailed) as exc:
+    except ToleranceUnreachable as exc:
         failure = {
             "schema": "expmrect/certificate-v1",
             "status": type(exc).__name__,
@@ -175,27 +219,18 @@ def cmd_expmv(args) -> int:
         print(text, file=sys.stderr)
         return 1
 
-    measured = ""
-    if args.verify:
-        A = tau * lu_factor(M).solve(K.toarray())
-        ref = expm_dense_oracle(A) @ b
-        measured = norm2(x - ref) / norm2(b)
-    row = {
+    head = {
         "shape": meta["shape"],
-        "element": "P1",
         "d": _fmt(meta["d"]),
         "n": p.n,
         "h_bar": _fmt(h_bar) if h_bar is not None else "",
-        "kappa": _fmt(cert.kappa_safe),
-        "tau_factor": _fmt(tau / h_bar) if h_bar else "",
-        "method": cert.method,
-        "mode": cert.mode,
+        "tau_factor": _tau_factor_column(args, tau, h_bar),
+        "method": args.method,
+        "mode": args.mode,
         "eps": _fmt(args.eps),
-        "degree": cert.degree,
-        "certified_bound": _fmt(cert.operator_bound),
-        "measured_error": _fmt(measured) if measured != "" else "",
-        "status": "ok",
     }
+    reference = _reference(p, b) if args.verify else None
+    row = _row(head, cert, x, reference, b)
     if out:
         mmio.write_vector(out / "result.txt", x)
         (out / "certificate.json").write_text(cert.to_json() + "\n")
@@ -204,8 +239,8 @@ def cmd_expmv(args) -> int:
             writer.writeheader()
             writer.writerow(row)
     print(cert.to_json())
-    if measured != "":
-        print(f"measured relative error: {measured:.3e}")
+    if reference is not None:
+        print(f"measured relative error: {float(row['measured_error']):.3e}")
     return 0
 
 
@@ -225,7 +260,12 @@ def _sweep_config(args) -> dict:
         "seed": args.seed,
     }
     if args.config:
-        config.update(json.loads(Path(args.config).read_text()))
+        loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(
+                f"sweep config {args.config} must hold a JSON object, not {type(loaded).__name__}"
+            )
+        config.update(loaded)
     return config
 
 
@@ -253,6 +293,9 @@ def _check_sweep_keys(config: dict) -> None:
             raise ValueError(
                 f"unknown sweep system key(s) {unknown} in {spec_sys}; known: {sorted(SYSTEM_KEYS)}"
             )
+        missing = sorted(REQUIRED_SYSTEM_KEYS - set(spec_sys))
+        if missing:
+            raise ValueError(f"sweep system {spec_sys} lacks required key(s) {missing}")
 
 
 def run_sweep(config: dict) -> list[dict]:
@@ -262,8 +305,9 @@ def run_sweep(config: dict) -> list[dict]:
     eps). Failures are recorded with the ``--`` marker in the degree and
     bound columns and the exception class name in ``status``. Each system
     is enclosed once and its analysis shared by every cell; the verifying
-    oracle is cached per (system, tau). Raises ValueError on a key outside
-    ``SWEEP_KEYS``, or outside ``SYSTEM_KEYS`` in a system, before any run.
+    reference is computed once per (system, tau). Raises ValueError on a key
+    outside ``SWEEP_KEYS``, or on a system with a key outside ``SYSTEM_KEYS``
+    or without one of ``REQUIRED_SYSTEM_KEYS``, before any run.
     """
     _check_sweep_keys(config)
     rows: list[dict] = []
@@ -280,23 +324,18 @@ def run_sweep(config: dict) -> list[dict]:
         analysis = analyze_pencil(system.M, system.K, seed=seed)
         base = {
             "shape": domain,
-            "element": "P1",
             "d": _fmt(float(spec_sys["d"])),
             "n": system.n,
             "h_bar": _fmt(mesh.h_bar),
-            "kappa": _fmt(analysis.cond.kappa_safe),
         }
         for tf in config.get("tau_factors", [1.0]):
             tau = float(tf) * mesh.h_bar
             p = Pencil(tau=tau, M=system.M, K=system.K)
-            oracle = None
-            if verify:
-                A = tau * lu_factor(system.M).solve(system.K.toarray())
-                oracle = expm_dense_oracle(A) @ system.b0
+            reference = _reference(p, system.b0) if verify else None
             for method in config.get("methods", ["sub-pade", "rat-interp"]):
                 for mode in config.get("modes", ["ii"]):
                     for eps in config.get("eps", [1e-6]):
-                        row = dict(
+                        head = dict(
                             base,
                             tau_factor=_fmt(float(tf)),
                             method=method,
@@ -314,25 +353,10 @@ def run_sweep(config: dict) -> list[dict]:
                         )
                         try:
                             x, cert = expmv_controlled(req)
-                        except (ScalingExhausted, DegreeExhausted, RefitFailed) as exc:
-                            row.update(
-                                degree=FAILURE_MARK,
-                                certified_bound=FAILURE_MARK,
-                                measured_error="",
-                                status=type(exc).__name__,
-                            )
-                            rows.append(row)
-                            continue
-                        measured = ""
-                        if oracle is not None:
-                            measured = _fmt(norm2(x - oracle) / norm2(system.b0))
-                        row.update(
-                            degree=cert.degree,
-                            certified_bound=_fmt(cert.operator_bound),
-                            measured_error=measured,
-                            status="ok",
-                        )
-                        rows.append(row)
+                        except ToleranceUnreachable as exc:
+                            rows.append(_row(head, exc))
+                        else:
+                            rows.append(_row(head, cert, x, reference, system.b0))
     return rows
 
 

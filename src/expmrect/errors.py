@@ -47,11 +47,11 @@ class SingularShift(ExpmrectError):
     """A shifted pencil beta*M - tau*K is numerically singular."""
 
 
-class ScalingExhausted(ExpmrectError):
-    """No admissible scaling parameter up to the cap meets the target.
+class ToleranceUnreachable(ExpmrectError):
+    """The method honestly cannot meet the requested tolerance within its caps.
 
-    Carries a ``context`` dict with the rectangle, target and cap when
-    raised by the driver.
+    Carries a ``context`` dict describing how far the search got; the driver
+    adds the rectangle, ``kappa_safe`` and the scalar target.
     """
 
     def __init__(self, *args, context=None):
@@ -59,20 +59,16 @@ class ScalingExhausted(ExpmrectError):
         self.context = dict(context) if context else {}
 
 
-class DegreeExhausted(ExpmrectError):
+class ScalingExhausted(ToleranceUnreachable):
+    """No admissible scaling parameter up to the cap meets the target."""
+
+
+class DegreeExhausted(ToleranceUnreachable):
     """The greedy interpolation reached its degree cap above the target."""
 
-    def __init__(self, *args, context=None):
-        super().__init__(*args)
-        self.context = dict(context) if context else {}
 
-
-class RefitFailed(ExpmrectError):
+class RefitFailed(ToleranceUnreachable):
     """The certified sup-error of a refitted approximant exceeds its target."""
-
-    def __init__(self, *args, context=None):
-        super().__init__(*args)
-        self.context = dict(context) if context else {}
 
 
 class DegenerateMesh(ExpmrectError):

@@ -38,6 +38,7 @@ from .bounds import (
     PencilAnalysis,
     bounding_rectangle,
     cond_estimate,
+    inflated_rectangle,
     rectangle_from_extremes,
 )
 from .errors import (
@@ -68,6 +69,7 @@ __all__ = [
     "ExpmvCertificate",
     "apply_partial_fraction",
     "apply_scaled_pade",
+    "dense_operator",
     "expmv_controlled",
     "expm_dense_oracle",
     "theorem1_bound_check",
@@ -95,15 +97,15 @@ def _shift_factor(p: Pencil, beta: complex, tau: float):
 
 
 def _pf_apply(pf: PartialFractionRational, p: Pencil, b: np.ndarray, tau: float,
-              factors: dict | None = None, pair_conjugates: bool = True):
+              factors: dict | None = None):
     """Evaluate gamma*b + sum_k w_k (beta_k M - tau K)^{-1} M b.
 
-    With ``pair_conjugates`` (the default, for real data and an exactly
-    conjugate-closed pole set) only one solve per conjugate pair is done and
-    its contribution doubled through the real part, so the result is exactly
-    real for real input. The pairing is established structurally before any
-    term is touched; a set that does not classify falls back to the plain
-    complex sum, which handles every pole and so cannot drop one.
+    For real data and an exactly conjugate-closed pole set only one solve
+    per conjugate pair is done and its contribution doubled through the
+    real part, so the result is exactly real for real input. The pairing is
+    established structurally before any term is touched; a set that does
+    not classify falls back to the plain complex sum, which handles every
+    pole and so cannot drop one.
     """
     Mb = p.M @ b
     real_input = not np.iscomplexobj(b)
@@ -115,7 +117,7 @@ def _pf_apply(pf: PartialFractionRational, p: Pencil, b: np.ndarray, tau: float,
             factors[key] = _shift_factor(p, key, tau)
         return factors[key].solve(Mb)
 
-    classified = classify_conjugate_poles(pf.poles) if pair_conjugates and real_input else None
+    classified = classify_conjugate_poles(pf.poles) if real_input else None
     if classified is not None and abs(complex(pf.gamma).imag) == 0.0:
         real_idx, pairs = classified
         if all(pf.weights[j] == np.conj(pf.weights[i]) for i, j in pairs) and all(
@@ -133,8 +135,7 @@ def _pf_apply(pf: PartialFractionRational, p: Pencil, b: np.ndarray, tau: float,
     return x
 
 
-def apply_partial_fraction(r: PartialFractionRational, p: Pencil, b: np.ndarray,
-                           pair_conjugates: bool = True) -> np.ndarray:
+def apply_partial_fraction(r: PartialFractionRational, p: Pencil, b: np.ndarray) -> np.ndarray:
     """Apply r(tau inv(M) K) to b via shifted sparse solves.
 
     Each pole contributes w_k (beta_k M - tau K)^{-1} M b; factorizations
@@ -142,7 +143,7 @@ def apply_partial_fraction(r: PartialFractionRational, p: Pencil, b: np.ndarray,
     """
     if b.shape[0] != p.n:
         raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
-    return _pf_apply(r, p, np.asarray(b), p.tau, pair_conjugates=pair_conjugates)
+    return _pf_apply(r, p, np.asarray(b), p.tau)
 
 
 def apply_scaled_pade(pade: PadeRational, p: Pencil, b: np.ndarray) -> np.ndarray:
@@ -246,32 +247,31 @@ class ExpmvCertificate:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def dense_operator(p: Pencil) -> np.ndarray:
+    """A = tau inv(M) K as a dense array, for the desk-scale paths."""
+    return p.tau * lu_factor(p.M).solve(p.K.toarray())
+
+
 def plain_range_rectangle(p: Pencil, rel_resid_tol: float = 1e-3) -> BoundingRectangle:
     """Rectangle around W(tau inv(M) K) itself, formed densely (mode "i").
 
     Desk-scale only: A is materialized, so n may not exceed
     ``bounds.DENSE_CUTOFF``. Horizontal extent from the extreme
     eigenvalues of the symmetric part, vertical from the largest singular
-    value of the skew part; the same inflation rule as the pencil path is
-    applied so solver rounding cannot shave the enclosure.
+    value of the skew part, widened by ``bounds.inflated_rectangle`` like
+    the pencil path.
     """
     n = p.n
     if n > bounds.DENSE_CUTOFF:
         raise ValueError(
             f"plain-range mode forms A densely, n={n} exceeds {bounds.DENSE_CUTOFF}"
         )
-    Kd = p.K.toarray()
-    A = p.tau * lu_factor(p.M).solve(Kd)
+    A = dense_operator(p)
     H = 0.5 * (A + A.T)
     W = 0.5 * (A - A.T)
     w = np.linalg.eigvalsh(H)
     nu = float(np.linalg.svd(W, compute_uv=False)[0]) if n > 1 else 0.0
-    rel = 2.0 * rel_resid_tol
-    mu_lo = w[0] - max(rel * abs(w[0]), 1e-12)
-    mu_hi = w[-1] + max(rel * abs(w[-1]), 1e-12)
-    nu_hi = nu + max(rel * abs(nu), 1e-12)
-    return BoundingRectangle(mu_min=float(mu_lo), mu_max=float(mu_hi),
-                             nu_min=-nu_hi, nu_max=nu_hi, inflation=rel)
+    return inflated_rectangle(float(w[0]), float(w[-1]), nu, rel_resid_tol)
 
 
 def _attach_context(exc, rect, kappa, target, req):
@@ -470,7 +470,7 @@ def theorem1_bound_check(p: Pencil, cert: CertifiedApproximant,
     n = p.n
     if n > size_cap:
         raise ValueError(f"bound check is desk-scale only (n <= {size_cap})")
-    A = p.tau * lu_factor(p.M).solve(p.K.toarray())
+    A = dense_operator(p)
     R = _rational_matrix(cert, A)
     E = expm_dense_oracle(A)
     lhs = float(np.linalg.norm(R - E, 2))

@@ -19,7 +19,6 @@ sample density.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import factorial
 
@@ -274,18 +273,6 @@ def eval_rational(r, z):
     return vals[0] if scalar else vals
 
 
-def _pole_in_rectangle(poles: np.ndarray, rect) -> bool:
-    if poles.size == 0:
-        return False
-    inside = (
-        (poles.real >= rect.mu_min)
-        & (poles.real <= rect.mu_max)
-        & (poles.imag >= rect.nu_min)
-        & (poles.imag <= rect.nu_max)
-    )
-    return bool(np.any(inside))
-
-
 def sup_error_on_rectangle(
     r,
     rect,
@@ -298,7 +285,7 @@ def sup_error_on_rectangle(
     ``PoleInsideRegion`` is raised. The sampled maximum is multiplied by
     ``SAMPLING_SAFETY`` to cover the gaps between samples.
     """
-    if _pole_in_rectangle(_effective_poles(r), rect):
+    if np.any(rect.contains(_effective_poles(r))):
         raise PoleInsideRegion("a pole lies inside or on the rectangle")
     boundary = boundary_samples(rect, n_per_side)
     return _sup_on_samples(r, boundary.samples)
@@ -330,7 +317,7 @@ def select_scaling(
     boundary = boundary_samples(rect, n_per_side)
     for s in range(1, int(s_max) + 1):
         cand = pade45(scaling=s)
-        if _pole_in_rectangle(_effective_poles(cand), rect):
+        if np.any(rect.contains(_effective_poles(cand))):
             continue
         if _sup_on_samples(cand, boundary.samples) <= target:
             return s
@@ -373,34 +360,3 @@ class CertifiedApproximant:
     @property
     def degree(self) -> int:
         return self.scaling * self.form.degree
-
-    def to_json(self) -> str:
-        payload = {
-            "schema": "expmrect/approximant-v1",
-            "method": self.method,
-            "scaling": self.scaling,
-            "sup_error_estimate": self.sup_error_estimate,
-            "target": self.target,
-            "gamma": [self.form.gamma.real, self.form.gamma.imag],
-            "poles": [[p.real, p.imag] for p in self.form.poles],
-            "weights": [[w.real, w.imag] for w in self.form.weights],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CertifiedApproximant":
-        d = json.loads(text)
-        if d.get("schema") != "expmrect/approximant-v1":
-            raise ValueError(f"unknown schema {d.get('schema')!r}")
-        form = PartialFractionRational(
-            gamma=complex(*d["gamma"]),
-            poles=np.array([complex(*p) for p in d["poles"]], dtype=complex),
-            weights=np.array([complex(*w) for w in d["weights"]], dtype=complex),
-        )
-        return cls(
-            form=form,
-            sup_error_estimate=float(d["sup_error_estimate"]),
-            target=float(d["target"]),
-            method=str(d["method"]),
-            scaling=int(d["scaling"]),
-        )

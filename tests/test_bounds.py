@@ -126,7 +126,9 @@ def test_rectangle_validation_and_accessors():
     assert r.width == 1.0 and r.height == 6.0
     assert r.contains(-1.5 + 2.9j)
     assert not r.contains(-0.99)
-    assert r.contains(-0.99, margin=0.02)
+    # closed and elementwise: edges and corners count as inside
+    z = np.array([-2.0 - 3.0j, -1.0 + 0.0j, -1.5 + 3.0001j, -2.0001 + 0.0j])
+    assert r.contains(z).tolist() == [True, True, False, False]
 
 
 def test_raw_extremes_dense_matches_separate_solves(random_pencil_60):

@@ -259,3 +259,40 @@ def test_sweep_rejects_unknown_system_key(tmp_path, capsys):
     assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 1
     assert "'division'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ([1], "must hold a JSON object, not list"),
+    ({"systems": [{"domain": "square", "divisions": 4}]}, "lacks required key(s) ['d']"),
+    ({"systems": [{"divisions": 4, "d": 0.1}]}, "lacks required key(s) ['domain']"),
+])
+def test_sweep_rejects_malformed_config(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError: ") and message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["i", "ii"])
+def test_expmv_run_csv_matches_sweep_row(tmp_path, mode):
+    # kappa is the certificate's kappa_safe (1.0 in mode i) and tau_factor
+    # the factor as given, in both emitters
+    run = tmp_path / "run"
+    assert run_cli("expmv", "--domain", "square", "--divisions", "8", "--tau-factor", "30",
+                   "--mode", mode, "--verify", "--out", str(run)) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "systems": [{"domain": "square", "divisions": 8, "d": 0.1}],
+        "tau_factors": [30.0],
+        "eps": [1e-6],
+        "methods": ["sub-pade"],
+        "modes": [mode],
+        "verify": True,
+    }))
+    sweep = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(sweep)) == 0
+    assert (run / "run.csv").read_bytes() == sweep.read_bytes()
+    assert (run / "run.csv").read_text().splitlines()[1].split(",")[-1] == "ok"

@@ -23,7 +23,7 @@ from expmrect.expmv import (
     expmv_controlled,
     theorem1_bound_check,
 )
-from expmrect.rational import pade45, pade_to_partial_fractions
+from expmrect.rational import PartialFractionRational, pade45, pade_to_partial_fractions
 
 from conftest import random_nonsym_sparse, random_spd_sparse
 
@@ -90,14 +90,22 @@ def test_apply_partial_fraction_matches_dense(square_pencil_8):
 
 
 def test_apply_partial_fraction_pairing_consistent(square_pencil_8):
+    # 2+1j has no conjugate partner, so the one-solve-per-pair path cannot
+    # classify the set and the plain complex sum must handle every pole
     p = square_pencil_8
-    pf = pade_to_partial_fractions(pade45())
+    pf = PartialFractionRational(
+        gamma=0.3, poles=[2.0 + 1.0j, 3.0 - 0.5j, 4.0], weights=[1.0 + 0.5j, -0.2 + 1.0j, 0.7]
+    )
     rng = np.random.default_rng(6)
     b = rng.standard_normal(p.n)
-    paired = apply_partial_fraction(pf, p, b, pair_conjugates=True)
-    plain = apply_partial_fraction(pf, p, b, pair_conjugates=False)
-    assert np.allclose(paired, np.asarray(plain).real, rtol=0.0,
-                       atol=1e-13 * np.linalg.norm(b))
+    got = apply_partial_fraction(pf, p, b)
+    A = _dense_A(p)
+    I = np.eye(p.n)
+    want = pf.gamma * b.astype(complex)
+    for beta, w in zip(pf.poles, pf.weights):
+        want = want + w * np.linalg.solve(beta * I - A, b)
+    assert np.iscomplexobj(got)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.linalg.norm(b))
 
 
 def test_apply_scaled_pade_matches_dense_power(square_pencil_8):

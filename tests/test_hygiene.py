@@ -1,8 +1,11 @@
-"""Static checks on the package source: no unused imports, no stale __all__.
+"""Static checks on the package source: no unused imports, no stale __all__,
+no orphaned private names.
 
 Each module except ``__init__.py`` (which only re-exports) is parsed with
-``ast``. An imported name must be read somewhere in its module, and every
-``__all__`` entry must be defined at module level.
+``ast``. An imported name must be read somewhere in its module, every
+``__all__`` entry must be defined at module level, and every private
+module-level name must be referenced somewhere in the package outside its
+own definition. ``__init__.__all__`` lists exactly the names it imports.
 """
 from __future__ import annotations
 
@@ -13,9 +16,8 @@ import pytest
 
 import expmrect
 
-MODULES = sorted(
-    p for p in Path(expmrect.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = Path(expmrect.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -74,3 +76,58 @@ def test_module_all_names_are_defined(path):
     tree = ast.parse(path.read_text())
     missing = [name for name in _dunder_all(tree) if name not in _module_level_names(tree)]
     assert not missing, f"{path.name}: __all__ lists undefined names {missing}"
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, first line, last line) of each private module-level def,
+    class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def _references(tree: ast.Module):
+    """(name, line) of every name read, attribute accessed or name imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_private_names_are_referenced(path):
+    trees = {p: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    refs = {p: list(_references(tree)) for p, tree in trees.items()}
+    orphans = []
+    for name, first, last in _private_definitions(trees[path]):
+        used = any(
+            ref == name and not (p == path and first <= line <= last)
+            for p, lines in refs.items()
+            for ref, line in lines
+        )
+        if not used:
+            orphans.append(name)
+    assert not orphans, f"{path.name}: private names nothing references {orphans}"
+
+
+def test_init_all_matches_its_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = set(_imported_names(tree))
+    exported = set(_dunder_all(tree))
+    assert exported == imported, (
+        f"imported but not in __all__: {sorted(imported - exported)}; "
+        f"in __all__ but not imported: {sorted(exported - imported)}"
+    )

@@ -6,7 +6,6 @@ once with this oracle in place and then frozen.
 """
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -202,16 +201,3 @@ def test_certified_approximant_rejects_broken_certificate():
     pf = pade_to_partial_fractions(pade45())
     with pytest.raises(ValueError):
         CertifiedApproximant(form=pf, sup_error_estimate=1e-3, target=1e-6, method="sub-pade")
-
-
-def test_certified_approximant_json_roundtrip():
-    pf = pade_to_partial_fractions(pade45())
-    cert = CertifiedApproximant(
-        form=pf, sup_error_estimate=1e-7, target=1e-6, method="sub-pade", scaling=3
-    )
-    back = CertifiedApproximant.from_json(cert.to_json())
-    assert back.method == cert.method
-    assert back.scaling == cert.scaling
-    assert back.degree == cert.degree == 15
-    assert np.array_equal(back.form.poles, cert.form.poles)
-    assert json.loads(cert.to_json())["schema"] == "expmrect/approximant-v1"
