@@ -6,8 +6,9 @@ contained in the axis-aligned rectangle whose horizontal extent is given by
 the extreme eigenvalues of the symmetric pencil (tau D, M) and whose vertical
 extent by those of the Hermitian pencil (tau C, M), where D is the symmetric
 part of K and C is the Hermitian part of its skew piece, C = (K - K^T)/(2i).
-This module computes those extreme eigenvalues (dense solves at desk scale,
-Lanczos in the M-inner product beyond), assembles the safety-inflated
+This module computes those extreme eigenvalues (eigenvalues only, by the
+tridiagonal divide and conquer that ``numpy.linalg.eigh`` uses, at desk
+scale; Lanczos in the M-inner product beyond), assembles the safety-inflated
 rectangle, estimates the condition number of M, and certifies left-half-plane
 location. ``analyze_pencil`` computes the tau-independent part (extremes and
 condition estimate) once, for reuse across time steps.
@@ -118,7 +119,7 @@ def _pencil_ops(B, M):
     return B_mv, (lambda v: M @ v), lu_factor(sp.csc_array(M)).solve
 
 
-def _lanczos_extreme(B_mv, M_mv, M_solve, n, which, tol, max_iter, seed):
+def _lanczos_extreme(B_mv, M_mv, M_solve, n, which, tol, seed):
     """Extreme Ritz value of the M-symmetric pencil via Lanczos with full
     reorthogonalization in the M-inner product.
 
@@ -136,10 +137,9 @@ def _lanczos_extreme(B_mv, M_mv, M_solve, n, which, tol, max_iter, seed):
     betas: list[float] = []
     v_prev = None
     beta_prev = 0.0
-    limit = min(n, max_iter)
     theta = resid = None
     x = None
-    for j in range(limit):
+    for _ in range(n):
         Bv = B_mv(V[-1])
         u = M_solve(Bv)
         alpha = float(V[-1] @ Bv)
@@ -175,7 +175,7 @@ def _lanczos_extreme(B_mv, M_mv, M_solve, n, which, tol, max_iter, seed):
         V.append(vnext)
         MV.append(Mu / beta)
     raise NoConvergence(
-        f"Lanczos did not reach residual {tol:.1e} within {limit} iterations "
+        f"Lanczos did not reach residual {tol:.1e} within {n} iterations "
         f"(last residual {resid:.3e})"
     )
 
@@ -186,71 +186,26 @@ def _tridiag_eig(alphas, betas):
     return sla.eigh_tridiagonal(np.asarray(alphas), np.asarray(betas[: len(alphas) - 1]))
 
 
-def _dense_transformed(B, M):
-    """Form inv(L) B inv(L)^T densely from the Cholesky factor of M."""
-    Bd = B.toarray() if is_sparse(B) else np.asarray(B)
-    L = cholesky(M)
-    Y = sla.solve_triangular(L, Bd, lower=True)
-    T = sla.solve_triangular(L, Y.T, lower=True).T
-    return T, L
-
-
-def _dense_sym_extremes(B, M, whichs) -> list[tuple[float, float]]:
-    """(theta, residual) of the dense pencil (B, M) at each end in ``whichs``.
-
-    One Cholesky transform and one ``eigh`` serve every requested end; the
-    n x n temporaries are freed when this returns.
-    """
-    if M is None:
-        Bd = B.toarray() if is_sparse(B) else np.asarray(B)
-        w, V = np.linalg.eigh(0.5 * (Bd + Bd.T))
-    else:
-        T, L = _dense_transformed(B, M)
-        w, V = np.linalg.eigh(0.5 * (T + T.T))
-    out = []
-    for which in whichs:
-        idx = -1 if which == "max" else 0
-        theta = float(w[idx])
-        if M is None:
-            x = V[:, idx]
-            Mx = x
-        else:
-            x = sla.solve_triangular(L.T, V[:, idx], lower=False)
-            Mx = M @ x
-        Bx = B @ x
-        denom = abs(theta) * np.linalg.norm(Mx) + np.linalg.norm(Bx)
-        resid = float(np.linalg.norm(Bx - theta * Mx) / denom) if denom > 0.0 else 0.0
-        out.append((theta, resid))
-    return out
-
-
 def extreme_eigs_sym_pencil(
     B,
     M,
     which: str = "max",
     rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-    dense_cutoff: int = DENSE_CUTOFF,
-    max_iter: int | None = None,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Extreme eigenvalue of the symmetric pencil B x = theta M x.
+    """Extreme eigenvalue of the symmetric pencil B x = theta M x by Lanczos.
 
-    Returns (theta, achieved_residual). For n <= dense_cutoff the problem is
-    solved exactly through the Cholesky-transformed dense eigenproblem;
-    beyond that a Lanczos iteration in the M-inner product runs until the
-    relative Ritz residual drops below ``rel_resid_tol``.
+    Returns (theta, achieved_residual). The iteration runs in the M-inner
+    product (``M = None`` means the identity) until the relative Ritz
+    residual drops below ``rel_resid_tol``.
     """
     if which not in ("min", "max"):
         raise ValueError(f"which must be 'min' or 'max', got {which!r}")
     n = B.shape[0]
     if M is not None and M.shape != B.shape:
         raise DimensionMismatch("B and M sizes differ")
-    if n <= dense_cutoff:
-        return _dense_sym_extremes(B, M, (which,))[0]
     B_mv, M_mv, M_solve = _pencil_ops(B, M)
-    theta, resid, _ = _lanczos_extreme(
-        B_mv, M_mv, M_solve, n, which, rel_resid_tol, max_iter or 5 * n, seed
-    )
+    theta, resid, _ = _lanczos_extreme(B_mv, M_mv, M_solve, n, which, rel_resid_tol, seed)
     return theta, resid
 
 
@@ -258,37 +213,28 @@ def extreme_eig_skew_pencil(
     S,
     M,
     rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-    dense_cutoff: int = DENSE_CUTOFF,
-    max_iter: int | None = None,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Largest eigenvalue of the Hermitian pencil C x = theta M x, C = S/i.
 
     For real skew-symmetric S the spectrum of (C, M) is symmetric about 0,
     so only the maximum is needed; it equals the largest singular value of
-    inv(L) S inv(L)^T. The iterative path runs Lanczos on the real squared
-    pencil (-S inv(M) S, M) and takes a square root, reconstructing a
-    complex Ritz vector to report the residual in the original pencil.
+    inv(L) S inv(L)^T. Lanczos runs on the real squared pencil
+    (-S inv(M) S, M) and takes a square root, reconstructing a complex Ritz
+    vector to report the residual in the original pencil.
     """
     n = S.shape[0]
     nnz = S.nnz if is_sparse(S) else int(np.count_nonzero(S))
     if nnz == 0:
         return 0.0, 0.0
-    if n <= dense_cutoff:
-        T, L = _dense_transformed(S, M)
-        T = 0.5 * (T - T.T)
-        w, V = np.linalg.eigh(-1j * T)
-        theta = float(w[-1])
-        x = sla.solve_triangular(L.T, V[:, -1].astype(complex), lower=False)
-        return theta, _skew_residual(S, M, theta, x)
-    B_mv, M_mv, M_solve = _pencil_ops(S, M)
+    _, M_mv, M_solve = _pencil_ops(S, M)
 
     def sq_mv(v):
         return -(S @ M_solve(S @ v))
 
     tol = rel_resid_tol
     for _ in range(3):
-        theta_sq, _, x = _lanczos_extreme(sq_mv, M_mv, M_solve, n, "max", tol, max_iter or 5 * n, seed)
+        theta_sq, _, x = _lanczos_extreme(sq_mv, M_mv, M_solve, n, "max", tol, seed)
         sigma = float(np.sqrt(max(theta_sq, 0.0)))
         if sigma == 0.0:
             return 0.0, 0.0
@@ -334,14 +280,6 @@ class BoundingRectangle:
             raise ValueError("rectangle endpoints are out of order")
         if self.inflation < 0.0:
             raise ValueError("inflation must be nonnegative")
-
-    @property
-    def width(self) -> float:
-        return self.mu_max - self.mu_min
-
-    @property
-    def height(self) -> float:
-        return self.nu_max - self.nu_min
 
     def contains(self, z):
         """Closed-rectangle membership of z, elementwise for an array."""
@@ -389,14 +327,57 @@ def inflated_rectangle(
 
 @dataclass(frozen=True)
 class RawExtremes:
-    """tau-independent extreme eigenvalues of the pencils ((D, M), (C, M))."""
+    """tau-independent extreme eigenvalues of the pencils ((D, M), (C, M)):
+    ``mu_min`` and ``mu_max`` of (D, M), ``nu_max`` of (C, M)."""
 
     mu_min: float
     mu_max: float
     nu_max: float
-    resid_mu_min: float
-    resid_mu_max: float
-    resid_nu: float
+
+
+def _tridiagonal_eigvals(A, trd, trd_lwork) -> np.ndarray:
+    """Ascending eigenvalues of the exactly symmetric or Hermitian A.
+
+    The route of ``numpy.linalg.eigh`` (``?syevd`` / ``?heevd``) without
+    its eigenvector back-transform: ``trd`` reduces the lower triangle to
+    tridiagonal form with the optimal block size, and ``dstevd`` solves
+    the tridiagonal problem. ``compute_v=1`` is what selects divide and
+    conquer (``dstedc``), as ``eigh`` does; with ``compute_v=0`` (and in
+    ``eigvalsh``) LAPACK takes ``dsterf``, whose different rounding moves
+    the certificates.
+    """
+    lwork, _ = trd_lwork(A.shape[0], lower=1)
+    _, d, e, _, _ = trd(A, lower=1, lwork=int(np.real(lwork)))
+    w, _, info = sla.lapack.dstevd(d, e, compute_v=1)
+    if info != 0:
+        raise NoConvergence(f"dense tridiagonal eigensolver failed (info={info})")
+    return w
+
+
+def _dense_extremes(D, S, M) -> tuple[float, float, float]:
+    """(mu_min, mu_max, nu_max) of the pencils (D, M) and (S/i, M), dense.
+
+    One Cholesky factor L of M transforms each part to
+    T = inv(L) B inv(L)^T; the eigenvalues of 0.5 (T + T^T) and of
+    -i 0.5 (T - T^T) bound the rectangle. No eigenvector is computed, and
+    the n x n temporaries are freed when this returns.
+    """
+    L = cholesky(M)
+
+    def transformed(B):
+        Y = sla.solve_triangular(L, B.toarray(), lower=True)
+        return sla.solve_triangular(L, Y.T, lower=True).T
+
+    T = transformed(D)
+    w = _tridiagonal_eigvals(0.5 * (T + T.T), sla.lapack.dsytrd, sla.lapack.dsytrd_lwork)
+    mu_min, mu_max = float(w[0]), float(w[-1])
+    if S.nnz == 0:
+        return mu_min, mu_max, 0.0
+    del T  # one n x n transform alive at a time
+    T = transformed(S)
+    T = 0.5 * (T - T.T)
+    w = _tridiagonal_eigvals(-1j * T, sla.lapack.zhetrd, sla.lapack.zhetrd_lwork)
+    return mu_min, mu_max, float(w[-1])
 
 
 def raw_extremes(
@@ -407,30 +388,19 @@ def raw_extremes(
 ) -> RawExtremes:
     """Extreme eigenvalues of (D, M) and (C, M) for the unit time step.
 
-    Dense solves up to ``DENSE_CUTOFF`` unknowns, Lanczos beyond. On the
-    dense path both ends of (D, M) come from one eigendecomposition.
+    Up to ``DENSE_CUTOFF`` unknowns they are computed densely, eigenvalues
+    only (``_dense_extremes``); beyond it by Lanczos
+    (``extreme_eigs_sym_pencil`` and ``extreme_eig_skew_pencil``).
     """
     parts = split(K)
     if parts.D.shape[0] <= DENSE_CUTOFF:
         if M.shape != parts.D.shape:
             raise DimensionMismatch("K and M sizes differ")
-        (mu_min, r0), (mu_max, r1) = _dense_sym_extremes(parts.D, M, ("min", "max"))
-    else:
-        mu_min, r0 = extreme_eigs_sym_pencil(
-            parts.D, M, "min", rel_resid_tol, DENSE_CUTOFF, seed=seed
-        )
-        mu_max, r1 = extreme_eigs_sym_pencil(
-            parts.D, M, "max", rel_resid_tol, DENSE_CUTOFF, seed=seed
-        )
-    nu_max, r2 = extreme_eig_skew_pencil(parts.S, M, rel_resid_tol, DENSE_CUTOFF, seed=seed)
-    return RawExtremes(
-        mu_min=mu_min,
-        mu_max=mu_max,
-        nu_max=nu_max,
-        resid_mu_min=r0,
-        resid_mu_max=r1,
-        resid_nu=r2,
-    )
+        return RawExtremes(*_dense_extremes(parts.D, parts.S, M))
+    mu_min, _ = extreme_eigs_sym_pencil(parts.D, M, "min", rel_resid_tol, seed=seed)
+    mu_max, _ = extreme_eigs_sym_pencil(parts.D, M, "max", rel_resid_tol, seed=seed)
+    nu_max, _ = extreme_eig_skew_pencil(parts.S, M, rel_resid_tol, seed=seed)
+    return RawExtremes(mu_min=mu_min, mu_max=mu_max, nu_max=nu_max)
 
 
 def rectangle_from_extremes(
@@ -509,8 +479,8 @@ def cond_estimate(
         kappa = float(w[-1] / w[0])
         d = 0.0
     else:
-        lo, _ = extreme_eigs_sym_pencil(M, None, "min", rel_resid_tol, dense_cutoff=0, seed=seed)
-        hi, _ = extreme_eigs_sym_pencil(M, None, "max", rel_resid_tol, dense_cutoff=0, seed=seed)
+        lo, _ = extreme_eigs_sym_pencil(M, None, "min", rel_resid_tol, seed=seed)
+        hi, _ = extreme_eigs_sym_pencil(M, None, "max", rel_resid_tol, seed=seed)
         if lo <= 0.0:
             raise NotSPD("Lanczos found a nonpositive Ritz value for M")
         kappa = float(hi / lo)

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import fem, mmio
 from .bounds import Pencil, analyze_pencil, is_lhp_certified, rectangle_from_extremes
 from .errors import ExpmrectError, ToleranceUnreachable
-from .expmv import ExpmvRequest, dense_operator, expm_dense_oracle, expmv_controlled
+from .expmv import ORACLE_CUTOFF, ExpmvRequest, dense_operator, expm_dense_oracle, expmv_controlled
 from .linalg import norm2
 
 FAILURE_MARK = "--"
@@ -81,6 +81,16 @@ def _load_system(args):
     system, mesh = _build_system(args.domain, args.divisions, args.refine, args.d)
     meta = {"shape": args.domain, "d": args.d}
     return system.M, system.K, system.b0, mesh.h_bar, meta
+
+
+def _check_verifiable(n: int) -> None:
+    """Refuse, before any enclosure, a verifying run the dense oracle cannot
+    check."""
+    if n > ORACLE_CUTOFF:
+        raise ValueError(
+            f"verification needs the dense oracle, limited to n <= {ORACLE_CUTOFF} "
+            f"unknowns; this system has n={n}"
+        )
 
 
 def _reference(p: Pencil, b):
@@ -190,6 +200,8 @@ def cmd_bound(args) -> int:
 
 def cmd_expmv(args) -> int:
     M, K, b, h_bar, meta = _load_system(args)
+    if args.verify:
+        _check_verifiable(M.shape[0])
     tau = _resolve_tau(args, h_bar)
     p = Pencil(tau=tau, M=M, K=K)
     req = ExpmvRequest(
@@ -307,7 +319,9 @@ def run_sweep(config: dict) -> list[dict]:
     is enclosed once and its analysis shared by every cell; the verifying
     reference is computed once per (system, tau). Raises ValueError on a key
     outside ``SWEEP_KEYS``, or on a system with a key outside ``SYSTEM_KEYS``
-    or without one of ``REQUIRED_SYSTEM_KEYS``, before any run.
+    or without one of ``REQUIRED_SYSTEM_KEYS``, before any run; and, when
+    verifying, on a system beyond ``ORACLE_CUTOFF`` unknowns before it is
+    enclosed.
     """
     _check_sweep_keys(config)
     rows: list[dict] = []
@@ -321,6 +335,8 @@ def run_sweep(config: dict) -> list[dict]:
             int(spec_sys.get("refine", 4)),
             float(spec_sys["d"]),
         )
+        if verify:
+            _check_verifiable(system.n)
         analysis = analyze_pencil(system.M, system.K, seed=seed)
         base = {
             "shape": domain,

@@ -65,6 +65,7 @@ from .rational import (
 
 __all__ = [
     "CROUZEIX_CONSTANT",
+    "ORACLE_CUTOFF",
     "ExpmvRequest",
     "ExpmvCertificate",
     "apply_partial_fraction",
@@ -78,6 +79,7 @@ __all__ = [
 
 CROUZEIX_CONSTANT = 1.0 + math.sqrt(2.0)
 AAA_SAMPLES_PER_SIDE = 125  # coarse grid for pole placement; refit gets the dense one
+ORACLE_CUTOFF = 3000  # largest n the dense reference exponential accepts
 
 
 # --------------------------------------------------------------------------
@@ -378,7 +380,7 @@ _PADE13_B = (
 _PADE13_THETA = 5.371920351148152
 
 
-def expm_dense_oracle(A: np.ndarray, cutoff: int = 3000) -> np.ndarray:
+def expm_dense_oracle(A: np.ndarray, cutoff: int = ORACLE_CUTOFF) -> np.ndarray:
     """Dense matrix exponential by scaling and squaring with degree-13 Pade.
 
     Independent desk-scale reference for the certified pipeline: the input

@@ -57,9 +57,8 @@ class LuFactor:
     """LU factorization with partial pivoting, dense or sparse.
 
     The dense variant stores the packed LAPACK factor, the sparse variant a
-    SuperLU object. ``lower``/``upper``/``perm_rows``/``perm_cols`` expose
-    the factors so the permuted product can be checked directly:
-    ``A[perm_rows][:, perm_cols] == lower @ upper`` up to roundoff.
+    SuperLU object. ``lower``/``upper`` expose the triangular factors, whose
+    product is A with its rows (and, for SuperLU, columns) permuted.
     """
 
     shape: tuple[int, int]
@@ -86,21 +85,6 @@ class LuFactor:
                 np.ascontiguousarray(b.imag)
             )
         return self._splu.solve(b)
-
-    @property
-    def perm_rows(self) -> np.ndarray:
-        if self.kind == "dense":
-            perm = np.arange(self.shape[0])
-            for i, p in enumerate(self._piv):
-                perm[i], perm[p] = perm[p], perm[i]
-            return perm
-        return np.asarray(self._splu.perm_r)
-
-    @property
-    def perm_cols(self) -> np.ndarray:
-        if self.kind == "dense":
-            return np.arange(self.shape[1])
-        return np.asarray(self._splu.perm_c)
 
     @property
     def lower(self):

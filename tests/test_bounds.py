@@ -1,7 +1,7 @@
 """Pencil rectangles, generalized extreme eigenvalues, condition estimates.
 
 Dense eigendecompositions computed directly in the tests serve as oracles
-for the module's dense and Lanczos paths alike.
+for the module's dense (eigenvalue-only) and Lanczos paths alike.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from expmrect.bounds import (
     split,
 )
 from expmrect.errors import DimensionMismatch, NotSPD, NotSymmetric
+from expmrect.linalg import cholesky
 
 from conftest import random_nonsym_sparse, random_spd_sparse
 
@@ -61,15 +62,19 @@ def _dense_pencil_extremes(B, M):
     return float(w[0]), float(w[-1])
 
 
+def _dense_skew_max(S, M):
+    L = np.linalg.cholesky(M.toarray())
+    C = np.linalg.solve(L, np.linalg.solve(L, S.toarray()).T).T / 1j
+    w = np.linalg.eigvalsh(0.5 * (C + C.conj().T))
+    return float(w[-1])
+
+
 def test_sym_pencil_dense_matches_oracle(random_pencil_60):
     p = random_pencil_60
-    D = split(p.K).D
-    lo, hi = _dense_pencil_extremes(D, p.M)
-    got_lo, r0 = extreme_eigs_sym_pencil(D, p.M, "min")
-    got_hi, r1 = extreme_eigs_sym_pencil(D, p.M, "max")
-    assert math.isclose(got_lo, lo, rel_tol=1e-12)
-    assert math.isclose(got_hi, hi, rel_tol=1e-12)
-    assert r0 < 1e-12 and r1 < 1e-12
+    lo, hi = _dense_pencil_extremes(split(p.K).D, p.M)
+    ext = raw_extremes(p.M, p.K)
+    assert math.isclose(ext.mu_min, lo, rel_tol=1e-12)
+    assert math.isclose(ext.mu_max, hi, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("which,tol,agree", [("min", 1e-3, 1e-3), ("max", 1e-3, 1e-3),
@@ -78,32 +83,52 @@ def test_sym_pencil_lanczos_agrees_with_dense(which, tol, agree):
     rng = np.random.default_rng(3)
     M = random_spd_sparse(150, rng)
     D = split(random_nonsym_sparse(150, rng)).D
-    dense, _ = extreme_eigs_sym_pencil(D, M, which)
-    lanczos, resid = extreme_eigs_sym_pencil(D, M, which, rel_resid_tol=tol, dense_cutoff=0)
+    dense = _dense_pencil_extremes(D, M)[0 if which == "min" else 1]
+    lanczos, resid = extreme_eigs_sym_pencil(D, M, which, rel_resid_tol=tol)
     assert resid <= tol
     assert abs(lanczos - dense) <= agree * abs(dense)
 
 
 def test_skew_pencil_dense_matches_oracle(random_pencil_60):
     p = random_pencil_60
-    S = split(p.K).S
-    L = np.linalg.cholesky(p.M.toarray())
-    C = np.linalg.solve(L, np.linalg.solve(L, S.toarray()).T).T / 1j
-    w = np.linalg.eigvalsh(0.5 * (C + C.conj().T))
-    want = float(w[-1])
-    got, resid = extreme_eig_skew_pencil(S, p.M)
+    want = _dense_skew_max(split(p.K).S, p.M)
+    got = raw_extremes(p.M, p.K).nu_max
     assert math.isclose(got, want, rel_tol=1e-11)
-    assert resid < 1e-10
 
 
 def test_skew_pencil_lanczos_agrees_with_dense():
     rng = np.random.default_rng(11)
     M = random_spd_sparse(150, rng)
     S = split(random_nonsym_sparse(150, rng)).S
-    dense, _ = extreme_eig_skew_pencil(S, M)
-    lanczos, resid = extreme_eig_skew_pencil(S, M, rel_resid_tol=1e-3, dense_cutoff=0)
+    dense = _dense_skew_max(S, M)
+    lanczos, resid = extreme_eig_skew_pencil(S, M, rel_resid_tol=1e-3)
     assert resid <= 1e-3
     assert abs(lanczos - dense) <= 1e-3 * abs(dense)
+
+
+def _raising(*args, **kwargs):
+    raise AssertionError("the dense enclosure must not compute eigenvectors")
+
+
+@pytest.mark.parametrize("domain", ["square", "star"])
+def test_dense_raw_extremes_computes_no_eigenvectors(domain, monkeypatch):
+    # square/8 and star/1, both on the dense path
+    mesh = fem.mesh_square(8) if domain == "square" else fem.mesh_star(refine=1)
+    s = fem.assemble_p1(mesh, d=0.1, domain=domain)
+    parts = split(s.K)
+    lo, hi = _dense_pencil_extremes(parts.D, s.M)
+    nu = _dense_skew_max(parts.S, s.M)
+    monkeypatch.setattr(np.linalg, "eigh", _raising)
+    monkeypatch.setattr(sla, "eigh", _raising)
+    ext = raw_extremes(s.M, s.K)
+    for got, want in ((ext.mu_min, lo), (ext.mu_max, hi), (ext.nu_max, nu)):
+        assert math.isclose(got, want, rel_tol=1e-13)
+
+
+def test_dense_raw_extremes_of_symmetric_k_has_zero_height(square_sys_8):
+    K = split(square_sys_8.K).D
+    assert split(K).S.nnz == 0
+    assert raw_extremes(square_sys_8.M, K).nu_max == 0.0
 
 
 def test_sym_pencil_validates_inputs(random_pencil_60):
@@ -123,7 +148,6 @@ def test_rectangle_validation_and_accessors():
     with pytest.raises(ValueError):
         BoundingRectangle(mu_min=0.0, mu_max=-1.0, nu_min=0.0, nu_max=0.0)
     r = BoundingRectangle(mu_min=-2.0, mu_max=-1.0, nu_min=-3.0, nu_max=3.0)
-    assert r.width == 1.0 and r.height == 6.0
     assert r.contains(-1.5 + 2.9j)
     assert not r.contains(-0.99)
     # closed and elementwise: edges and corners count as inside
@@ -132,12 +156,22 @@ def test_rectangle_validation_and_accessors():
 
 
 def test_raw_extremes_dense_matches_separate_solves(random_pencil_60):
-    # one shared eigendecomposition must give both ends bit for bit
+    # the eigenvalue-only route must give what full eigh solves of the same
+    # transformed matrices give, bit for bit: the certificate bytes rest on it
     p = random_pencil_60
-    D = split(p.K).D
+    parts = split(p.K)
+    L = cholesky(p.M)
+
+    def transformed(B):
+        Y = sla.solve_triangular(L, B.toarray(), lower=True)
+        return sla.solve_triangular(L, Y.T, lower=True).T
+
+    T = transformed(parts.D)
+    w = np.linalg.eigh(0.5 * (T + T.T))[0]
+    T = transformed(parts.S)
+    v = np.linalg.eigh(-1j * (0.5 * (T - T.T)))[0]
     ext = raw_extremes(p.M, p.K)
-    assert (ext.mu_min, ext.resid_mu_min) == extreme_eigs_sym_pencil(D, p.M, "min")
-    assert (ext.mu_max, ext.resid_mu_max) == extreme_eigs_sym_pencil(D, p.M, "max")
+    assert (ext.mu_min, ext.mu_max, ext.nu_max) == (w[0], w[-1], v[-1])
 
 
 def test_raw_extremes_rejects_size_mismatch(random_pencil_60):

@@ -216,6 +216,28 @@ def test_sweep_kappa_column_is_kappa_safe_beyond_dense_cutoff(monkeypatch):
     assert cert.kappa_safe != req.analysis.cond.kappa_tilde
 
 
+def test_expmv_verify_beyond_oracle_fails_before_enclosing(monkeypatch, tmp_path, capsys):
+    # 56 divisions give n = 3025, beyond the 3000 unknowns the oracle accepts
+    enclosures = _count_calls(monkeypatch, "raw_extremes")
+    out = tmp_path / "run"
+    rc = run_cli("expmv", "--divisions", "56", "--verify", "--out", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError: ")
+    assert "n=3025" in err[0] and f"n <= {expmv.ORACLE_CUTOFF}" in err[0]
+    assert enclosures == [] and not out.exists()
+
+
+def test_sweep_verify_beyond_oracle_fails_before_enclosing(monkeypatch):
+    enclosures = _count_calls(monkeypatch, "raw_extremes")
+    with pytest.raises(ValueError, match="n=3025"):
+        cli.run_sweep({
+            "systems": [{"domain": "square", "divisions": 56, "d": 1e-1}],
+            "verify": True,
+        })
+    assert enclosures == []
+
+
 def test_sweep_empty_systems_header_only(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"systems": []}))

