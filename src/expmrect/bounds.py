@@ -8,10 +8,12 @@ extent by those of the Hermitian pencil (tau C, M), where D is the symmetric
 part of K and C is the Hermitian part of its skew piece, C = (K - K^T)/(2i).
 This module computes those extreme eigenvalues (eigenvalues only, by the
 tridiagonal divide and conquer that ``numpy.linalg.eigh`` uses, at desk
-scale; Lanczos in the M-inner product beyond), assembles the safety-inflated
-rectangle, estimates the condition number of M, and certifies left-half-plane
-location. ``analyze_pencil`` computes the tau-independent part (extremes and
-condition estimate) once, for reuse across time steps.
+scale; ARPACK's ``eigsh`` beyond, with shift-invert about 0 for the maximum
+of a symmetric part whose pivots prove it negative definite), assembles the
+safety-inflated rectangle, estimates the condition number of M, and
+certifies left-half-plane location. ``analyze_pencil`` computes the
+tau-independent part (extremes and condition estimate) once, for reuse
+across time steps.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, NoConvergence, NotSPD, NotSymmetric
 from .linalg import cholesky, is_sparse, lu_factor
@@ -108,82 +111,97 @@ def split(K) -> SymSkewSplit:
 
 
 # --------------------------------------------------------------------------
-# Lanczos in the M-inner product
+# extreme eigenvalues by ARPACK
 # --------------------------------------------------------------------------
 
-def _pencil_ops(B, M):
-    """Matvec/solve closures for the pencil (B, M); M = None means identity."""
-    B_mv = (lambda v: B @ v)
-    if M is None:
-        return B_mv, (lambda v: v), (lambda v: v)
-    return B_mv, (lambda v: M @ v), lu_factor(sp.csc_array(M)).solve
+# ARPACK's relative Ritz-value tolerance, tightened to ``rel_resid_tol``
+# when that is smaller; the accepted residual is ``rel_resid_tol``, checked
+# on the returned pair.
+ARPACK_TOL = 1e-10
 
 
-def _lanczos_extreme(B_mv, M_mv, M_solve, n, which, tol, seed):
-    """Extreme Ritz value of the M-symmetric pencil via Lanczos with full
-    reorthogonalization in the M-inner product.
+def _operator(n, matvec):
+    return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
 
-    Returns (theta, relative_residual, ritz_vector). The residual uses the
-    scale-free form ||B x - theta M x|| / (|theta| ||M x|| + ||B x||).
+
+def _ritz_pair(what, A, rel_resid_tol, seed, **kwargs):
+    """The one Ritz pair of ``eigsh(A, k=1, **kwargs)``, started from
+    ``default_rng(seed).standard_normal(n)`` with tolerance
+    ``min(ARPACK_TOL, rel_resid_tol)``; ARPACK failures become
+    ``NoConvergence`` naming ``what`` and n."""
+    n = A.shape[0]
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    tol = min(ARPACK_TOL, rel_resid_tol)
+    try:
+        w, X = spla.eigsh(A, k=1, v0=v0, tol=tol, **kwargs)
+    except spla.ArpackError as exc:  # ArpackNoConvergence derives from it
+        raise NoConvergence(f"eigsh failed on {what} (n={n}): {exc}") from exc
+    return float(w[0]), X[:, 0]
+
+
+def _accepted(what, theta, Bx, Mx, rel_resid_tol) -> tuple[float, float]:
+    """(theta, resid) with the scale-free residual
+    ||B x - theta M x|| / (|theta| ||M x|| + ||B x||), if it is at most
+    ``rel_resid_tol``."""
+    denom = abs(theta) * np.linalg.norm(Mx) + np.linalg.norm(Bx)
+    resid = float(np.linalg.norm(Bx - theta * Mx) / denom) if denom > 0.0 else 0.0
+    if not resid <= rel_resid_tol:
+        raise NoConvergence(f"{what}: residual {resid:.3e} above {rel_resid_tol:.1e}")
+    return theta, resid
+
+
+def _negative_definite_factor(B):
+    """SuperLU factor of B if its pivots prove B negative definite, else None.
+
+    SuperLU runs in symmetric mode with ``diag_pivot_thresh=0``, so it keeps
+    diagonal pivots; when the row and column permutations agree,
+    P B P^T = L U with U = diag(U) L^T, and by Sylvester's law of inertia B
+    has as many negative eigenvalues as U has negative pivots. A nonnegative
+    diagonal entry rules B out without a factorization.
     """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    Mv = M_mv(v)
-    nrm = np.sqrt(v @ Mv)
-    v /= nrm
-    V = [v]
-    MV = [M_mv(v)]
-    alphas: list[float] = []
-    betas: list[float] = []
-    v_prev = None
-    beta_prev = 0.0
-    theta = resid = None
-    x = None
-    for _ in range(n):
-        Bv = B_mv(V[-1])
-        u = M_solve(Bv)
-        alpha = float(V[-1] @ Bv)
-        alphas.append(alpha)
-        u = u - alpha * V[-1]
-        if v_prev is not None:
-            u = u - beta_prev * v_prev
-        # full reorthogonalization against all Lanczos vectors, twice
-        Vmat = np.column_stack(V)
-        MVmat = np.column_stack(MV)
-        for _ in range(2):
-            u = u - Vmat @ (MVmat.T @ u)
-        Mu = M_mv(u)
-        beta = float(np.sqrt(max(u @ Mu, 0.0)))
-        T_eigs, T_vecs = _tridiag_eig(alphas, betas)
-        idx = -1 if which == "max" else 0
-        theta = float(T_eigs[idx])
-        y = T_vecs[:, idx]
-        x = Vmat @ y
-        Bx = B_mv(x)
-        Mx = M_mv(x)
-        denom = abs(theta) * np.linalg.norm(Mx) + np.linalg.norm(Bx)
-        resid = float(np.linalg.norm(Bx - theta * Mx) / denom) if denom > 0.0 else 0.0
-        if resid <= tol:
-            return theta, resid, x
-        if beta <= 1e-14 * (1.0 + abs(alpha)):
-            # Krylov space became invariant: Ritz values are exact
-            return theta, resid, x
-        betas.append(beta)
-        v_prev = V[-1]
-        beta_prev = beta
-        vnext = u / beta
-        V.append(vnext)
-        MV.append(Mu / beta)
-    raise NoConvergence(
-        f"Lanczos did not reach residual {tol:.1e} within {n} iterations "
-        f"(last residual {resid:.3e})"
+    if np.any(B.diagonal() >= 0.0):
+        return None
+    try:
+        fac = spla.splu(
+            sp.csc_matrix(B), diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
+    except RuntimeError:  # exactly singular
+        return None
+    if np.array_equal(fac.perm_r, fac.perm_c) and np.all(fac.U.diagonal() < 0.0):
+        return fac
+    return None
+
+
+def _sym_extreme(B, M, M_solve, which, rel_resid_tol, seed) -> tuple[float, float]:
+    """``extreme_eigs_sym_pencil`` given a solve with M (None: identity)."""
+    n = B.shape[0]
+    what = f"the {which}imum of a symmetric pencil"
+    fac = _negative_definite_factor(B) if which == "max" else None
+    if fac is not None:
+        kwargs = {"sigma": 0.0, "OPinv": _operator(n, fac.solve)}
+    else:
+        kwargs = {"which": "SA" if which == "min" else "LA"}
+        if M is not None:
+            kwargs["Minv"] = _operator(n, M_solve)
+    theta, x = _ritz_pair(what, B, rel_resid_tol, seed, M=M, **kwargs)
+    return _accepted(what, theta, B @ x, x if M is None else M @ x, rel_resid_tol)
+
+
+def _skew_extreme(S, M, M_solve, rel_resid_tol, seed) -> tuple[float, float]:
+    """``extreme_eig_skew_pencil`` given a solve with M."""
+    if S.nnz == 0:
+        return 0.0, 0.0
+    n = S.shape[0]
+    squared = _operator(n, lambda v: -(S @ M_solve(S @ v)))
+    theta_sq, x = _ritz_pair(
+        "the skew pencil", squared, rel_resid_tol, seed,
+        M=M, Minv=_operator(n, M_solve), which="LA",
     )
-
-
-def _tridiag_eig(alphas, betas):
-    if len(alphas) == 1:
-        return np.array(alphas), np.array([[1.0]])
-    return sla.eigh_tridiagonal(np.asarray(alphas), np.asarray(betas[: len(alphas) - 1]))
+    sigma = float(np.sqrt(max(theta_sq, 0.0)))
+    if sigma == 0.0:
+        return 0.0, 0.0
+    xc = x - (1j / sigma) * M_solve(S @ x)
+    return _accepted("the skew pencil", sigma, (S @ xc) / 1j, M @ xc, rel_resid_tol)
 
 
 def extreme_eigs_sym_pencil(
@@ -193,20 +211,21 @@ def extreme_eigs_sym_pencil(
     rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Extreme eigenvalue of the symmetric pencil B x = theta M x by Lanczos.
+    """Extreme eigenvalue of the symmetric pencil B x = theta M x by ARPACK.
 
-    Returns (theta, achieved_residual). The iteration runs in the M-inner
-    product (``M = None`` means the identity) until the relative Ritz
-    residual drops below ``rel_resid_tol``.
+    Returns (theta, achieved_residual); ``M = None`` means the identity.
+    ``eigsh`` runs in regular mode, except that the maximum of a negative
+    definite B (proved by the pivot signs of a symmetric sparse LU) comes
+    from shift-invert about 0. ``seed`` sets the start vector. The pair is
+    accepted only if its relative residual is at most ``rel_resid_tol``;
+    otherwise, or when ARPACK fails, ``NoConvergence`` is raised.
     """
     if which not in ("min", "max"):
         raise ValueError(f"which must be 'min' or 'max', got {which!r}")
-    n = B.shape[0]
     if M is not None and M.shape != B.shape:
         raise DimensionMismatch("B and M sizes differ")
-    B_mv, M_mv, M_solve = _pencil_ops(B, M)
-    theta, resid, _ = _lanczos_extreme(B_mv, M_mv, M_solve, n, which, rel_resid_tol, seed)
-    return theta, resid
+    M_solve = None if M is None else lu_factor(M).solve
+    return _sym_extreme(B, M, M_solve, which, rel_resid_tol, seed)
 
 
 def extreme_eig_skew_pencil(
@@ -219,41 +238,12 @@ def extreme_eig_skew_pencil(
 
     For real skew-symmetric S the spectrum of (C, M) is symmetric about 0,
     so only the maximum is needed; it equals the largest singular value of
-    inv(L) S inv(L)^T. Lanczos runs on the real squared pencil
-    (-S inv(M) S, M) and takes a square root, reconstructing a complex Ritz
-    vector to report the residual in the original pencil.
+    inv(L) S inv(L)^T. ARPACK's ``eigsh`` finds the largest eigenvalue of
+    the real squared pencil (S^T inv(M) S, M). Its square root is accepted
+    if the complex Ritz vector x - (i/sigma) inv(M) S x has relative
+    residual at most ``rel_resid_tol`` in the original pencil.
     """
-    n = S.shape[0]
-    nnz = S.nnz if is_sparse(S) else int(np.count_nonzero(S))
-    if nnz == 0:
-        return 0.0, 0.0
-    _, M_mv, M_solve = _pencil_ops(S, M)
-
-    def sq_mv(v):
-        return -(S @ M_solve(S @ v))
-
-    tol = rel_resid_tol
-    for _ in range(3):
-        theta_sq, _, x = _lanczos_extreme(sq_mv, M_mv, M_solve, n, "max", tol, seed)
-        sigma = float(np.sqrt(max(theta_sq, 0.0)))
-        if sigma == 0.0:
-            return 0.0, 0.0
-        xc = x.astype(complex) - (1j / sigma) * M_solve(S @ x)
-        resid = _skew_residual(S, M, sigma, xc)
-        if resid <= rel_resid_tol:
-            return sigma, resid
-        tol *= 0.1
-    raise NoConvergence(
-        f"skew-pencil residual stalled at {resid:.3e} above {rel_resid_tol:.1e}"
-    )
-
-
-def _skew_residual(S, M, theta, x):
-    # residual of the Hermitian pencil (S/i, M) at the Ritz pair (theta, x)
-    Cx = (S @ x) / 1j
-    Mx = M @ x
-    denom = abs(theta) * np.linalg.norm(Mx) + np.linalg.norm(Cx)
-    return float(np.linalg.norm(Cx - theta * Mx) / denom) if denom > 0.0 else 0.0
+    return _skew_extreme(sp.csr_array(S), M, lu_factor(M).solve, rel_resid_tol, seed)
 
 
 # --------------------------------------------------------------------------
@@ -389,17 +379,19 @@ def raw_extremes(
     """Extreme eigenvalues of (D, M) and (C, M) for the unit time step.
 
     Up to ``DENSE_CUTOFF`` unknowns they are computed densely, eigenvalues
-    only (``_dense_extremes``); beyond it by Lanczos
-    (``extreme_eigs_sym_pencil`` and ``extreme_eig_skew_pencil``).
+    only (``_dense_extremes``); beyond it by ARPACK, as in
+    ``extreme_eigs_sym_pencil`` and ``extreme_eig_skew_pencil``, with one
+    sparse LU factor of M shared by the three extremes.
     """
     parts = split(K)
+    if M.shape != parts.D.shape:
+        raise DimensionMismatch("K and M sizes differ")
     if parts.D.shape[0] <= DENSE_CUTOFF:
-        if M.shape != parts.D.shape:
-            raise DimensionMismatch("K and M sizes differ")
         return RawExtremes(*_dense_extremes(parts.D, parts.S, M))
-    mu_min, _ = extreme_eigs_sym_pencil(parts.D, M, "min", rel_resid_tol, seed=seed)
-    mu_max, _ = extreme_eigs_sym_pencil(parts.D, M, "max", rel_resid_tol, seed=seed)
-    nu_max, _ = extreme_eig_skew_pencil(parts.S, M, rel_resid_tol, seed=seed)
+    M_solve = lu_factor(M).solve
+    mu_min, _ = _sym_extreme(parts.D, M, M_solve, "min", rel_resid_tol, seed)
+    mu_max, _ = _sym_extreme(parts.D, M, M_solve, "max", rel_resid_tol, seed)
+    nu_max, _ = _skew_extreme(parts.S, M, M_solve, rel_resid_tol, seed)
     return RawExtremes(mu_min=mu_min, mu_max=mu_max, nu_max=nu_max)
 
 
@@ -467,8 +459,9 @@ def cond_estimate(
     """Estimate the spectral condition number of symmetric positive definite M.
 
     Dense path (n <= DENSE_CUTOFF): exact extreme eigenvalues, delta 0.
-    Iterative path: Lanczos estimates for both spectrum ends, delta 0.05 to
-    absorb their residual tolerance.
+    Iterative path: ARPACK estimates for both spectrum ends
+    (``extreme_eigs_sym_pencil`` with ``M = None``), delta 0.05 to absorb
+    their residual tolerance.
     """
     n = M.shape[0]
     if n <= DENSE_CUTOFF:
@@ -482,7 +475,7 @@ def cond_estimate(
         lo, _ = extreme_eigs_sym_pencil(M, None, "min", rel_resid_tol, seed=seed)
         hi, _ = extreme_eigs_sym_pencil(M, None, "max", rel_resid_tol, seed=seed)
         if lo <= 0.0:
-            raise NotSPD("Lanczos found a nonpositive Ritz value for M")
+            raise NotSPD("eigsh found a nonpositive eigenvalue of M")
         kappa = float(hi / lo)
         d = 0.05
     kappa = max(kappa, 1.0)

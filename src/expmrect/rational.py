@@ -15,7 +15,9 @@ the rectangle: the error function is analytic inside whenever no pole lies in
 the rectangle, so by the maximum principle the boundary sup bounds the
 interior sup. Sampling is Chebyshev-clustered toward the corners and the
 observed maximum is inflated by a safety factor to account for the finite
-sample density.
+sample density. A partial fraction form whose terms far exceed its value
+is evaluated with rounding noise of the size of its error, so its
+certificate also adds a rounding term.
 """
 from __future__ import annotations
 
@@ -47,6 +49,7 @@ __all__ = [
 
 DEFAULT_SAMPLES_PER_SIDE = 500
 SAMPLING_SAFETY = 1.1
+UNIT_ROUNDOFF = 2.0**-53
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +286,9 @@ def sup_error_on_rectangle(
     Requires that no pole of ``r`` lies inside or on the rectangle, so the
     maximum principle applies and boundary sampling is sound; otherwise
     ``PoleInsideRegion`` is raised. The sampled maximum is multiplied by
-    ``SAMPLING_SAFETY`` to cover the gaps between samples.
+    ``SAMPLING_SAFETY`` to cover the gaps between samples, and
+    ``_rounding`` is added that many times for the sampled values plus once
+    for any evaluation between them.
     """
     if np.any(rect.contains(_effective_poles(r))):
         raise PoleInsideRegion("a pole lies inside or on the rectangle")
@@ -295,7 +300,18 @@ def _sup_on_samples(r, samples: np.ndarray) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         err = np.abs(eval_rational(r, samples) - np.exp(samples))
     worst = float(np.max(err))
-    return SAMPLING_SAFETY * worst
+    return SAMPLING_SAFETY * worst + (1.0 + SAMPLING_SAFETY) * _rounding(r, samples)
+
+
+def _rounding(r, samples: np.ndarray) -> float:
+    """u max_z (|gamma| + sum_k |w_k / (p_k - z)|) over the samples: the
+    rounding error of evaluating a partial fraction form, whose terms can
+    exceed its value (about |exp(z)|) by a factor of 10**9. The Pade ratio
+    form sums no such terms: 0."""
+    if not isinstance(r, PartialFractionRational) or not r.poles.size:
+        return 0.0
+    amp = abs(r.gamma) + np.abs(r.weights / (r.poles - samples[:, None])).sum(axis=1)
+    return UNIT_ROUNDOFF * float(np.max(amp))
 
 
 def select_scaling(

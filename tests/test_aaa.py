@@ -21,9 +21,12 @@ from expmrect.aaa import (
     aaa_poles,
     refit_partial_fractions,
 )
-from expmrect.bounds import BoundingRectangle
+from expmrect import fem
+from expmrect.bounds import BoundingRectangle, cond_estimate, raw_extremes, rectangle_from_extremes
 from expmrect.errors import DegreeExhausted, PoleInsideRegion, RefitFailed
+from expmrect.expmv import AAA_SAMPLES_PER_SIDE, CROUZEIX_CONSTANT
 from expmrect.rational import (
+    DEFAULT_SAMPLES_PER_SIDE,
     boundary_samples,
     classify_conjugate_poles,
     eval_rational,
@@ -143,6 +146,47 @@ def test_refit_evaluates_close_to_exp_inside():
     zs = np.array([-0.5 + 0.25j, -0.1 - 0.4j, -0.9 + 0.0j])
     err = np.abs(eval_rational(cert.form, zs) - np.exp(zs))
     assert float(err.max()) <= cert.sup_error_estimate
+
+
+def _dense_boundary(rect, n_per_side):
+    # each side: n_per_side uniform points plus as many cosine-clustered ones
+    t = np.linspace(0.0, 1.0, n_per_side)
+    t = np.concatenate([t, 0.5 - 0.5 * np.cos(np.pi * t)])
+    xs = rect.mu_min + (rect.mu_max - rect.mu_min) * t
+    ys = rect.nu_min + (rect.nu_max - rect.nu_min) * t
+    return np.concatenate([xs + 1j * rect.nu_min, xs + 1j * rect.nu_max,
+                           rect.mu_min + 1j * ys, rect.mu_max + 1j * ys])
+
+
+@pytest.mark.parametrize("divisions,tau_factor,eps,seed,certifies", [
+    (32, 10, 1e-8, 0, False),  # degree 19, sum |w_k| ~ 1.5e8
+    (64, 30, 1e-6, 1, True),  # degree 37, sum |w_k| ~ 1.5e9, ARPACK enclosure
+    (64, 30, 1e-6, 5, True),
+])
+def test_refit_certificate_covers_forty_times_denser_resampling(
+    divisions, tau_factor, eps, seed, certifies
+):
+    # d = 1e-3 cells whose fitted terms exceed the certified error by
+    # 10**8-10**9, so rounding noise in |r - exp| exceeded the sampled
+    # certificate on a denser resampling until the certificate counted it
+    s = fem.assemble_p1(fem.mesh_square(divisions), d=1e-3)
+    tau = tau_factor * s.mesh.h_bar
+    rect = rectangle_from_extremes(raw_extremes(s.M, s.K, seed=seed), tau)
+    kappa = cond_estimate(s.M, seed=seed).kappa_safe
+    target = eps / (CROUZEIX_CONSTANT * kappa**0.5)
+    poles = aaa_poles(boundary_samples(rect, AAA_SAMPLES_PER_SIDE), target)
+    boundary = boundary_samples(rect, DEFAULT_SAMPLES_PER_SIDE)
+    cert = refit_partial_fractions(poles, boundary, 1.0)
+    assert np.sum(np.abs(cert.form.weights)) > 1e8
+    z = _dense_boundary(rect, 40 * DEFAULT_SAMPLES_PER_SIDE)
+    dense_sup = float(np.max(np.abs(eval_rational(cert.form, z) - np.exp(z))))
+    assert dense_sup <= cert.sup_error_estimate
+    if certifies:
+        assert refit_partial_fractions(poles, boundary, target).sup_error_estimate <= target
+    else:
+        # the noise is about the target: an honest failure
+        with pytest.raises(RefitFailed):
+            refit_partial_fractions(poles, boundary, target)
 
 
 def test_refit_fails_honestly_at_impossible_target():

@@ -291,7 +291,7 @@ def test_criterion_5_spectral_set_inequality():
 
 def test_criterion_6_rectangle_containment_and_iterative_agreement():
     """Dense spectrum and transformed Rayleigh quotients lie inside the
-    inflated rectangle; Lanczos extremes track the dense oracle."""
+    inflated rectangle; iterative (ARPACK) extremes track the dense oracle."""
     escapes = []
     agree_fail = []
     pencils = []
@@ -329,7 +329,7 @@ def test_criterion_6_rectangle_containment_and_iterative_agreement():
                 agree_fail.append(f"{name}/skew@{tol:g}: {abs(it_nu - dense_nu) / abs(dense_nu):.2e}")
     ok = not escapes and not agree_fail
     verdict(6, ok, f"{len(pencils)} pencils: spectrum + 10^4 Rayleigh quotients inside "
-                   f"inflated rectangles; Lanczos/dense agreement within 1e-3 and 1e-6"
+                   f"inflated rectangles; iterative/dense agreement within 1e-3 and 1e-6"
                    + (f"; escapes: {escapes}" if escapes else "")
                    + (f"; agreement failures: {agree_fail}" if agree_fail else ""))
     assert ok, (escapes, agree_fail)

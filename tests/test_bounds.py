@@ -1,7 +1,7 @@
 """Pencil rectangles, generalized extreme eigenvalues, condition estimates.
 
 Dense eigendecompositions computed directly in the tests serve as oracles
-for the module's dense (eigenvalue-only) and Lanczos paths alike.
+for the module's dense (eigenvalue-only) and iterative (ARPACK) paths alike.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,7 @@ from expmrect.bounds import (
     rectangle_from_extremes,
     split,
 )
-from expmrect.errors import DimensionMismatch, NotSPD, NotSymmetric
+from expmrect.errors import DimensionMismatch, NoConvergence, NotSPD, NotSymmetric
 from expmrect.linalg import cholesky
 
 from conftest import random_nonsym_sparse, random_spd_sparse
@@ -79,14 +80,14 @@ def test_sym_pencil_dense_matches_oracle(random_pencil_60):
 
 @pytest.mark.parametrize("which,tol,agree", [("min", 1e-3, 1e-3), ("max", 1e-3, 1e-3),
                                              ("min", 1e-6, 1e-6), ("max", 1e-6, 1e-6)])
-def test_sym_pencil_lanczos_agrees_with_dense(which, tol, agree):
+def test_sym_pencil_iterative_agrees_with_dense(which, tol, agree):
     rng = np.random.default_rng(3)
     M = random_spd_sparse(150, rng)
     D = split(random_nonsym_sparse(150, rng)).D
     dense = _dense_pencil_extremes(D, M)[0 if which == "min" else 1]
-    lanczos, resid = extreme_eigs_sym_pencil(D, M, which, rel_resid_tol=tol)
+    iterative, resid = extreme_eigs_sym_pencil(D, M, which, rel_resid_tol=tol)
     assert resid <= tol
-    assert abs(lanczos - dense) <= agree * abs(dense)
+    assert abs(iterative - dense) <= agree * abs(dense)
 
 
 def test_skew_pencil_dense_matches_oracle(random_pencil_60):
@@ -96,14 +97,99 @@ def test_skew_pencil_dense_matches_oracle(random_pencil_60):
     assert math.isclose(got, want, rel_tol=1e-11)
 
 
-def test_skew_pencil_lanczos_agrees_with_dense():
+def test_skew_pencil_iterative_agrees_with_dense():
     rng = np.random.default_rng(11)
     M = random_spd_sparse(150, rng)
     S = split(random_nonsym_sparse(150, rng)).S
     dense = _dense_skew_max(S, M)
-    lanczos, resid = extreme_eig_skew_pencil(S, M, rel_resid_tol=1e-3)
+    iterative, resid = extreme_eig_skew_pencil(S, M, rel_resid_tol=1e-3)
     assert resid <= 1e-3
-    assert abs(lanczos - dense) <= 1e-3 * abs(dense)
+    assert abs(iterative - dense) <= 1e-3 * abs(dense)
+
+
+def test_shift_invert_needs_negative_definite_symmetric_part(square_sys_8, monkeypatch):
+    # shifting K by c M with c > |mu_max| gives D positive eigenvalues, so
+    # the maximum must come from regular mode, not from the eigenvalue
+    # nearest 0 that shift-invert about 0 would find
+    s = square_sys_8
+    c = 2.0 * abs(raw_extremes(s.M, s.K).mu_max)
+    for K in (s.K, s.K + c * s.M):
+        dense = raw_extremes(s.M, K)
+        monkeypatch.setattr(bounds, "DENSE_CUTOFF", 0)
+        iterative = raw_extremes(s.M, K)
+        monkeypatch.undo()
+        assert (dense.mu_min < 0.0 < dense.mu_max) == (K is not s.K)
+        for got, want in ((iterative.mu_min, dense.mu_min), (iterative.mu_max, dense.mu_max)):
+            assert math.isclose(got, want, rel_tol=1e-10)
+    D = split(s.K).D
+    assert bounds._negative_definite_factor(D) is not None
+    assert bounds._negative_definite_factor(D + c * s.M) is None
+
+
+@pytest.mark.parametrize("d", [1e-1, 1e-3])
+@pytest.mark.parametrize("domain", ["square", "star"])
+def test_iterative_enclosure_agrees_with_dense_on_reference_systems(domain, d, monkeypatch):
+    # square/32 and star/4, the reference systems, are dense-path sized;
+    # with the cutoff at 0 they take the ARPACK path
+    mesh = fem.mesh_square(32) if domain == "square" else fem.mesh_star(refine=4)
+    s = fem.assemble_p1(mesh, d=d, domain=domain)
+    dense = raw_extremes(s.M, s.K)
+    kappa = cond_estimate(s.M).kappa_tilde
+    monkeypatch.setattr(bounds, "DENSE_CUTOFF", 0)
+    iterative = raw_extremes(s.M, s.K)
+    for field in ("mu_min", "mu_max", "nu_max"):
+        assert math.isclose(getattr(iterative, field), getattr(dense, field), rel_tol=1e-10)
+    assert math.isclose(cond_estimate(s.M).kappa_tilde, kappa, rel_tol=1e-10)
+
+
+def _no_convergence(*args, **kwargs):
+    raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.array([]), None)
+
+
+def _arpack_error(*args, **kwargs):
+    raise spla.ArpackError(-9999)
+
+
+@pytest.mark.parametrize("fail", [_no_convergence, _arpack_error])
+def test_arpack_failure_raises_no_convergence(fail, square_sys_8, monkeypatch):
+    s = square_sys_8
+    monkeypatch.setattr(spla, "eigsh", fail)
+    with pytest.raises(NoConvergence, match=r"minimum of a symmetric pencil \(n=49\)"):
+        extreme_eigs_sym_pencil(split(s.K).D, s.M, "min")
+    with pytest.raises(NoConvergence, match=r"skew pencil \(n=49\)"):
+        extreme_eig_skew_pencil(split(s.K).S, s.M)
+    monkeypatch.setattr(bounds, "DENSE_CUTOFF", 0)
+    with pytest.raises(NoConvergence, match="n=49"):
+        raw_extremes(s.M, s.K)
+    with pytest.raises(NoConvergence, match="n=49"):
+        cond_estimate(s.M)
+
+
+def test_iterative_enclosure_meets_a_tolerance_below_arpack_tol(square_sys_8, monkeypatch):
+    # ARPACK's own tolerance tightens to the caller's residual tolerance
+    s = square_sys_8
+    dense = raw_extremes(s.M, s.K)
+    monkeypatch.setattr(bounds, "DENSE_CUTOFF", 0)
+    tol = 1e-3 * bounds.ARPACK_TOL
+    iterative = raw_extremes(s.M, s.K, rel_resid_tol=tol)
+    for field in ("mu_min", "mu_max", "nu_max"):
+        assert math.isclose(getattr(iterative, field), getattr(dense, field), rel_tol=1e-10)
+    assert cond_estimate(s.M, rel_resid_tol=tol).kappa_tilde > 1.0
+
+
+def test_iterative_residual_above_tolerance_raises_no_convergence(square_sys_8, monkeypatch):
+    # ARPACK's pair is accepted only if its relative residual meets the
+    # tolerance; a Ritz value 1% off leaves a residual far above 1e-3
+    eigsh = spla.eigsh
+
+    def off_by_one_percent(*args, **kwargs):
+        w, X = eigsh(*args, **kwargs)
+        return 1.01 * w, X
+
+    D = split(square_sys_8.K).D
+    monkeypatch.setattr(spla, "eigsh", off_by_one_percent)
+    with pytest.raises(NoConvergence, match="residual"):
+        extreme_eigs_sym_pencil(D, square_sys_8.M, "min", rel_resid_tol=1e-3)
 
 
 def _raising(*args, **kwargs):

@@ -216,6 +216,19 @@ def test_sweep_kappa_column_is_kappa_safe_beyond_dense_cutoff(monkeypatch):
     assert cert.kappa_safe != req.analysis.cond.kappa_tilde
 
 
+def test_expmv_certifies_square_128(tmp_path):
+    # n = 16129, five times the dense cutoff: the enclosure runs on ARPACK
+    out = tmp_path / "run"
+    rc = run_cli("expmv", "--domain", "square", "--divisions", "128", "--eps", "1e-6",
+                 "--out", str(out))
+    assert rc == 0
+    rows = (out / "run.csv").read_text().splitlines()
+    fields = dict(zip(cli.SWEEP_COLUMNS, rows[1].split(",")))
+    assert int(fields["n"]) == 16129
+    assert fields["status"] == "ok"
+    assert float(fields["certified_bound"]) <= 1e-6
+
+
 def test_expmv_verify_beyond_oracle_fails_before_enclosing(monkeypatch, tmp_path, capsys):
     # 56 divisions give n = 3025, beyond the 3000 unknowns the oracle accepts
     enclosures = _count_calls(monkeypatch, "raw_extremes")

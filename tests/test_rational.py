@@ -15,9 +15,12 @@ import pytest
 from expmrect.bounds import BoundingRectangle
 from expmrect.errors import PoleInsideRegion, RepeatedRoots, ScalingExhausted
 from expmrect.rational import (
+    SAMPLING_SAFETY,
     CertifiedApproximant,
     PadeRational,
     PartialFractionRational,
+    _rounding,
+    _sup_on_samples,
     boundary_samples,
     classify_conjugate_poles,
     eval_rational,
@@ -170,6 +173,43 @@ def test_sup_error_rejects_pole_inside():
     )
     with pytest.raises(PoleInsideRegion):
         sup_error_on_rectangle(pf, UNIT_RECT)
+
+
+def _exact_pf(pf, z):
+    # gamma + sum_k w_k / (p_k - z) in exact rational arithmetic, rounded once
+    def frac(x):
+        return Fraction(float(x.real)), Fraction(float(x.imag))
+
+    zr, zi = frac(z)
+    re, im = frac(pf.gamma)
+    for p, w in zip(pf.poles, pf.weights):
+        (pr, pi), (wr, wi) = frac(p), frac(w)
+        dr, di = pr - zr, pi - zi
+        den = dr * dr + di * di
+        re += (wr * dr + wi * di) / den
+        im += (wi * dr - wr * di) / den
+    return complex(float(re), float(im))
+
+
+def test_rounding_term_covers_evaluation_noise():
+    # two pairs of close poles with weights +-1e9: the terms are about 1e9
+    # and cancel to about 1e-1, so float64 evaluation is off by ~1e-8, far
+    # above the 1e-17 noise of the Pade ratio form
+    pf = PartialFractionRational(
+        gamma=0.25 + 0.0j,
+        poles=np.array([2.0 + 1.0j, 2.0 + 1.0j + 1e-9, 2.0 - 1.0j, 2.0 - 1.0j + 1e-9]),
+        weights=np.array([1e9 + 3.0j, -1e9 - 3.0j, 1e9 - 3.0j, -1e9 + 3.0j]),
+    )
+    zs = boundary_samples(UNIT_RECT, 50).samples
+    noise = np.abs(eval_rational(pf, zs) - np.array([_exact_pf(pf, z) for z in zs]))
+    assert noise.max() > 1e-10
+    assert noise.max() <= _rounding(pf, zs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sampled = np.abs(eval_rational(pf, zs) - np.exp(zs)).max()
+    assert _sup_on_samples(pf, zs) == SAMPLING_SAFETY * sampled + (1.0 + SAMPLING_SAFETY) * _rounding(pf, zs)
+    assert _rounding(pade45(4), zs) == 0.0
+    assert _sup_on_samples(pade45(4), zs) == SAMPLING_SAFETY * np.abs(
+        eval_rational(pade45(4), zs) - np.exp(zs)).max()
 
 
 def test_select_scaling_monotone_in_target():
