@@ -6,26 +6,25 @@ contained in the axis-aligned rectangle whose horizontal extent is given by
 the extreme eigenvalues of the symmetric pencil (tau D, M) and whose vertical
 extent by those of the Hermitian pencil (tau C, M), where D is the symmetric
 part of K and C is the Hermitian part of its skew piece, C = (K - K^T)/(2i).
-This module computes those extreme eigenvalues (eigenvalues only, by the
-tridiagonal divide and conquer that ``numpy.linalg.eigh`` uses, at desk
-scale; ARPACK's ``eigsh`` beyond, with shift-invert about 0 for the maximum
-of a symmetric part whose pivots prove it negative definite), assembles the
-safety-inflated rectangle, estimates the condition number of M, and
-certifies left-half-plane location. ``analyze_pencil`` computes the
-tau-independent part (extremes and condition estimate) once, for reuse
-across time steps.
+This module computes those extreme eigenvalues with ARPACK's ``eigsh`` at
+every size. One symmetric sparse factorization of M proves M positive
+definite by its pivot signs and then serves as the solve with M; the
+maximum of a symmetric part whose pivots prove it negative definite comes
+from shift-invert about 0. The module also assembles the safety-inflated
+rectangle, estimates the condition number of M, and certifies
+left-half-plane location. ``analyze_pencil`` computes the tau-independent
+part (extremes and condition estimate) once, for reuse across time steps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, NoConvergence, NotSPD, NotSymmetric
-from .linalg import cholesky, is_sparse, lu_factor
+from .linalg import is_sparse
 
 __all__ = [
     "Pencil",
@@ -46,7 +45,6 @@ __all__ = [
     "is_lhp_certified",
 ]
 
-DENSE_CUTOFF = 3000
 DEFAULT_REL_RESID_TOL = 1e-3
 INFLATION_FLOOR = 1e-12
 
@@ -55,9 +53,10 @@ INFLATION_FLOOR = 1e-12
 class Pencil:
     """A time-step/mass/stiffness triple describing exp(tau * inv(M) * K).
 
-    ``M`` must be symmetric (checked here) and positive definite (certified
-    by the Cholesky factorization wherever one is taken); ``K`` is a general
-    real square matrix of matching size. Both are sparse.
+    ``M`` must be symmetric (checked here) and positive definite (proved by
+    the pivot signs of the symmetric sparse factorization the enclosure
+    takes); ``K`` is a general real square matrix of matching size. Both are
+    sparse.
     """
 
     tau: float
@@ -128,8 +127,11 @@ def _ritz_pair(what, A, rel_resid_tol, seed, **kwargs):
     """The one Ritz pair of ``eigsh(A, k=1, **kwargs)``, started from
     ``default_rng(seed).standard_normal(n)`` with tolerance
     ``min(ARPACK_TOL, rel_resid_tol)``; ARPACK failures become
-    ``NoConvergence`` naming ``what`` and n."""
+    ``NoConvergence`` naming ``what`` and n. ``eigsh`` needs k < n, so
+    fewer than 2 unknowns raise ValueError."""
     n = A.shape[0]
+    if n < 2:
+        raise ValueError(f"enclosing {what} needs at least 2 unknowns, got n={n}")
     v0 = np.random.default_rng(seed).standard_normal(n)
     tol = min(ARPACK_TOL, rel_resid_tol)
     try:
@@ -150,16 +152,18 @@ def _accepted(what, theta, Bx, Mx, rel_resid_tol) -> tuple[float, float]:
     return theta, resid
 
 
-def _negative_definite_factor(B):
-    """SuperLU factor of B if its pivots prove B negative definite, else None.
+def _definite_factor(B, sign: float):
+    """SuperLU factor of B if its pivots prove ``sign * B`` positive
+    definite, else None.
 
     SuperLU runs in symmetric mode with ``diag_pivot_thresh=0``, so it keeps
     diagonal pivots; when the row and column permutations agree,
     P B P^T = L U with U = diag(U) L^T, and by Sylvester's law of inertia B
-    has as many negative eigenvalues as U has negative pivots. A nonnegative
-    diagonal entry rules B out without a factorization.
+    has as many positive and negative eigenvalues as U has pivots of each
+    sign. A diagonal entry of the wrong sign rules B out without a
+    factorization.
     """
-    if np.any(B.diagonal() >= 0.0):
+    if np.any(sign * B.diagonal() <= 0.0):
         return None
     try:
         fac = spla.splu(
@@ -167,16 +171,26 @@ def _negative_definite_factor(B):
         )
     except RuntimeError:  # exactly singular
         return None
-    if np.array_equal(fac.perm_r, fac.perm_c) and np.all(fac.U.diagonal() < 0.0):
+    if np.array_equal(fac.perm_r, fac.perm_c) and np.all(sign * fac.U.diagonal() > 0.0):
         return fac
     return None
+
+
+def _mass_solve(M):
+    """Solve with M by the factor that proves M positive definite; ``NotSPD``
+    when its pivots do not."""
+    fac = _definite_factor(M, 1.0)
+    if fac is None:
+        raise NotSPD(f"the pivots of M's symmetric factorization do not prove it "
+                     f"positive definite (n={M.shape[0]})")
+    return fac.solve
 
 
 def _sym_extreme(B, M, M_solve, which, rel_resid_tol, seed) -> tuple[float, float]:
     """``extreme_eigs_sym_pencil`` given a solve with M (None: identity)."""
     n = B.shape[0]
     what = f"the {which}imum of a symmetric pencil"
-    fac = _negative_definite_factor(B) if which == "max" else None
+    fac = _definite_factor(B, -1.0) if which == "max" else None
     if fac is not None:
         kwargs = {"sigma": 0.0, "OPinv": _operator(n, fac.solve)}
     else:
@@ -214,9 +228,11 @@ def extreme_eigs_sym_pencil(
     """Extreme eigenvalue of the symmetric pencil B x = theta M x by ARPACK.
 
     Returns (theta, achieved_residual); ``M = None`` means the identity.
-    ``eigsh`` runs in regular mode, except that the maximum of a negative
-    definite B (proved by the pivot signs of a symmetric sparse LU) comes
-    from shift-invert about 0. ``seed`` sets the start vector. The pair is
+    Any other M must be proved positive definite by the pivot signs of its
+    symmetric sparse factorization (``NotSPD`` otherwise), which is then the
+    solve with M. ``eigsh`` runs in regular mode, except that the maximum of
+    a negative definite B (proved the same way) comes from shift-invert
+    about 0. ``seed`` sets the start vector. The pair is
     accepted only if its relative residual is at most ``rel_resid_tol``;
     otherwise, or when ARPACK fails, ``NoConvergence`` is raised.
     """
@@ -224,7 +240,7 @@ def extreme_eigs_sym_pencil(
         raise ValueError(f"which must be 'min' or 'max', got {which!r}")
     if M is not None and M.shape != B.shape:
         raise DimensionMismatch("B and M sizes differ")
-    M_solve = None if M is None else lu_factor(M).solve
+    M_solve = None if M is None else _mass_solve(M)
     return _sym_extreme(B, M, M_solve, which, rel_resid_tol, seed)
 
 
@@ -241,9 +257,10 @@ def extreme_eig_skew_pencil(
     inv(L) S inv(L)^T. ARPACK's ``eigsh`` finds the largest eigenvalue of
     the real squared pencil (S^T inv(M) S, M). Its square root is accepted
     if the complex Ritz vector x - (i/sigma) inv(M) S x has relative
-    residual at most ``rel_resid_tol`` in the original pencil.
+    residual at most ``rel_resid_tol`` in the original pencil. M is proved
+    positive definite and solved with as in ``extreme_eigs_sym_pencil``.
     """
-    return _skew_extreme(sp.csr_array(S), M, lu_factor(M).solve, rel_resid_tol, seed)
+    return _skew_extreme(sp.csr_array(S), M, _mass_solve(M), rel_resid_tol, seed)
 
 
 # --------------------------------------------------------------------------
@@ -325,51 +342,6 @@ class RawExtremes:
     nu_max: float
 
 
-def _tridiagonal_eigvals(A, trd, trd_lwork) -> np.ndarray:
-    """Ascending eigenvalues of the exactly symmetric or Hermitian A.
-
-    The route of ``numpy.linalg.eigh`` (``?syevd`` / ``?heevd``) without
-    its eigenvector back-transform: ``trd`` reduces the lower triangle to
-    tridiagonal form with the optimal block size, and ``dstevd`` solves
-    the tridiagonal problem. ``compute_v=1`` is what selects divide and
-    conquer (``dstedc``), as ``eigh`` does; with ``compute_v=0`` (and in
-    ``eigvalsh``) LAPACK takes ``dsterf``, whose different rounding moves
-    the certificates.
-    """
-    lwork, _ = trd_lwork(A.shape[0], lower=1)
-    _, d, e, _, _ = trd(A, lower=1, lwork=int(np.real(lwork)))
-    w, _, info = sla.lapack.dstevd(d, e, compute_v=1)
-    if info != 0:
-        raise NoConvergence(f"dense tridiagonal eigensolver failed (info={info})")
-    return w
-
-
-def _dense_extremes(D, S, M) -> tuple[float, float, float]:
-    """(mu_min, mu_max, nu_max) of the pencils (D, M) and (S/i, M), dense.
-
-    One Cholesky factor L of M transforms each part to
-    T = inv(L) B inv(L)^T; the eigenvalues of 0.5 (T + T^T) and of
-    -i 0.5 (T - T^T) bound the rectangle. No eigenvector is computed, and
-    the n x n temporaries are freed when this returns.
-    """
-    L = cholesky(M)
-
-    def transformed(B):
-        Y = sla.solve_triangular(L, B.toarray(), lower=True)
-        return sla.solve_triangular(L, Y.T, lower=True).T
-
-    T = transformed(D)
-    w = _tridiagonal_eigvals(0.5 * (T + T.T), sla.lapack.dsytrd, sla.lapack.dsytrd_lwork)
-    mu_min, mu_max = float(w[0]), float(w[-1])
-    if S.nnz == 0:
-        return mu_min, mu_max, 0.0
-    del T  # one n x n transform alive at a time
-    T = transformed(S)
-    T = 0.5 * (T - T.T)
-    w = _tridiagonal_eigvals(-1j * T, sla.lapack.zhetrd, sla.lapack.zhetrd_lwork)
-    return mu_min, mu_max, float(w[-1])
-
-
 def raw_extremes(
     M,
     K,
@@ -378,17 +350,16 @@ def raw_extremes(
 ) -> RawExtremes:
     """Extreme eigenvalues of (D, M) and (C, M) for the unit time step.
 
-    Up to ``DENSE_CUTOFF`` unknowns they are computed densely, eigenvalues
-    only (``_dense_extremes``); beyond it by ARPACK, as in
-    ``extreme_eigs_sym_pencil`` and ``extreme_eig_skew_pencil``, with one
-    sparse LU factor of M shared by the three extremes.
+    ARPACK computes them at every size, as in ``extreme_eigs_sym_pencil``
+    and ``extreme_eig_skew_pencil``. One symmetric sparse factor of M, whose
+    pivots must prove M positive definite (``NotSPD`` otherwise), is the
+    solve with M for all three extremes. Fewer than 2 unknowns raise
+    ValueError.
     """
     parts = split(K)
     if M.shape != parts.D.shape:
         raise DimensionMismatch("K and M sizes differ")
-    if parts.D.shape[0] <= DENSE_CUTOFF:
-        return RawExtremes(*_dense_extremes(parts.D, parts.S, M))
-    M_solve = lu_factor(M).solve
+    M_solve = _mass_solve(M)
     mu_min, _ = _sym_extreme(parts.D, M, M_solve, "min", rel_resid_tol, seed)
     mu_max, _ = _sym_extreme(parts.D, M, M_solve, "max", rel_resid_tol, seed)
     nu_max, _ = _skew_extreme(parts.S, M, M_solve, rel_resid_tol, seed)
@@ -429,13 +400,17 @@ def is_lhp_certified(r: BoundingRectangle) -> bool:
 # condition estimate for M
 # --------------------------------------------------------------------------
 
+# relative error of ARPACK's estimates of M's extreme eigenvalues that
+# kappa_safe absorbs
+COND_DELTA = 0.05
+
+
 @dataclass(frozen=True)
 class CondEstimate:
     """Two-norm condition estimate for M with a safety margin.
 
     ``kappa_safe = kappa_tilde / (1 - delta)`` guards against the relative
-    error delta of the eigenvalue estimates; with delta = 0 (dense path) the
-    estimate is used as computed.
+    error delta (``COND_DELTA``) of the ARPACK eigenvalue estimates.
     """
 
     kappa_tilde: float
@@ -458,28 +433,19 @@ def cond_estimate(
 ) -> CondEstimate:
     """Estimate the spectral condition number of symmetric positive definite M.
 
-    Dense path (n <= DENSE_CUTOFF): exact extreme eigenvalues, delta 0.
-    Iterative path: ARPACK estimates for both spectrum ends
-    (``extreme_eigs_sym_pencil`` with ``M = None``), delta 0.05 to absorb
-    their residual tolerance.
+    ARPACK estimates both ends of the spectrum in regular mode
+    (``extreme_eigs_sym_pencil`` with ``M = None``), and ``COND_DELTA``
+    absorbs their residual tolerance. A nonpositive minimum raises
+    ``NotSPD``, fewer than 2 unknowns ValueError.
     """
-    n = M.shape[0]
-    if n <= DENSE_CUTOFF:
-        Md = M.toarray() if is_sparse(M) else np.asarray(M)
-        w = np.linalg.eigvalsh(0.5 * (Md + Md.T))
-        if w[0] <= 0.0:
-            raise NotSPD("M has a nonpositive eigenvalue")
-        kappa = float(w[-1] / w[0])
-        d = 0.0
-    else:
-        lo, _ = extreme_eigs_sym_pencil(M, None, "min", rel_resid_tol, seed=seed)
-        hi, _ = extreme_eigs_sym_pencil(M, None, "max", rel_resid_tol, seed=seed)
-        if lo <= 0.0:
-            raise NotSPD("eigsh found a nonpositive eigenvalue of M")
-        kappa = float(hi / lo)
-        d = 0.05
-    kappa = max(kappa, 1.0)
-    return CondEstimate(kappa_tilde=kappa, delta=d, kappa_safe=kappa / (1.0 - d))
+    lo, _ = extreme_eigs_sym_pencil(M, None, "min", rel_resid_tol, seed=seed)
+    hi, _ = extreme_eigs_sym_pencil(M, None, "max", rel_resid_tol, seed=seed)
+    if lo <= 0.0:
+        raise NotSPD("eigsh found a nonpositive eigenvalue of M")
+    kappa = max(float(hi / lo), 1.0)
+    return CondEstimate(
+        kappa_tilde=kappa, delta=COND_DELTA, kappa_safe=kappa / (1.0 - COND_DELTA)
+    )
 
 
 # --------------------------------------------------------------------------

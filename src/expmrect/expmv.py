@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import bounds
 from .aaa import aaa_poles, refit_partial_fractions
 from .bounds import (
     BoundingRectangle,
@@ -79,7 +78,7 @@ __all__ = [
 
 CROUZEIX_CONSTANT = 1.0 + math.sqrt(2.0)
 AAA_SAMPLES_PER_SIDE = 125  # coarse grid for pole placement; refit gets the dense one
-ORACLE_CUTOFF = 3000  # largest n the dense reference exponential accepts
+ORACLE_CUTOFF = 3000  # largest n the dense paths (reference exponential, mode "i") accept
 
 
 # --------------------------------------------------------------------------
@@ -258,16 +257,14 @@ def plain_range_rectangle(p: Pencil, rel_resid_tol: float = 1e-3) -> BoundingRec
     """Rectangle around W(tau inv(M) K) itself, formed densely (mode "i").
 
     Desk-scale only: A is materialized, so n may not exceed
-    ``bounds.DENSE_CUTOFF``. Horizontal extent from the extreme
+    ``ORACLE_CUTOFF``. Horizontal extent from the extreme
     eigenvalues of the symmetric part, vertical from the largest singular
     value of the skew part, widened by ``bounds.inflated_rectangle`` like
     the pencil path.
     """
     n = p.n
-    if n > bounds.DENSE_CUTOFF:
-        raise ValueError(
-            f"plain-range mode forms A densely, n={n} exceeds {bounds.DENSE_CUTOFF}"
-        )
+    if n > ORACLE_CUTOFF:
+        raise ValueError(f"plain-range mode forms A densely, n={n} exceeds {ORACLE_CUTOFF}")
     A = dense_operator(p)
     H = 0.5 * (A + A.T)
     W = 0.5 * (A - A.T)
@@ -380,20 +377,20 @@ _PADE13_B = (
 _PADE13_THETA = 5.371920351148152
 
 
-def expm_dense_oracle(A: np.ndarray, cutoff: int = ORACLE_CUTOFF) -> np.ndarray:
+def expm_dense_oracle(A: np.ndarray) -> np.ndarray:
     """Dense matrix exponential by scaling and squaring with degree-13 Pade.
 
     Independent desk-scale reference for the certified pipeline: the input
     is scaled by a power of two until its 1-norm is below the degree-13
     threshold, the diagonal Pade approximant is evaluated, and the result is
-    squared back up.
+    squared back up. At most ``ORACLE_CUTOFF`` unknowns are accepted.
     """
     A = np.asarray(A, dtype=float if not np.iscomplexobj(A) else complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {A.shape}")
     n = A.shape[0]
-    if n > cutoff:
-        raise ValueError(f"dense oracle limited to n <= {cutoff}, got {n}")
+    if n > ORACLE_CUTOFF:
+        raise ValueError(f"dense oracle limited to n <= {ORACLE_CUTOFF}, got {n}")
     if n == 0:
         return np.zeros((0, 0))
     eta = np.linalg.norm(A, 1)

@@ -73,46 +73,44 @@ def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     )
 
 
-def _unique_edges(triangles: np.ndarray) -> np.ndarray:
+def _unique_edges(triangles: np.ndarray, return_counts: bool = False):
+    """Sorted vertex pairs of the mesh edges, each once, and optionally the
+    number of triangles that share each one."""
     e = np.vstack(
         [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
     )
     e.sort(axis=1)
-    return np.unique(e, axis=0)
+    return np.unique(e, axis=0, return_counts=return_counts)
 
 
 def _boundary_vertices(triangles: np.ndarray, nv: int) -> np.ndarray:
     # boundary edges belong to exactly one triangle
-    e = np.vstack(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
-    )
-    e.sort(axis=1)
-    edges, counts = np.unique(e, axis=0, return_counts=True)
+    edges, counts = _unique_edges(triangles, return_counts=True)
     flags = np.zeros(nv, dtype=bool)
-    for a, b in edges[counts == 1]:
-        flags[a] = flags[b] = True
+    flags[edges[counts == 1].ravel()] = True
     return flags
+
+
+def _mean_edge_length(vertices: np.ndarray, triangles: np.ndarray) -> float:
+    edges = _unique_edges(triangles)
+    d = vertices[edges[:, 0]] - vertices[edges[:, 1]]
+    return float(np.mean(np.hypot(d[:, 0], d[:, 1])))
 
 
 def avg_edge_length(mesh: TriMesh) -> float:
     """Mean Euclidean length over the unique edges of the mesh."""
-    edges = _unique_edges(mesh.triangles)
-    d = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
-    return float(np.mean(np.hypot(d[:, 0], d[:, 1])))
+    return _mean_edge_length(mesh.vertices, mesh.triangles)
 
 
 def _make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> TriMesh:
     areas = _signed_areas(vertices, triangles)
     if np.any(areas <= 0.0):
         raise DegenerateMesh("triangulation contains nonpositive signed areas")
-    edges = _unique_edges(triangles)
-    d = vertices[edges[:, 0]] - vertices[edges[:, 1]]
-    h_bar = float(np.mean(np.hypot(d[:, 0], d[:, 1])))
     return TriMesh(
         vertices=vertices,
         triangles=triangles,
         boundary=_boundary_vertices(triangles, vertices.shape[0]),
-        h_bar=h_bar,
+        h_bar=_mean_edge_length(vertices, triangles),
     )
 
 

@@ -1,8 +1,8 @@
 """Dense and sparse linear-algebra substrate.
 
 Thin, contract-checked wrappers around the LAPACK and SuperLU routines the
-rest of the package builds on: LU and Cholesky factorizations with explicit
-singularity detection, and the Euclidean norm. Dense matrices are numpy arrays, sparse ones
+rest of the package builds on: LU factorizations with explicit singularity
+detection, and the Euclidean norm. Dense matrices are numpy arrays, sparse ones
 are scipy.sparse arrays in CSR/CSC form; vectors are 1-d numpy arrays.
 """
 from __future__ import annotations
@@ -16,14 +16,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DimensionMismatch, NotSPD, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix
 
 __all__ = [
     "PIVOT_RTOL",
     "LuFactor",
     "is_sparse",
     "lu_factor",
-    "cholesky",
     "norm2",
 ]
 
@@ -131,29 +130,6 @@ def lu_factor(A) -> LuFactor:
     if pivots.min() < PIVOT_RTOL * scale:
         raise SingularMatrix("dense LU produced a negligible pivot")
     return LuFactor(shape=A.shape, kind="dense", _lu=lu, _piv=piv)
-
-
-SYMMETRY_RTOL = 1e-12
-
-
-def cholesky(M) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric positive definite
-    matrix (densified).
-
-    The input must be symmetric to within ``SYMMETRY_RTOL`` relative
-    asymmetry; positive definiteness is established by the factorization
-    itself. Failure of either raises ``NotSPD``.
-    """
-    _require_square(M)
-    _require_finite(M)
-    Md = M.toarray() if is_sparse(M) else np.asarray(M, dtype=float)
-    scale = np.max(np.abs(Md)) if Md.size else 0.0
-    if scale == 0.0 or np.max(np.abs(Md - Md.T)) > SYMMETRY_RTOL * scale:
-        raise NotSPD("matrix is not symmetric to working accuracy")
-    try:
-        return sla.cholesky(Md, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise NotSPD(f"Cholesky failed: {exc}") from exc
 
 
 def norm2(x: np.ndarray) -> float:

@@ -1,7 +1,7 @@
 """Pencil rectangles, generalized extreme eigenvalues, condition estimates.
 
 Dense eigendecompositions computed directly in the tests serve as oracles
-for the module's dense (eigenvalue-only) and iterative (ARPACK) paths alike.
+for the module's one eigensolver path, ARPACK.
 """
 from __future__ import annotations
 
@@ -15,11 +15,12 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expmrect import bounds, fem
+from expmrect import bounds, expmv, fem
 from expmrect.bounds import (
     BoundingRectangle,
     CondEstimate,
     Pencil,
+    analyze_pencil,
     bounding_rectangle,
     cond_estimate,
     extreme_eig_skew_pencil,
@@ -30,7 +31,6 @@ from expmrect.bounds import (
     split,
 )
 from expmrect.errors import DimensionMismatch, NoConvergence, NotSPD, NotSymmetric
-from expmrect.linalg import cholesky
 
 from conftest import random_nonsym_sparse, random_spd_sparse
 
@@ -107,39 +107,36 @@ def test_skew_pencil_iterative_agrees_with_dense():
     assert abs(iterative - dense) <= 1e-3 * abs(dense)
 
 
-def test_shift_invert_needs_negative_definite_symmetric_part(square_sys_8, monkeypatch):
+def test_shift_invert_needs_negative_definite_symmetric_part(square_sys_8):
     # shifting K by c M with c > |mu_max| gives D positive eigenvalues, so
     # the maximum must come from regular mode, not from the eigenvalue
     # nearest 0 that shift-invert about 0 would find
     s = square_sys_8
-    c = 2.0 * abs(raw_extremes(s.M, s.K).mu_max)
+    c = 2.0 * abs(_dense_pencil_extremes(split(s.K).D, s.M)[1])
     for K in (s.K, s.K + c * s.M):
-        dense = raw_extremes(s.M, K)
-        monkeypatch.setattr(bounds, "DENSE_CUTOFF", 0)
+        lo, hi = _dense_pencil_extremes(split(K).D, s.M)
         iterative = raw_extremes(s.M, K)
-        monkeypatch.undo()
-        assert (dense.mu_min < 0.0 < dense.mu_max) == (K is not s.K)
-        for got, want in ((iterative.mu_min, dense.mu_min), (iterative.mu_max, dense.mu_max)):
+        assert (lo < 0.0 < hi) == (K is not s.K)
+        for got, want in ((iterative.mu_min, lo), (iterative.mu_max, hi)):
             assert math.isclose(got, want, rel_tol=1e-10)
     D = split(s.K).D
-    assert bounds._negative_definite_factor(D) is not None
-    assert bounds._negative_definite_factor(D + c * s.M) is None
+    assert bounds._definite_factor(D, -1.0) is not None
+    assert bounds._definite_factor(D + c * s.M, -1.0) is None
 
 
 @pytest.mark.parametrize("d", [1e-1, 1e-3])
 @pytest.mark.parametrize("domain", ["square", "star"])
-def test_iterative_enclosure_agrees_with_dense_on_reference_systems(domain, d, monkeypatch):
-    # square/32 and star/4, the reference systems, are dense-path sized;
-    # with the cutoff at 0 they take the ARPACK path
+def test_iterative_enclosure_agrees_with_dense_on_reference_systems(domain, d):
+    # square/32 and star/4, the reference systems
     mesh = fem.mesh_square(32) if domain == "square" else fem.mesh_star(refine=4)
     s = fem.assemble_p1(mesh, d=d, domain=domain)
-    dense = raw_extremes(s.M, s.K)
-    kappa = cond_estimate(s.M).kappa_tilde
-    monkeypatch.setattr(bounds, "DENSE_CUTOFF", 0)
-    iterative = raw_extremes(s.M, s.K)
-    for field in ("mu_min", "mu_max", "nu_max"):
-        assert math.isclose(getattr(iterative, field), getattr(dense, field), rel_tol=1e-10)
-    assert math.isclose(cond_estimate(s.M).kappa_tilde, kappa, rel_tol=1e-10)
+    parts = split(s.K)
+    dense = (*_dense_pencil_extremes(parts.D, s.M), _dense_skew_max(parts.S, s.M))
+    w = np.linalg.eigvalsh(s.M.toarray())
+    ext = raw_extremes(s.M, s.K)
+    for got, want in zip((ext.mu_min, ext.mu_max, ext.nu_max), dense):
+        assert math.isclose(got, want, rel_tol=1e-10)
+    assert math.isclose(cond_estimate(s.M).kappa_tilde, w[-1] / w[0], rel_tol=1e-10)
 
 
 def _no_convergence(*args, **kwargs):
@@ -158,22 +155,21 @@ def test_arpack_failure_raises_no_convergence(fail, square_sys_8, monkeypatch):
         extreme_eigs_sym_pencil(split(s.K).D, s.M, "min")
     with pytest.raises(NoConvergence, match=r"skew pencil \(n=49\)"):
         extreme_eig_skew_pencil(split(s.K).S, s.M)
-    monkeypatch.setattr(bounds, "DENSE_CUTOFF", 0)
     with pytest.raises(NoConvergence, match="n=49"):
         raw_extremes(s.M, s.K)
     with pytest.raises(NoConvergence, match="n=49"):
         cond_estimate(s.M)
 
 
-def test_iterative_enclosure_meets_a_tolerance_below_arpack_tol(square_sys_8, monkeypatch):
+def test_iterative_enclosure_meets_a_tolerance_below_arpack_tol(square_sys_8):
     # ARPACK's own tolerance tightens to the caller's residual tolerance
     s = square_sys_8
-    dense = raw_extremes(s.M, s.K)
-    monkeypatch.setattr(bounds, "DENSE_CUTOFF", 0)
+    parts = split(s.K)
+    dense = (*_dense_pencil_extremes(parts.D, s.M), _dense_skew_max(parts.S, s.M))
     tol = 1e-3 * bounds.ARPACK_TOL
-    iterative = raw_extremes(s.M, s.K, rel_resid_tol=tol)
-    for field in ("mu_min", "mu_max", "nu_max"):
-        assert math.isclose(getattr(iterative, field), getattr(dense, field), rel_tol=1e-10)
+    ext = raw_extremes(s.M, s.K, rel_resid_tol=tol)
+    for got, want in zip((ext.mu_min, ext.mu_max, ext.nu_max), dense):
+        assert math.isclose(got, want, rel_tol=1e-10)
     assert cond_estimate(s.M, rel_resid_tol=tol).kappa_tilde > 1.0
 
 
@@ -193,12 +189,12 @@ def test_iterative_residual_above_tolerance_raises_no_convergence(square_sys_8, 
 
 
 def _raising(*args, **kwargs):
-    raise AssertionError("the dense enclosure must not compute eigenvectors")
+    raise AssertionError("the enclosure must not call a dense eigensolver")
 
 
 @pytest.mark.parametrize("domain", ["square", "star"])
 def test_dense_raw_extremes_computes_no_eigenvectors(domain, monkeypatch):
-    # square/8 and star/1, both on the dense path
+    # square/8 and star/1: desk-scale pencils take ARPACK too
     mesh = fem.mesh_square(8) if domain == "square" else fem.mesh_star(refine=1)
     s = fem.assemble_p1(mesh, d=0.1, domain=domain)
     parts = split(s.K)
@@ -241,28 +237,35 @@ def test_rectangle_validation_and_accessors():
     assert r.contains(z).tolist() == [True, True, False, False]
 
 
-def test_raw_extremes_dense_matches_separate_solves(random_pencil_60):
-    # the eigenvalue-only route must give what full eigh solves of the same
-    # transformed matrices give, bit for bit: the certificate bytes rest on it
-    p = random_pencil_60
-    parts = split(p.K)
-    L = cholesky(p.M)
-
-    def transformed(B):
-        Y = sla.solve_triangular(L, B.toarray(), lower=True)
-        return sla.solve_triangular(L, Y.T, lower=True).T
-
-    T = transformed(parts.D)
-    w = np.linalg.eigh(0.5 * (T + T.T))[0]
-    T = transformed(parts.S)
-    v = np.linalg.eigh(-1j * (0.5 * (T - T.T)))[0]
-    ext = raw_extremes(p.M, p.K)
-    assert (ext.mu_min, ext.mu_max, ext.nu_max) == (w[0], w[-1], v[-1])
-
-
 def test_raw_extremes_rejects_size_mismatch(random_pencil_60):
     with pytest.raises(DimensionMismatch):
         raw_extremes(sp.eye_array(3).tocsr(), random_pencil_60.K)
+
+
+def test_enclosure_needs_two_unknowns():
+    # eigsh needs k < n, so a 1 x 1 pencil fails cleanly, naming n
+    one = sp.csr_array(np.array([[2.0]]))
+    with pytest.raises(ValueError, match=r"at least 2 unknowns, got n=1"):
+        raw_extremes(one, -one)
+    with pytest.raises(ValueError, match=r"at least 2 unknowns, got n=1"):
+        cond_estimate(one)
+
+
+def test_indefinite_mass_raises_not_spd(square_sys_8):
+    # M shifted so that its smallest eigenvalue is -4e-4: its diagonal stays
+    # positive, so the pivot signs of the factorization must catch it
+    s = square_sys_8
+    lowest = np.linalg.eigvalsh(s.M.toarray())[0]
+    M = sp.csr_array(s.M - (lowest + 4e-4) * sp.eye_array(s.n))
+    assert math.isclose(np.linalg.eigvalsh(M.toarray())[0], -4e-4, rel_tol=1e-9)
+    assert np.all(M.diagonal() > 0.0)
+    with pytest.raises(NotSPD):
+        raw_extremes(M, s.K)
+    with pytest.raises(NotSPD):
+        analyze_pencil(M, s.K)
+    req = expmv.ExpmvRequest(pencil=Pencil(s.mesh.h_bar, M, s.K), b=s.b0, eps=1e-6)
+    with pytest.raises(NotSPD):
+        expmv.expmv_controlled(req)
 
 
 def test_rectangle_tau_linearity_without_inflation(square_sys_8):
@@ -321,23 +324,13 @@ def test_advection_diffusion_rectangle_is_lhp(square_pencil_8):
 # condition estimate
 # --------------------------------------------------------------------------
 
-def test_cond_estimate_dense_matches_eigvalsh(square_sys_8):
+def test_cond_estimate_iterative_margin(square_sys_8):
     M = square_sys_8.M
     w = np.linalg.eigvalsh(M.toarray())
     est = cond_estimate(M)
-    assert math.isclose(est.kappa_tilde, w[-1] / w[0], rel_tol=1e-12)
-    assert est.delta == 0.0
-    assert est.kappa_safe == est.kappa_tilde
-
-
-def test_cond_estimate_iterative_margin(square_sys_8, monkeypatch):
-    M = square_sys_8.M
-    exact = cond_estimate(M).kappa_tilde
-    monkeypatch.setattr(bounds, "DENSE_CUTOFF", 0)
-    est = cond_estimate(M)
-    assert est.delta == 0.05
+    assert est.delta == bounds.COND_DELTA == 0.05
     assert est.kappa_safe == est.kappa_tilde / 0.95
-    assert abs(est.kappa_tilde - exact) <= 1e-2 * exact
+    assert math.isclose(est.kappa_tilde, w[-1] / w[0], rel_tol=1e-12)
 
 
 def test_cond_estimate_rejects_indefinite():

@@ -192,8 +192,8 @@ def test_sweep_encloses_each_system_once(monkeypatch):
 
 
 def test_sweep_kappa_column_is_kappa_safe_beyond_dense_cutoff(monkeypatch):
-    # n = 3025 > 3000 takes the iterative path, where kappa_safe and
-    # kappa_tilde differ by the 1 / (1 - delta) margin
+    # kappa_safe and kappa_tilde differ by the 1 / (1 - delta) margin at
+    # every size, so the column must carry kappa_safe
     runs = []
     original = cli.expmv_controlled
 
@@ -204,20 +204,20 @@ def test_sweep_kappa_column_is_kappa_safe_beyond_dense_cutoff(monkeypatch):
 
     monkeypatch.setattr(cli, "expmv_controlled", recorded)
     rows = cli.run_sweep({
-        "systems": [{"domain": "square", "divisions": 56, "d": 1e-1}],
+        "systems": [{"domain": "square", "divisions": 8, "d": 1e-1}],
         "tau_factors": [1.0],
         "eps": [1e-2],
         "methods": ["sub-pade"],
         "modes": ["ii"],
     })
     (row,), ((req, cert),) = rows, runs
-    assert row["n"] == 3025 and row["status"] == "ok"
+    assert row["n"] == 49 and row["status"] == "ok"
     assert row["kappa"] == repr(cert.kappa_safe)
     assert cert.kappa_safe != req.analysis.cond.kappa_tilde
 
 
 def test_expmv_certifies_square_128(tmp_path):
-    # n = 16129, five times the dense cutoff: the enclosure runs on ARPACK
+    # n = 16129, the north-star scale point
     out = tmp_path / "run"
     rc = run_cli("expmv", "--domain", "square", "--divisions", "128", "--eps", "1e-6",
                  "--out", str(out))
@@ -259,6 +259,15 @@ def test_sweep_empty_systems_header_only(tmp_path):
     assert out.read_text().splitlines() == [",".join(cli.SWEEP_COLUMNS)]
 
 
+@pytest.mark.parametrize("command", ["bound", "expmv"])
+def test_one_unknown_fails_cleanly(command, capsys):
+    # a 2-division square has one interior vertex, too few for eigsh
+    rc = run_cli(command, "--domain", "square", "--divisions", "2")
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError: ") and "n=1" in err[0]
+
+
 def test_main_reports_package_errors(capsys):
     rc = run_cli("expmv", "--domain", "square", "--divisions", "1", "--eps", "1e-6")
     # a 1-division square has no interior vertices: DegenerateMesh -> exit 1
@@ -271,7 +280,7 @@ def test_main_reports_package_errors(capsys):
     (("--mode", "i", "--divisions", "56"), "plain-range mode forms A densely"),
 ])
 def test_main_reports_request_errors(argv, message, capsys):
-    # 56 divisions give n = 3025, beyond the dense cutoff that mode "i" needs
+    # 56 divisions give n = 3025, beyond the ORACLE_CUTOFF that mode "i" needs
     rc = run_cli("expmv", "--domain", "square", *argv)
     assert rc == 1
     err = capsys.readouterr().err

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from expmrect import fem
+from expmrect import expmv, fem
 from expmrect.bounds import Pencil, analyze_pencil
 from expmrect.errors import DimensionMismatch, ScalingExhausted
 from expmrect.expmv import (
@@ -63,11 +63,12 @@ def test_oracle_handles_scaling_branch():
     assert np.allclose(np.diag(got), np.exp(np.diag(A)), rtol=1e-12)
 
 
-def test_oracle_validates_input():
+def test_oracle_validates_input(monkeypatch):
     with pytest.raises(DimensionMismatch):
         expm_dense_oracle(np.zeros((2, 3)))
+    monkeypatch.setattr(expmv, "ORACLE_CUTOFF", 4)
     with pytest.raises(ValueError):
-        expm_dense_oracle(np.zeros((5, 5)), cutoff=4)
+        expm_dense_oracle(np.zeros((5, 5)))
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 import scipy.sparse as sp
 
 from expmrect import mmio
-from expmrect.errors import DimensionMismatch, NotSPD, SingularMatrix
-from expmrect.linalg import cholesky, lu_factor, norm2
+from expmrect.errors import DimensionMismatch, SingularMatrix
+from expmrect.linalg import lu_factor, norm2
 
 
 def test_dense_lu_solve():
@@ -68,23 +68,6 @@ def test_lu_validates_shape_and_rhs():
     fac = lu_factor(np.eye(3))
     with pytest.raises(DimensionMismatch):
         fac.solve(np.ones(5))
-
-
-def test_cholesky_solves_spd():
-    rng = np.random.default_rng(4)
-    B = rng.standard_normal((9, 9))
-    M = B @ B.T + 9 * np.eye(9)
-    L = cholesky(M)
-    assert np.array_equal(L, np.tril(L))
-    assert np.allclose(L @ L.T, M, atol=1e-11)
-
-
-def test_cholesky_rejects_non_spd():
-    with pytest.raises(NotSPD):
-        cholesky(np.diag([1.0, -2.0]))
-    asym = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(NotSPD):
-        cholesky(asym)
 
 
 def test_norm2_plain_euclidean():
