@@ -324,13 +324,19 @@ def test_advection_diffusion_rectangle_is_lhp(square_pencil_8):
 # condition estimate
 # --------------------------------------------------------------------------
 
-def test_cond_estimate_iterative_margin(square_sys_8):
+def test_cond_estimate_dense_matches_eigvalsh(square_sys_8):
+    # ARPACK's estimate against the dense eigenvalues of M
     M = square_sys_8.M
     w = np.linalg.eigvalsh(M.toarray())
     est = cond_estimate(M)
+    assert math.isclose(est.kappa_tilde, w[-1] / w[0], rel_tol=1e-12)
+    assert est.kappa_safe == est.kappa_tilde / (1.0 - est.delta)
+
+
+def test_cond_estimate_iterative_margin(square_sys_8):
+    est = cond_estimate(square_sys_8.M)
     assert est.delta == bounds.COND_DELTA == 0.05
     assert est.kappa_safe == est.kappa_tilde / 0.95
-    assert math.isclose(est.kappa_tilde, w[-1] / w[0], rel_tol=1e-12)
 
 
 def test_cond_estimate_rejects_indefinite():
