@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, NoConvergence, NotSPD, NotSymmetric
-from .linalg import is_sparse
+from .linalg import definite_factor
 
 __all__ = [
     "Pencil",
@@ -34,8 +34,6 @@ __all__ = [
     "PencilAnalysis",
     "RawExtremes",
     "split",
-    "extreme_eigs_sym_pencil",
-    "extreme_eig_skew_pencil",
     "raw_extremes",
     "inflated_rectangle",
     "rectangle_from_extremes",
@@ -56,7 +54,7 @@ class Pencil:
     ``M`` must be symmetric (checked here) and positive definite (proved by
     the pivot signs of the symmetric sparse factorization the enclosure
     takes); ``K`` is a general real square matrix of matching size. Both are
-    sparse.
+    sparse with finite entries.
     """
 
     tau: float
@@ -66,21 +64,24 @@ class Pencil:
     def __post_init__(self):
         if not (self.tau > 0.0) or not np.isfinite(self.tau):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        M, K = self.M, self.K
-        if not (is_sparse(M) and is_sparse(K)):
+        if not (sp.issparse(self.M) and sp.issparse(self.K)):
             raise TypeError("Pencil expects sparse M and K")
+        M, K = sp.csr_array(self.M), sp.csr_array(self.K)
         if M.shape[0] != M.shape[1] or K.shape[0] != K.shape[1]:
             raise DimensionMismatch("M and K must be square")
         if M.shape != K.shape:
             raise DimensionMismatch(f"M {M.shape} and K {K.shape} differ in size")
+        for name, A in (("M", M), ("K", K)):
+            if not np.all(np.isfinite(A.data)):
+                raise ValueError(f"{name} contains NaN or Inf entries")
         asym = abs(M - M.T)
         scale = float(np.max(np.abs(M.data))) if M.nnz else 0.0
         if scale == 0.0:
             raise NotSPD("M is identically zero")
         if asym.nnz and asym.max() > 1e-12 * scale:
             raise NotSymmetric("M is not symmetric to working accuracy")
-        object.__setattr__(self, "M", sp.csr_array(M))
-        object.__setattr__(self, "K", sp.csr_array(K))
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "K", K)
 
     @property
     def n(self) -> int:
@@ -152,34 +153,10 @@ def _accepted(what, theta, Bx, Mx, rel_resid_tol) -> tuple[float, float]:
     return theta, resid
 
 
-def _definite_factor(B, sign: float):
-    """SuperLU factor of B if its pivots prove ``sign * B`` positive
-    definite, else None.
-
-    SuperLU runs in symmetric mode with ``diag_pivot_thresh=0``, so it keeps
-    diagonal pivots; when the row and column permutations agree,
-    P B P^T = L U with U = diag(U) L^T, and by Sylvester's law of inertia B
-    has as many positive and negative eigenvalues as U has pivots of each
-    sign. A diagonal entry of the wrong sign rules B out without a
-    factorization.
-    """
-    if np.any(sign * B.diagonal() <= 0.0):
-        return None
-    try:
-        fac = spla.splu(
-            sp.csc_matrix(B), diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        )
-    except RuntimeError:  # exactly singular
-        return None
-    if np.array_equal(fac.perm_r, fac.perm_c) and np.all(sign * fac.U.diagonal() > 0.0):
-        return fac
-    return None
-
-
 def _mass_solve(M):
     """Solve with M by the factor that proves M positive definite; ``NotSPD``
     when its pivots do not."""
-    fac = _definite_factor(M, 1.0)
+    fac = definite_factor(M, 1.0)
     if fac is None:
         raise NotSPD(f"the pivots of M's symmetric factorization do not prove it "
                      f"positive definite (n={M.shape[0]})")
@@ -187,10 +164,20 @@ def _mass_solve(M):
 
 
 def _sym_extreme(B, M, M_solve, which, rel_resid_tol, seed) -> tuple[float, float]:
-    """``extreme_eigs_sym_pencil`` given a solve with M (None: identity)."""
+    """Extreme eigenvalue of the symmetric pencil B x = theta M x, ``which``
+    "min" or "max", as (theta, achieved_residual).
+
+    ``M = None`` means the identity; any other M comes with ``M_solve``, a
+    solve with M. ``eigsh`` runs in regular mode, except that the maximum of
+    a B whose pivots prove it negative definite (``linalg.definite_factor``)
+    comes from shift-invert about 0. ``seed`` sets the start vector. The
+    pair is accepted only if its relative residual is at most
+    ``rel_resid_tol``; otherwise, or when ARPACK fails, ``NoConvergence`` is
+    raised.
+    """
     n = B.shape[0]
     what = f"the {which}imum of a symmetric pencil"
-    fac = _definite_factor(B, -1.0) if which == "max" else None
+    fac = definite_factor(B, -1.0) if which == "max" else None
     if fac is not None:
         kwargs = {"sigma": 0.0, "OPinv": _operator(n, fac.solve)}
     else:
@@ -202,7 +189,16 @@ def _sym_extreme(B, M, M_solve, which, rel_resid_tol, seed) -> tuple[float, floa
 
 
 def _skew_extreme(S, M, M_solve, rel_resid_tol, seed) -> tuple[float, float]:
-    """``extreme_eig_skew_pencil`` given a solve with M."""
+    """Largest eigenvalue of the Hermitian pencil C x = theta M x, C = S/i,
+    given a solve with M, as (theta, achieved_residual).
+
+    For real skew-symmetric S the spectrum of (C, M) is symmetric about 0,
+    so only the maximum is needed; it equals the largest singular value of
+    inv(L) S inv(L)^T. ARPACK's ``eigsh`` finds the largest eigenvalue of
+    the real squared pencil (S^T inv(M) S, M). Its square root is accepted
+    if the complex Ritz vector x - (i/sigma) inv(M) S x has relative
+    residual at most ``rel_resid_tol`` in the original pencil.
+    """
     if S.nnz == 0:
         return 0.0, 0.0
     n = S.shape[0]
@@ -216,51 +212,6 @@ def _skew_extreme(S, M, M_solve, rel_resid_tol, seed) -> tuple[float, float]:
         return 0.0, 0.0
     xc = x - (1j / sigma) * M_solve(S @ x)
     return _accepted("the skew pencil", sigma, (S @ xc) / 1j, M @ xc, rel_resid_tol)
-
-
-def extreme_eigs_sym_pencil(
-    B,
-    M,
-    which: str = "max",
-    rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Extreme eigenvalue of the symmetric pencil B x = theta M x by ARPACK.
-
-    Returns (theta, achieved_residual); ``M = None`` means the identity.
-    Any other M must be proved positive definite by the pivot signs of its
-    symmetric sparse factorization (``NotSPD`` otherwise), which is then the
-    solve with M. ``eigsh`` runs in regular mode, except that the maximum of
-    a negative definite B (proved the same way) comes from shift-invert
-    about 0. ``seed`` sets the start vector. The pair is
-    accepted only if its relative residual is at most ``rel_resid_tol``;
-    otherwise, or when ARPACK fails, ``NoConvergence`` is raised.
-    """
-    if which not in ("min", "max"):
-        raise ValueError(f"which must be 'min' or 'max', got {which!r}")
-    if M is not None and M.shape != B.shape:
-        raise DimensionMismatch("B and M sizes differ")
-    M_solve = None if M is None else _mass_solve(M)
-    return _sym_extreme(B, M, M_solve, which, rel_resid_tol, seed)
-
-
-def extreme_eig_skew_pencil(
-    S,
-    M,
-    rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Largest eigenvalue of the Hermitian pencil C x = theta M x, C = S/i.
-
-    For real skew-symmetric S the spectrum of (C, M) is symmetric about 0,
-    so only the maximum is needed; it equals the largest singular value of
-    inv(L) S inv(L)^T. ARPACK's ``eigsh`` finds the largest eigenvalue of
-    the real squared pencil (S^T inv(M) S, M). Its square root is accepted
-    if the complex Ritz vector x - (i/sigma) inv(M) S x has relative
-    residual at most ``rel_resid_tol`` in the original pencil. M is proved
-    positive definite and solved with as in ``extreme_eigs_sym_pencil``.
-    """
-    return _skew_extreme(sp.csr_array(S), M, _mass_solve(M), rel_resid_tol, seed)
 
 
 # --------------------------------------------------------------------------
@@ -350,11 +301,10 @@ def raw_extremes(
 ) -> RawExtremes:
     """Extreme eigenvalues of (D, M) and (C, M) for the unit time step.
 
-    ARPACK computes them at every size, as in ``extreme_eigs_sym_pencil``
-    and ``extreme_eig_skew_pencil``. One symmetric sparse factor of M, whose
-    pivots must prove M positive definite (``NotSPD`` otherwise), is the
-    solve with M for all three extremes. Fewer than 2 unknowns raise
-    ValueError.
+    ARPACK computes them at every size. One symmetric sparse factor of M
+    (``linalg.definite_factor``), whose pivots must prove M positive
+    definite (``NotSPD`` otherwise), is the solve with M for all three
+    extremes. Fewer than 2 unknowns raise ValueError.
     """
     parts = split(K)
     if M.shape != parts.D.shape:
@@ -433,13 +383,12 @@ def cond_estimate(
 ) -> CondEstimate:
     """Estimate the spectral condition number of symmetric positive definite M.
 
-    ARPACK estimates both ends of the spectrum in regular mode
-    (``extreme_eigs_sym_pencil`` with ``M = None``), and ``COND_DELTA``
-    absorbs their residual tolerance. A nonpositive minimum raises
-    ``NotSPD``, fewer than 2 unknowns ValueError.
+    ARPACK estimates both ends of the spectrum in regular mode (the pencil
+    (M, I)), and ``COND_DELTA`` absorbs their residual tolerance. A
+    nonpositive minimum raises ``NotSPD``, fewer than 2 unknowns ValueError.
     """
-    lo, _ = extreme_eigs_sym_pencil(M, None, "min", rel_resid_tol, seed=seed)
-    hi, _ = extreme_eigs_sym_pencil(M, None, "max", rel_resid_tol, seed=seed)
+    lo, _ = _sym_extreme(M, None, None, "min", rel_resid_tol, seed)
+    hi, _ = _sym_extreme(M, None, None, "max", rel_resid_tol, seed)
     if lo <= 0.0:
         raise NotSPD("eigsh found a nonpositive eigenvalue of M")
     kappa = max(float(hi / lo), 1.0)

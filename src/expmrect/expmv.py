@@ -198,6 +198,8 @@ class ExpmvRequest:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.kappa_power not in (0.5, 1.0):
             raise ValueError("kappa_power must be 0.5 or 1.0")
+        if not np.all(np.isfinite(self.b)):
+            raise ValueError("b contains NaN or Inf entries")
         if self.analysis is not None:
             self.analysis.check_fits(self.pencil, self.rel_resid_tol, self.seed)
 

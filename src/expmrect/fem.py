@@ -30,7 +30,6 @@ __all__ = [
     "AssembledSystem",
     "mesh_square",
     "mesh_star",
-    "avg_edge_length",
     "assemble_p1",
     "assemble_p1_full",
     "initial_vector",
@@ -95,11 +94,6 @@ def _mean_edge_length(vertices: np.ndarray, triangles: np.ndarray) -> float:
     edges = _unique_edges(triangles)
     d = vertices[edges[:, 0]] - vertices[edges[:, 1]]
     return float(np.mean(np.hypot(d[:, 0], d[:, 1])))
-
-
-def avg_edge_length(mesh: TriMesh) -> float:
-    """Mean Euclidean length over the unique edges of the mesh."""
-    return _mean_edge_length(mesh.vertices, mesh.triangles)
 
 
 def _make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> TriMesh:

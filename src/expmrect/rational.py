@@ -27,6 +27,7 @@ from math import factorial
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .bounds import BoundingRectangle
 from .errors import (
     PoleEvaluation,
     PoleInsideRegion,
@@ -182,7 +183,7 @@ class RegionBoundary:
     """Boundary samples of a rectangle, corner-clustered, conjugate-symmetric
     whenever the rectangle is symmetric about the real axis."""
 
-    rectangle: "object"  # BoundingRectangle (kept loose to avoid an import cycle)
+    rectangle: BoundingRectangle
     samples: np.ndarray
     n_per_side: int
 

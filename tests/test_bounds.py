@@ -23,8 +23,6 @@ from expmrect.bounds import (
     analyze_pencil,
     bounding_rectangle,
     cond_estimate,
-    extreme_eig_skew_pencil,
-    extreme_eigs_sym_pencil,
     is_lhp_certified,
     raw_extremes,
     rectangle_from_extremes,
@@ -85,7 +83,7 @@ def test_sym_pencil_iterative_agrees_with_dense(which, tol, agree):
     M = random_spd_sparse(150, rng)
     D = split(random_nonsym_sparse(150, rng)).D
     dense = _dense_pencil_extremes(D, M)[0 if which == "min" else 1]
-    iterative, resid = extreme_eigs_sym_pencil(D, M, which, rel_resid_tol=tol)
+    iterative, resid = bounds._sym_extreme(D, M, bounds._mass_solve(M), which, tol, 0)
     assert resid <= tol
     assert abs(iterative - dense) <= agree * abs(dense)
 
@@ -102,7 +100,7 @@ def test_skew_pencil_iterative_agrees_with_dense():
     M = random_spd_sparse(150, rng)
     S = split(random_nonsym_sparse(150, rng)).S
     dense = _dense_skew_max(S, M)
-    iterative, resid = extreme_eig_skew_pencil(S, M, rel_resid_tol=1e-3)
+    iterative, resid = bounds._skew_extreme(S, M, bounds._mass_solve(M), 1e-3, 0)
     assert resid <= 1e-3
     assert abs(iterative - dense) <= 1e-3 * abs(dense)
 
@@ -119,9 +117,6 @@ def test_shift_invert_needs_negative_definite_symmetric_part(square_sys_8):
         assert (lo < 0.0 < hi) == (K is not s.K)
         for got, want in ((iterative.mu_min, lo), (iterative.mu_max, hi)):
             assert math.isclose(got, want, rel_tol=1e-10)
-    D = split(s.K).D
-    assert bounds._definite_factor(D, -1.0) is not None
-    assert bounds._definite_factor(D + c * s.M, -1.0) is None
 
 
 @pytest.mark.parametrize("d", [1e-1, 1e-3])
@@ -150,11 +145,12 @@ def _arpack_error(*args, **kwargs):
 @pytest.mark.parametrize("fail", [_no_convergence, _arpack_error])
 def test_arpack_failure_raises_no_convergence(fail, square_sys_8, monkeypatch):
     s = square_sys_8
+    M_solve = bounds._mass_solve(s.M)
     monkeypatch.setattr(spla, "eigsh", fail)
     with pytest.raises(NoConvergence, match=r"minimum of a symmetric pencil \(n=49\)"):
-        extreme_eigs_sym_pencil(split(s.K).D, s.M, "min")
+        bounds._sym_extreme(split(s.K).D, s.M, M_solve, "min", 1e-3, 0)
     with pytest.raises(NoConvergence, match=r"skew pencil \(n=49\)"):
-        extreme_eig_skew_pencil(split(s.K).S, s.M)
+        bounds._skew_extreme(split(s.K).S, s.M, M_solve, 1e-3, 0)
     with pytest.raises(NoConvergence, match="n=49"):
         raw_extremes(s.M, s.K)
     with pytest.raises(NoConvergence, match="n=49"):
@@ -182,10 +178,9 @@ def test_iterative_residual_above_tolerance_raises_no_convergence(square_sys_8, 
         w, X = eigsh(*args, **kwargs)
         return 1.01 * w, X
 
-    D = split(square_sys_8.K).D
     monkeypatch.setattr(spla, "eigsh", off_by_one_percent)
-    with pytest.raises(NoConvergence, match="residual"):
-        extreme_eigs_sym_pencil(D, square_sys_8.M, "min", rel_resid_tol=1e-3)
+    with pytest.raises(NoConvergence, match="minimum of a symmetric pencil: residual"):
+        raw_extremes(square_sys_8.M, square_sys_8.K, rel_resid_tol=1e-3)
 
 
 def _raising(*args, **kwargs):
@@ -211,15 +206,6 @@ def test_dense_raw_extremes_of_symmetric_k_has_zero_height(square_sys_8):
     K = split(square_sys_8.K).D
     assert split(K).S.nnz == 0
     assert raw_extremes(square_sys_8.M, K).nu_max == 0.0
-
-
-def test_sym_pencil_validates_inputs(random_pencil_60):
-    D = split(random_pencil_60.K).D
-    with pytest.raises(ValueError):
-        extreme_eigs_sym_pencil(D, random_pencil_60.M, "middle")
-    small = sp.eye_array(3).tocsr()
-    with pytest.raises(DimensionMismatch):
-        extreme_eigs_sym_pencil(D, small)
 
 
 # --------------------------------------------------------------------------
@@ -364,6 +350,17 @@ def test_pencil_validation(square_sys_8):
         Pencil(1.0, sp.csr_array(K), K)  # K is not symmetric
     with pytest.raises(DimensionMismatch):
         Pencil(1.0, M, sp.eye_array(3).tocsr())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("operand", ["M", "K"])
+def test_pencil_rejects_non_finite_entries(square_sys_8, operand, bad):
+    # NaN or Inf would otherwise surface as a misleading NotSPD or
+    # NoConvergence from the enclosure
+    mats = {"M": square_sys_8.M.copy(), "K": square_sys_8.K.copy()}
+    mats[operand].data[3] = bad
+    with pytest.raises(ValueError, match=f"^{operand} contains NaN or Inf entries$"):
+        Pencil(1.0, mats["M"], mats["K"])
 
 
 def test_pencil_records_size(square_pencil_8):

@@ -94,6 +94,32 @@ def test_expmv_from_files_roundtrip(tmp_path):
     assert norm2(x - expm_dense_oracle(A) @ b) / norm2(b) <= 1e-4
 
 
+@pytest.mark.parametrize("operand", ["M", "K", "b"])
+def test_expmv_rejects_non_finite_file_input(operand, tmp_path, capsys):
+    # one NaN in any input file fails before anything is written, instead of
+    # a result of NaNs with a finite certificate or a misleading solver error
+    gen = tmp_path / "sys"
+    run_cli("generate", "--domain", "square", "--divisions", "8", "--out", str(gen))
+    if operand == "b":
+        lines = (gen / "b0.txt").read_text().splitlines()
+        lines[7] = "nan"
+        (gen / "b0.txt").write_text("\n".join(lines) + "\n")
+    else:
+        A = mmio.read_matrix_market(gen / f"{operand}.mtx")
+        A.data[3] = np.nan
+        mmio.write_matrix_market(gen / f"{operand}.mtx", A)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    rc = run_cli(
+        "expmv", "--m", str(gen / "M.mtx"), "--k", str(gen / "K.mtx"),
+        "--b", str(gen / "b0.txt"), "--out", str(out),
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: ValueError: {operand} contains NaN or Inf entries"]
+    assert not (out / "result.txt").exists()
+
+
 def test_expmv_requires_all_three_files(tmp_path):
     with pytest.raises(SystemExit):
         run_cli("expmv", "--m", "only_m.mtx")

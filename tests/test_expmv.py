@@ -197,6 +197,14 @@ def test_driver_request_validation(square_pencil_8):
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_driver_request_rejects_non_finite_b(square_pencil_8, bad):
+    b = np.ones(square_pencil_8.n)
+    b[5] = bad
+    with pytest.raises(ValueError, match="^b contains NaN or Inf entries$"):
+        ExpmvRequest(pencil=square_pencil_8, b=b, eps=1e-6)
+
+
 @pytest.mark.parametrize("method", ["sub-pade", "rat-interp"])
 def test_expmv_with_analysis_is_bit_identical(square_pencil_8, method):
     p = square_pencil_8

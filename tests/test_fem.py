@@ -49,7 +49,6 @@ def test_square_h_bar_div2_brute_force():
     mesh = fem.mesh_square(2)
     expected = (12 * 0.5 + 4 * (math.sqrt(2.0) / 2.0)) / 16.0
     assert math.isclose(mesh.h_bar, expected, rel_tol=1e-14)
-    assert math.isclose(fem.avg_edge_length(mesh), mesh.h_bar, rel_tol=0.0)
 
 
 def test_square_rejects_bad_divisions():

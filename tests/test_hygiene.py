@@ -5,7 +5,8 @@ Each module except ``__init__.py`` (which only re-exports) is parsed with
 ``ast``. An imported name must be read somewhere in its module, every
 ``__all__`` entry must be defined at module level, and every private
 module-level name must be referenced somewhere in the package outside its
-own definition. ``__init__.__all__`` lists exactly the names it imports.
+own definition. ``__init__.__all__`` lists exactly the names it imports,
+and only ``linalg.py`` calls SuperLU.
 """
 from __future__ import annotations
 
@@ -121,6 +122,13 @@ def test_module_private_names_are_referenced(path):
         if not used:
             orphans.append(name)
     assert not orphans, f"{path.name}: private names nothing references {orphans}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_linalg_calls_superlu(path):
+    # every factor, and so every proof of definiteness, goes through linalg
+    if path.name != "linalg.py":
+        assert "splu" not in path.read_text(), f"{path.name} calls SuperLU outside linalg"
 
 
 def test_init_all_matches_its_imports():

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from expmrect import mmio
+from expmrect.bounds import split
 from expmrect.errors import DimensionMismatch, SingularMatrix
-from expmrect.linalg import lu_factor, norm2
+from expmrect.linalg import definite_factor, lu_factor, norm2
 
 
 def test_dense_lu_solve():
@@ -39,16 +42,15 @@ def test_complex_sparse_lu():
 
 def test_lu_factor_exposes_triangular_factors():
     rng = np.random.default_rng(3)
-    A = rng.standard_normal((8, 8)) + 8 * np.eye(8)
-    fac = lu_factor(A)
-    L, U = fac.lower, fac.upper
+    A = sp.random(30, 30, density=0.15, random_state=rng, format="csr") + sp.eye_array(30)
+    fac = lu_factor(sp.csr_array(A))
+    L, U = fac.lower.toarray(), fac.upper.toarray()
     assert np.array_equal(L, np.tril(L)) and np.all(np.diag(L) == 1.0)
     assert np.array_equal(U, np.triu(U))
-    # the product is A with its rows permuted
-    LU = L @ U
-    rows = [int(np.argmin(np.abs(A - row).sum(axis=1))) for row in LU]
-    assert sorted(rows) == list(range(8))
-    assert np.allclose(LU, A[rows], atol=1e-12)
+    # the product is A with its rows and columns permuted: Pr A Pc = L U
+    perm_r, perm_c = fac._splu.perm_r, fac._splu.perm_c
+    assert not np.array_equal(perm_c, np.arange(30))
+    assert np.allclose((L @ U)[np.ix_(perm_r, perm_c)], A.toarray(), rtol=0.0, atol=1e-12)
 
 
 def test_lu_rejects_singular():
@@ -68,6 +70,57 @@ def test_lu_validates_shape_and_rhs():
     fac = lu_factor(np.eye(3))
     with pytest.raises(DimensionMismatch):
         fac.solve(np.ones(5))
+
+
+# --------------------------------------------------------------------------
+# the factor whose pivot signs prove definiteness
+# --------------------------------------------------------------------------
+
+def _assert_solves(fac, B):
+    b = np.linspace(-1.0, 1.0, B.shape[0])
+    assert np.allclose(B @ fac.solve(b), b, rtol=0.0, atol=1e-10)
+
+
+def test_definite_factor_of_spd_mass_solves_with_it(square_sys_8):
+    M = square_sys_8.M
+    _assert_solves(definite_factor(M, 1.0), M)
+
+
+def test_definite_factor_of_negative_definite_symmetric_part(square_sys_8):
+    D = split(square_sys_8.K).D
+    _assert_solves(definite_factor(D, -1.0), D)
+
+
+def test_definite_factor_refuses_indefinite(square_sys_8):
+    # D + c M with c twice the largest |eigenvalue| of (D, M) is indefinite,
+    # yet its diagonal stays negative, so only the pivots can rule it out
+    s = square_sys_8
+    D = split(s.K).D
+    c = 2.0 * abs(sla.eigh(D.toarray(), s.M.toarray(), eigvals_only=True)[-1])
+    B = sp.csr_array(D + c * s.M)
+    w = np.linalg.eigvalsh(B.toarray())
+    assert w[0] < 0.0 < w[-1] and np.all(B.diagonal() < 0.0)
+    assert definite_factor(B, -1.0) is None
+    assert definite_factor(B, 1.0) is None
+
+
+def _no_splu(*args, **kwargs):
+    raise AssertionError("a wrong-signed diagonal must rule B out without a factorization")
+
+
+def test_definite_factor_wrong_signed_diagonal_skips_factorization(monkeypatch):
+    monkeypatch.setattr(spla, "splu", _no_splu)
+    B = sp.csr_array(sp.diags_array([2.0, -1.0, 3.0]))
+    assert definite_factor(B, 1.0) is None
+    assert definite_factor(B, -1.0) is None
+
+
+def test_definite_factor_refuses_singular():
+    # the path-graph Laplacian: positive diagonal, constant null vector
+    B = sp.csr_array(sp.diags_array([[-1.0] * 4, [1.0, 2.0, 2.0, 2.0, 1.0], [-1.0] * 4],
+                                    offsets=[-1, 0, 1]))
+    assert np.linalg.matrix_rank(B.toarray()) == 4
+    assert definite_factor(B, 1.0) is None
 
 
 def test_norm2_plain_euclidean():
