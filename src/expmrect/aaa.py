@@ -10,12 +10,18 @@ barycentric arrowhead pencil. The continuum problem on the rectangle
 boundary is approached by refining the discrete sample set, doubling its
 density until the selected degree stabilizes.
 
-The barycentric coefficients themselves are discarded: the final weights are
-re-fitted by least squares on the basis {1} + {1/(pole_k - z)}, with the
-residual accumulated in double-double arithmetic so the ill-conditioning of
-the basis does not silently eat the last digits. The refit is certified a
-posteriori by boundary sampling, and an approximant that cannot be certified
-below its target is rejected rather than returned optimistically.
+The rectangle is symmetric about the real axis and so is the best
+approximant, as in the symmetric variant of the scheme: the sample set is
+closed under conjugation, support points come in conjugate pairs, and the
+poles are made an exactly closed set, with any pole left unpaired snapped
+onto the real axis. The barycentric coefficients themselves are discarded:
+the final weights are re-fitted by real least squares on the conjugate-
+symmetric basis {1} + {1/(p - z)} (real p) + {1/(p - z) + 1/(conj p - z)}
+and {i/(p - z) - i/(conj p - z)} (pairs), with the residual accumulated in
+double-double arithmetic so the ill-conditioning of the basis does not
+silently eat the last digits. The refit is certified a posteriori by
+boundary sampling, and an approximant that cannot be certified below its
+target is rejected rather than returned optimistically.
 """
 from __future__ import annotations
 
@@ -83,22 +89,8 @@ class _DDAccumulator:
 
 
 def _dd_residual(A: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """rhs - A @ x with products and sums carried in double-double."""
-    re = _DDAccumulator(rhs.real)
-    im = _DDAccumulator(rhs.imag)
-    for k in range(A.shape[1]):
-        ar, ai = A[:, k].real, A[:, k].imag
-        xr, xi = float(x[k].real), float(x[k].imag)
-        # subtract (ar + i*ai) * (xr + i*xi)
-        re.add_product(ar, xr, -1.0)
-        re.add_product(ai, xi, +1.0)
-        im.add_product(ar, xi, -1.0)
-        im.add_product(ai, xr, -1.0)
-    return re.value() + 1j * im.value()
-
-
-def _dd_residual_real(A: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Real-arithmetic variant of :func:`_dd_residual`."""
+    """rhs - A @ x for real A and x, with products and sums carried in
+    double-double."""
     acc = _DDAccumulator(rhs)
     for k in range(A.shape[1]):
         acc.add_product(A[:, k], float(x[k]), -1.0)
@@ -124,74 +116,63 @@ def _barycentric_poles(support: np.ndarray, w: np.ndarray) -> np.ndarray:
     return eigs[np.isfinite(eigs)]
 
 
-def _conjugate_permutation(points: np.ndarray) -> np.ndarray | None:
-    """Index map sending each point to its exact conjugate, or None if some
-    conjugate is missing from the set."""
+def _conjugate_permutation(points: np.ndarray) -> np.ndarray:
+    """Index map sending each point to its exact conjugate; ValueError if
+    some conjugate is missing from the set."""
     lookup = {complex(p): i for i, p in enumerate(points)}
     perm = np.empty(points.size, dtype=int)
     for i, p in enumerate(points):
         j = lookup.get(complex(np.conj(p)))
         if j is None:
-            return None
+            raise ValueError(f"sample {p} has no exact conjugate in the sample set")
         perm[i] = j
     return perm
 
 
-def _project_conjugate_weights(support: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Nearest conjugate-symmetric weight vector, phase-normalized first.
+def _project_conjugate_weights(w: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Nearest conjugate-symmetric weight vector, w[perm] = conj(w),
+    phase-normalized first.
 
     A singular vector carries an arbitrary global phase; stripping half the
     phase of sum(w_i * w_perm(i)) aligns it so the symmetrization does not
     cancel the vector instead of cleaning it.
     """
-    perm = _conjugate_permutation(support)
-    if perm is None:
-        return w
     t = np.sum(w * w[perm])
     if abs(t) > 0.0:
         w = w * np.exp(-0.5j * np.angle(t))
     w_sym = 0.5 * (w + np.conj(w[perm]))
-    nrm = float(np.linalg.norm(w_sym))
-    if nrm < 0.1 * float(np.linalg.norm(w)):
-        return w  # not actually near-symmetric; keep the raw vector
-    return w_sym / nrm
+    return w_sym / float(np.linalg.norm(w_sym))
 
 
-def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int,
-                    symmetric: bool = False):
-    """Greedy fit on a fixed sample set.
+def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int):
+    """Greedy fit on a fixed sample set, which must be exactly closed under
+    conjugation (ValueError otherwise).
 
     Returns (poles, support, fsupp, weights, max_err). The number of poles
     is one less than the number of support points. Raises ``DegreeExhausted``
     when the cap is hit with the sample error still above ``tol``.
 
-    With ``symmetric`` (sample set exactly closed under conjugation), support
-    points are taken in conjugate pairs and the weight vector is projected
-    onto conjugate symmetry, so the computed poles pair up to eigensolver
-    roundoff.
+    Support points are taken in conjugate pairs and the weight vector is
+    projected onto conjugate symmetry, so the computed poles pair up to
+    eigensolver roundoff.
     """
     n = Z.size
-    conj_index = None
-    if symmetric:
-        conj_index = _conjugate_permutation(Z)
-        symmetric = conj_index is not None
+    conj_index = _conjugate_permutation(Z)
     mask = np.ones(n, dtype=bool)  # candidate (non-support) samples
     R = np.full(n, np.mean(F), dtype=complex)
     support = np.empty(0, dtype=complex)
     fsupp = np.empty(0, dtype=complex)
     w = np.empty(0, dtype=complex)
+    support_conj: list[int] = []  # position of each support point's conjugate
     err = float(np.max(np.abs(F - R)))
     if err <= tol:
         return np.empty(0, dtype=complex), support, fsupp, w, err
     while True:
-        if not mask.any():
-            break
         j = int(np.argmax(np.where(mask, np.abs(F - R), -np.inf)))
-        new = [j]
-        if symmetric:
-            j2 = int(conj_index[j])
-            if j2 != j and mask[j2]:
-                new.append(j2)
+        j2 = int(conj_index[j])
+        new = [j] if j2 == j else [j, j2]
+        k = support.size
+        support_conj += [k] if j2 == j else [k + 1, k]
         for idx in new:
             mask[idx] = False
             support = np.append(support, Z[idx])
@@ -201,9 +182,7 @@ def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int,
         diff = Z[mask, None] - support[None, :]
         loewner = (F[mask, None] - fsupp[None, :]) / diff
         _, _, Vh = np.linalg.svd(loewner, full_matrices=False)
-        w = Vh[-1].conj()
-        if symmetric:
-            w = _project_conjugate_weights(support, w)
+        w = _project_conjugate_weights(Vh[-1].conj(), np.array(support_conj))
         num = (w * fsupp / diff).sum(axis=1)
         den = (w / diff).sum(axis=1)
         R = F.astype(complex).copy()
@@ -225,8 +204,6 @@ def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int,
 def _filter_poles(poles, support, w, fsupp, rect, fscale):
     """Drop spurious poles: anything inside the rectangle, and Froissart
     doublets whose barycentric residue is negligible."""
-    if poles.size == 0:
-        return poles
     keep = ~rect.contains(poles)
     diff = poles[:, None] - support[None, :]
     num = (w * fsupp / diff).sum(axis=1)
@@ -237,17 +214,14 @@ def _filter_poles(poles, support, w, fsupp, rect, fscale):
     return poles[keep]
 
 
-def _symmetrize_poles(poles: np.ndarray, rect) -> np.ndarray:
+def _symmetrize_poles(poles: np.ndarray) -> np.ndarray:
     """Project a near-conjugate-closed pole set onto an exactly closed one.
 
-    Conjugate near-pairs are averaged into exact pairs first; leftover lone
-    poles hugging the real axis (eigensolver roundoff of a genuinely real
-    pole, observed up to ~1e-8 relative) are snapped onto it. Only
-    meaningful when the rectangle (hence the sample data) is symmetric about
-    the real axis; otherwise the poles are returned unchanged.
+    Conjugate near-pairs are averaged into exact pairs first; every pole
+    left without a partner is snapped onto the real axis. The lone poles
+    seen in practice are eigensolver roundoff of a genuinely real pole
+    (imaginary parts of 1e-6 times the pole scale and below).
     """
-    if rect.nu_min != -rect.nu_max:
-        return poles
     scale = 1.0 + np.max(np.abs(poles), initial=0.0)
     out: list[complex] = []
     pending = sorted(poles, key=lambda p: (p.real, abs(p.imag), p.imag))
@@ -264,16 +238,9 @@ def _symmetrize_poles(poles: np.ndarray, rect) -> np.ndarray:
         if best is not None and best_dist <= 1e-3 * scale:
             pending.remove(best)
             c = 0.5 * (p + np.conj(best))
-            if c.imag < 0:
-                c = np.conj(c)
-            if c.imag == 0.0:
-                out.extend([c, c])
-            else:
-                out.extend([c, np.conj(c)])
-        elif abs(p.imag) <= 1e-6 * scale:
-            out.append(complex(p.real, 0.0))
+            out.extend([c, c] if c.imag == 0.0 else [c, np.conj(c)])
         else:
-            out.append(p)
+            out.append(complex(p.real, 0.0))
     arr = np.array(out, dtype=complex)
     return arr[np.lexsort((arr.imag, arr.real))]
 
@@ -289,14 +256,13 @@ def aaa_poles(
     (the headroom is spent later by the refit), refining the boundary
     sampling by doubling, at most ``MAX_DOUBLINGS`` times, until the
     selected denominator degree stabilizes between consecutive densities.
-    Spurious poles are filtered before the set is returned; for rectangles
-    symmetric about the real axis the result is exactly closed under
-    conjugation.
+    Spurious poles are filtered and the rest made exactly closed under
+    conjugation (``_symmetrize_poles``); a pole that this moves into the
+    rectangle is dropped.
     """
     if target <= 0.0:
         raise ValueError("target must be positive")
     rect = boundary.rectangle
-    symmetric = rect.nu_min == -rect.nu_max
     tol = 0.5 * target
     prev_degree = None
     poles = np.empty(0, dtype=complex)
@@ -305,10 +271,10 @@ def aaa_poles(
         b = boundary_samples(rect, n)
         Z = b.samples
         F = np.exp(Z)
-        raw, support, fsupp, w, _ = _aaa_on_samples(Z, F, tol, m_max, symmetric=symmetric)
+        raw, support, fsupp, w, _ = _aaa_on_samples(Z, F, tol, m_max)
         fscale = float(np.max(np.abs(F)))
-        poles = _filter_poles(raw, support, w, fsupp, rect, fscale)
-        poles = _symmetrize_poles(poles, rect)
+        poles = _symmetrize_poles(_filter_poles(raw, support, w, fsupp, rect, fscale))
+        poles = poles[~rect.contains(poles)]
         if prev_degree is not None and poles.size == prev_degree:
             break
         prev_degree = poles.size
@@ -320,17 +286,10 @@ def aaa_poles(
 # least-squares refit with extended-precision residual
 # --------------------------------------------------------------------------
 
-def _ls_basis(poles: np.ndarray, z: np.ndarray) -> np.ndarray:
-    cols = [np.ones(z.size, dtype=complex)]
-    for p in poles:
-        cols.append(1.0 / (p - z))
-    return np.column_stack(cols)
-
-
 def _solve_refined(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm least squares through a column-equilibrated SVD, then
-    iterative refinement with the residual carried in double-double; the
-    iterate with the smallest max-abs residual wins."""
+    """Real minimum-norm least squares through a column-equilibrated SVD,
+    then iterative refinement with the residual carried in double-double;
+    the iterate with the smallest max-abs residual wins."""
     col_scale = np.linalg.norm(A, axis=0)
     col_scale[col_scale == 0.0] = 1.0
     As = A / col_scale
@@ -338,17 +297,16 @@ def _solve_refined(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rank_cut = sv > sv[0] * max(A.shape) * np.finfo(float).eps
     Uk = U[:, rank_cut]
     svk = sv[rank_cut]
-    Vk = Vh[rank_cut].conj().T
-    dd = _dd_residual if np.iscomplexobj(A) else _dd_residual_real
+    Vk = Vh[rank_cut].T
 
     def ls_apply(r):
-        return (Vk @ ((Uk.conj().T @ r) / svk)) / col_scale
+        return (Vk @ ((Uk.T @ r) / svk)) / col_scale
 
     x = ls_apply(rhs)
     best_x = x
     best_err = float(np.max(np.abs(A @ x - rhs)))
     for _ in range(MAX_REFINEMENTS):
-        r = dd(A, x, rhs)
+        r = _dd_residual(A, x, rhs)
         x = x + ls_apply(r)
         err = float(np.max(np.abs(A @ x - rhs)))
         if err < best_err:
@@ -363,29 +321,23 @@ def _symmetric_ls_columns(poles: np.ndarray, real_idx, pairs, z: np.ndarray):
     conjugate-symmetric partial fractions: constant, one column per real
     pole, and per conjugate pair the symmetric and antisymmetric combinations
     (so the pair weight u + iv is recovered from two real unknowns)."""
-    cols = [np.ones(z.size, dtype=complex)]
-    for i in real_idx:
-        cols.append(1.0 / (poles[i] - z))
+    cols = [np.ones(z.size, dtype=complex)] + [1.0 / (poles[i] - z) for i in real_idx]
     for i, j in pairs:
         a = 1.0 / (poles[i] - z)
         b = 1.0 / (poles[j] - z)
-        cols.append(a + b)
-        cols.append(1j * (a - b))
+        cols += [a + b, 1j * (a - b)]
     return np.column_stack(cols)
 
 
 def _weights_from_real_solution(t: np.ndarray, n_poles: int, real_idx, pairs):
-    gamma = complex(float(t[0]), 0.0)
+    """gamma and the weights from the real unknowns of the symmetric basis."""
     weights = np.zeros(n_poles, dtype=complex)
-    for pos, i in enumerate(real_idx):
-        weights[i] = complex(float(t[1 + pos]), 0.0)
-    off = 1 + len(real_idx)
-    for pidx, (i, j) in enumerate(pairs):
-        u = float(t[off + 2 * pidx])
-        v = float(t[off + 2 * pidx + 1])
-        weights[i] = complex(u, v)
-        weights[j] = complex(u, -v)
-    return gamma, weights
+    weights[real_idx] = t[1:1 + len(real_idx)]
+    u, v = t[1 + len(real_idx)::2], t[2 + len(real_idx)::2]
+    upper, lower = np.array(pairs, dtype=int).reshape(-1, 2).T
+    weights[upper] = u + 1j * v
+    weights[lower] = u - 1j * v
+    return float(t[0]), weights
 
 
 def refit_partial_fractions(
@@ -396,12 +348,17 @@ def refit_partial_fractions(
     """Least-squares weights for fixed poles, certified on the rectangle.
 
     Fits gamma + sum_k w_k / (poles[k] - z) to exp(z) over the boundary
-    samples. The normal-equation-free solve goes through an SVD with column
-    equilibration; iterative refinement with the residual accumulated in
-    double-double arithmetic recovers the digits the ill-conditioned basis
-    loses. The result is certified by re-sampling the boundary at twice the
-    density; if the certified sup error exceeds ``target`` the fit is
-    rejected with ``RefitFailed``.
+    samples. The pole set must be exactly closed under conjugation
+    (ValueError otherwise, from ``classify_conjugate_poles``), and the
+    unknowns are real: gamma, one weight per real pole, and the real and
+    imaginary parts of one weight per conjugate pair, so the fitted form is
+    exactly conjugate-symmetric by construction. The normal-equation-free
+    solve of the stacked real and imaginary equations goes through an SVD
+    with column equilibration; iterative refinement with the residual
+    accumulated in double-double arithmetic recovers the digits the
+    ill-conditioned basis loses. The result is certified by re-sampling the
+    boundary at twice the density; if the certified sup error exceeds
+    ``target`` the fit is rejected with ``RefitFailed``.
     """
     poles = np.asarray(poles, dtype=complex)
     rect = boundary.rectangle
@@ -413,20 +370,10 @@ def refit_partial_fractions(
             f"{z.size} samples cannot determine {poles.size + 1} coefficients safely"
         )
     rhs = np.exp(z)
-    classified = classify_conjugate_poles(poles) if rect.nu_min == -rect.nu_max else None
-    if classified is not None:
-        # Real parametrization: conjugate closure of the weights is built into
-        # the basis, so no lossy post-hoc averaging is needed.
-        real_idx, pairs = classified
-        C = _symmetric_ls_columns(poles, real_idx, pairs, z)
-        t = _solve_refined(
-            np.vstack([C.real, C.imag]),
-            np.concatenate([rhs.real, rhs.imag]),
-        )
-        gamma, weights = _weights_from_real_solution(t, poles.size, real_idx, pairs)
-    else:
-        x = _solve_refined(_ls_basis(poles, z), rhs)
-        gamma, weights = x[0], x[1:]
+    real_idx, pairs = classify_conjugate_poles(poles)
+    C = _symmetric_ls_columns(poles, real_idx, pairs, z)
+    t = _solve_refined(np.vstack([C.real, C.imag]), np.concatenate([rhs.real, rhs.imag]))
+    gamma, weights = _weights_from_real_solution(t, poles.size, real_idx, pairs)
     pf = PartialFractionRational(gamma=gamma, poles=poles, weights=weights)
     achieved = sup_error_on_rectangle(pf, rect, n_per_side=2 * boundary.n_per_side)
     if achieved > target:

@@ -47,6 +47,18 @@ DEFAULT_REL_RESID_TOL = 1e-3
 INFLATION_FLOOR = 1e-12
 
 
+def _check_real_finite(**operands) -> None:
+    """Raise ValueError naming the first operand that is complex or holds
+    NaN or Inf entries. Only real M and K give a rectangle symmetric about
+    the real axis, which every later stage relies on."""
+    for name, A in operands.items():
+        data = A.data if sp.issparse(A) else np.asarray(A)
+        if np.iscomplexobj(data):
+            raise ValueError(f"{name} is complex; the pencil must be real")
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"{name} contains NaN or Inf entries")
+
+
 @dataclass(frozen=True)
 class Pencil:
     """A time-step/mass/stiffness triple describing exp(tau * inv(M) * K).
@@ -54,7 +66,7 @@ class Pencil:
     ``M`` must be symmetric (checked here) and positive definite (proved by
     the pivot signs of the symmetric sparse factorization the enclosure
     takes); ``K`` is a general real square matrix of matching size. Both are
-    sparse with finite entries.
+    sparse, real and finite (``_check_real_finite``).
     """
 
     tau: float
@@ -71,9 +83,7 @@ class Pencil:
             raise DimensionMismatch("M and K must be square")
         if M.shape != K.shape:
             raise DimensionMismatch(f"M {M.shape} and K {K.shape} differ in size")
-        for name, A in (("M", M), ("K", K)):
-            if not np.all(np.isfinite(A.data)):
-                raise ValueError(f"{name} contains NaN or Inf entries")
+        _check_real_finite(M=M, K=K)
         asym = abs(M - M.T)
         scale = float(np.max(np.abs(M.data))) if M.nnz else 0.0
         if scale == 0.0:
@@ -220,7 +230,9 @@ def _skew_extreme(S, M, M_solve, rel_resid_tol, seed) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BoundingRectangle:
-    """Axis-aligned rectangle [mu_min, mu_max] x [nu_min, nu_max] in C.
+    """Axis-aligned rectangle [mu_min, mu_max] x [nu_min, nu_max] in C,
+    symmetric about the real axis like the numerical range of a real pencil
+    (``nu_min == -nu_max``, checked here; every later stage relies on it).
 
     ``inflation`` records the relative outward widening that was applied to
     the raw extreme eigenvalues (each endpoint moved outward by
@@ -236,6 +248,9 @@ class BoundingRectangle:
     def __post_init__(self):
         if not (self.mu_min <= self.mu_max and self.nu_min <= self.nu_max):
             raise ValueError("rectangle endpoints are out of order")
+        if self.nu_min != -self.nu_max:
+            raise ValueError(f"rectangle is not symmetric about the real axis: "
+                             f"nu_min={self.nu_min}, nu_max={self.nu_max}")
         if self.inflation < 0.0:
             raise ValueError("inflation must be nonnegative")
 
@@ -304,8 +319,10 @@ def raw_extremes(
     ARPACK computes them at every size. One symmetric sparse factor of M
     (``linalg.definite_factor``), whose pivots must prove M positive
     definite (``NotSPD`` otherwise), is the solve with M for all three
-    extremes. Fewer than 2 unknowns raise ValueError.
+    extremes. A complex or non-finite M or K, or fewer than 2 unknowns,
+    raise ValueError.
     """
+    _check_real_finite(M=M, K=K)
     parts = split(K)
     if M.shape != parts.D.shape:
         raise DimensionMismatch("K and M sizes differ")
@@ -385,8 +402,10 @@ def cond_estimate(
 
     ARPACK estimates both ends of the spectrum in regular mode (the pencil
     (M, I)), and ``COND_DELTA`` absorbs their residual tolerance. A
-    nonpositive minimum raises ``NotSPD``, fewer than 2 unknowns ValueError.
+    nonpositive minimum raises ``NotSPD``; a complex or non-finite M, or
+    fewer than 2 unknowns, ValueError.
     """
+    _check_real_finite(M=M)
     lo, _ = _sym_extreme(M, None, None, "min", rel_resid_tol, seed)
     hi, _ = _sym_extreme(M, None, None, "max", rel_resid_tol, seed)
     if lo <= 0.0:
@@ -439,7 +458,11 @@ def analyze_pencil(
     rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
     seed: int = 0,
 ) -> PencilAnalysis:
-    """Enclose the pencil (M, K) once: unit-step extremes and kappa(M)."""
+    """Enclose the pencil (M, K) once: unit-step extremes and kappa(M).
+
+    A complex or non-finite M or K raises ValueError (``raw_extremes``
+    checks them before any solver runs).
+    """
     return PencilAnalysis(
         M=sp.csr_array(M),
         K=sp.csr_array(K),

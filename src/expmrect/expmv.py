@@ -55,7 +55,6 @@ from .rational import (
     PadeRational,
     PartialFractionRational,
     boundary_samples,
-    classify_conjugate_poles,
     pade45,
     pade_to_partial_fractions,
     select_scaling,
@@ -101,16 +100,17 @@ def _pf_apply(pf: PartialFractionRational, p: Pencil, b: np.ndarray, tau: float,
               factors: dict | None = None):
     """Evaluate gamma*b + sum_k w_k (beta_k M - tau K)^{-1} M b.
 
-    For real data and an exactly conjugate-closed pole set only one solve
-    per conjugate pair is done and its contribution doubled through the
-    real part, so the result is exactly real for real input. The pairing is
-    established structurally before any term is touched; a set that does
-    not classify falls back to the plain complex sum, which handles every
-    pole and so cannot drop one.
+    The form is exactly conjugate-symmetric and M and K are real, so one
+    solve per real pole and one per conjugate pair suffice: a pair's
+    contribution is twice the real part of its upper member's, and the
+    result is real for real b. A complex b is applied by linearity, as
+    f(b.real) + 1j f(b.imag).
     """
-    Mb = p.M @ b
-    real_input = not np.iscomplexobj(b)
     factors = factors if factors is not None else {}
+    if np.iscomplexobj(b):
+        re, im = (_pf_apply(pf, p, part, tau, factors) for part in (b.real, b.imag))
+        return re + 1j * im
+    Mb = p.M @ b
 
     def solve_for(beta):
         key = complex(beta)
@@ -118,29 +118,20 @@ def _pf_apply(pf: PartialFractionRational, p: Pencil, b: np.ndarray, tau: float,
             factors[key] = _shift_factor(p, key, tau)
         return factors[key].solve(Mb)
 
-    classified = classify_conjugate_poles(pf.poles) if real_input else None
-    if classified is not None and abs(complex(pf.gamma).imag) == 0.0:
-        real_idx, pairs = classified
-        if all(pf.weights[j] == np.conj(pf.weights[i]) for i, j in pairs) and all(
-            pf.weights[i].imag == 0.0 for i in real_idx
-        ):
-            x = complex(pf.gamma).real * b.astype(float)
-            for i in real_idx:
-                x = x + pf.weights[i].real * solve_for(pf.poles[i]).real
-            for i, _ in pairs:
-                x = x + 2.0 * (pf.weights[i] * solve_for(pf.poles[i])).real
-            return x
-    x = pf.gamma * b.astype(complex)
-    for beta, w in zip(pf.poles, pf.weights):
-        x = x + w * solve_for(beta)
+    x = pf.gamma * b.astype(float)
+    for i in pf.real_poles:
+        x = x + pf.weights[i].real * solve_for(pf.poles[i]).real
+    for i, _ in pf.pairs:
+        x = x + 2.0 * (pf.weights[i] * solve_for(pf.poles[i])).real
     return x
 
 
 def apply_partial_fraction(r: PartialFractionRational, p: Pencil, b: np.ndarray) -> np.ndarray:
     """Apply r(tau inv(M) K) to b via shifted sparse solves.
 
-    Each pole contributes w_k (beta_k M - tau K)^{-1} M b; factorizations
-    are computed once per distinct shift.
+    Each real pole and each conjugate pair costs one factorization and one
+    solve of (beta_k M - tau K) y = M b; a real b gives a real result, and
+    a complex b is applied to its real and imaginary parts.
     """
     if b.shape[0] != p.n:
         raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
@@ -337,11 +328,6 @@ def expmv_controlled(req: ExpmvRequest) -> tuple[np.ndarray, ExpmvCertificate]:
         except (DegreeExhausted, RefitFailed) as exc:
             raise _attach_context(exc, rect, kappa_safe, target, req)
         x = apply_partial_fraction(cert_form.form, p, b)
-        if not np.iscomplexobj(b) and np.iscomplexobj(x):
-            # Fallback complex-sum path on real data: the exact answer is
-            # real, so discarding the (roundoff) imaginary part cannot
-            # increase the error.
-            x = x.real
     cert = ExpmvCertificate(
         rectangle=rect,
         kappa_safe=kappa_safe,
@@ -439,24 +425,13 @@ class BoundCheckReport:
 
 
 def _rational_matrix(cert: CertifiedApproximant, A: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    I = np.eye(n)
+    """r(A) densely; the form is conjugate-symmetric and A real, so the
+    imaginary part of the complex sum is roundoff and is dropped."""
     pf = cert.form
-
-    def pf_matrix(step_matrix):
-        X = pf.gamma * I.astype(complex)
-        for beta, w in zip(pf.poles, pf.weights):
-            X = X + w * np.linalg.inv(beta * I - step_matrix)
-        return X
-
-    if cert.scaling == 1:
-        out = pf_matrix(A)
-    else:
-        base = pf_matrix(A / cert.scaling)
-        out = np.linalg.matrix_power(base, cert.scaling)
-    if np.max(np.abs(out.imag)) <= 1e-10 * max(1.0, np.max(np.abs(out.real))):
-        return out.real
-    return out
+    I = np.eye(A.shape[0])
+    step = A / cert.scaling
+    X = pf.gamma * I + sum(w * np.linalg.inv(p * I - step) for p, w in zip(pf.poles, pf.weights))
+    return np.linalg.matrix_power(X, cert.scaling).real
 
 
 def theorem1_bound_check(p: Pencil, cert: CertifiedApproximant,

@@ -21,7 +21,7 @@ certificate also adds a rounding term.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
@@ -106,11 +106,20 @@ def pade45(scaling: int = 1) -> PadeRational:
 
 @dataclass(frozen=True)
 class PartialFractionRational:
-    """gamma + sum_k weights[k] / (poles[k] - z), the solver-ready form."""
+    """gamma + sum_k weights[k] / (poles[k] - z), the solver-ready form.
 
-    gamma: complex
+    Exactly conjugate-symmetric, like the best approximant of exp on a
+    rectangle symmetric about the real axis: ``gamma`` is real, each real
+    pole has a real weight, and each non-real pole has its exact conjugate,
+    with the conjugate weight (ValueError otherwise). ``real_poles`` and
+    ``pairs`` are the pole indices from ``classify_conjugate_poles``.
+    """
+
+    gamma: float
     poles: np.ndarray
     weights: np.ndarray
+    real_poles: list = field(init=False, repr=False)
+    pairs: list = field(init=False, repr=False)
 
     def __post_init__(self):
         poles = np.atleast_1d(np.asarray(self.poles, dtype=complex))
@@ -119,8 +128,18 @@ class PartialFractionRational:
             raise ValueError("poles and weights must have matching shapes")
         if poles.size and not np.all(np.isfinite(poles) & np.isfinite(weights)):
             raise ValueError("poles and weights must be finite")
+        if complex(self.gamma).imag != 0.0:
+            raise ValueError(f"gamma must be real, got {self.gamma}")
+        real_poles, pairs = classify_conjugate_poles(poles)
+        if any(weights[i].imag != 0.0 for i in real_poles):
+            raise ValueError("a real pole has a non-real weight")
+        if any(weights[j] != np.conj(weights[i]) for i, j in pairs):
+            raise ValueError("a conjugate pole pair has weights that are not conjugate")
+        object.__setattr__(self, "gamma", complex(self.gamma).real)
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "real_poles", real_poles)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def degree(self) -> int:
@@ -131,26 +150,22 @@ def classify_conjugate_poles(poles: np.ndarray):
     """Split an exactly conjugate-closed pole set into real poles and
     (upper, lower) index pairs.
 
-    Returns (real_indices, pairs) or None when some pole has no exact
-    partner. Exactness is deliberate: downstream consumers (the symmetric
-    least-squares basis, the one-solve-per-pair application) rely on the
-    pairing being a structural fact, not a numerical coincidence.
+    Returns (real_indices, pairs); raises ValueError when some pole has no
+    exact partner. Exactness is deliberate: downstream consumers (the
+    symmetric least-squares basis, the one-solve-per-pair application) rely
+    on the pairing being a structural fact, not a numerical coincidence.
     """
     real_idx = [i for i, p in enumerate(poles) if p.imag == 0.0]
-    unpaired = {i: complex(p) for i, p in enumerate(poles) if p.imag != 0.0}
+    unpaired = [i for i, p in enumerate(poles) if p.imag != 0.0]
     pairs: list[tuple[int, int]] = []
     while unpaired:
-        i, p = next(iter(unpaired.items()))
-        del unpaired[i]
-        match = None
-        for j, q in unpaired.items():
-            if q == np.conj(p):
-                match = j
-                break
-        if match is None:
-            return None
-        del unpaired[match]
-        pairs.append((i, match) if p.imag > 0.0 else (match, i))
+        i = unpaired.pop(0)
+        p = complex(poles[i])
+        j = next((j for j in unpaired if complex(poles[j]) == p.conjugate()), None)
+        if j is None:
+            raise ValueError(f"pole {p} has no exact conjugate partner")
+        unpaired.remove(j)
+        pairs.append((i, j) if p.imag > 0.0 else (j, i))
     return real_idx, pairs
 
 
@@ -180,8 +195,8 @@ def pade_to_partial_fractions(pade: PadeRational) -> PartialFractionRational:
 
 @dataclass(frozen=True)
 class RegionBoundary:
-    """Boundary samples of a rectangle, corner-clustered, conjugate-symmetric
-    whenever the rectangle is symmetric about the real axis."""
+    """Boundary samples of a rectangle, corner-clustered and exactly closed
+    under conjugation."""
 
     rectangle: BoundingRectangle
     samples: np.ndarray
@@ -200,27 +215,26 @@ def _lobatto(a: float, b: float, n: int) -> np.ndarray:
 def boundary_samples(rect, n_per_side: int = DEFAULT_SAMPLES_PER_SIDE) -> RegionBoundary:
     """Sample the boundary of a rectangle for sup-norm estimation.
 
-    Degenerate rectangles are handled: a horizontal or vertical segment is
-    sampled along its length, a point yields a single sample. Corners appear
+    The vertical samples are made exactly antisymmetric, so the sample set
+    is exactly closed under conjugation, like the rectangle. Degenerate
+    rectangles are handled: a horizontal or vertical segment is sampled
+    along its length, a point yields a single sample. Corners appear
     exactly once.
     """
     mu0, mu1 = rect.mu_min, rect.mu_max
     nu0, nu1 = rect.nu_min, rect.nu_max
-    flat_h = mu1 <= mu0
-    flat_v = nu1 <= nu0
-    if flat_h and flat_v:
-        pts = np.array([complex(mu0, nu0)])
-    elif flat_v:
+
+    def antisymmetric_ys(n):
+        ys = _lobatto(nu0, nu1, n)
+        return 0.5 * (ys - ys[::-1])
+
+    if nu1 <= nu0:  # a real segment, or a point
         pts = _lobatto(mu0, mu1, 2 * n_per_side) + 1j * nu0
-    elif flat_h:
-        pts = mu0 + 1j * _lobatto(nu0, nu1, 2 * n_per_side)
+    elif mu1 <= mu0:
+        pts = mu0 + 1j * antisymmetric_ys(2 * n_per_side)
     else:
         xs = _lobatto(mu0, mu1, n_per_side)
-        ys = _lobatto(nu0, nu1, n_per_side)
-        if nu0 == -nu1:
-            # make the vertical samples exactly antisymmetric so the whole
-            # sample set is exactly closed under conjugation
-            ys = 0.5 * (ys - ys[::-1])
+        ys = antisymmetric_ys(n_per_side)
         bottom = xs + 1j * nu0
         top = xs + 1j * nu1
         left = mu0 + 1j * ys[1:-1]

@@ -87,22 +87,47 @@ def test_dd_accumulator_product_terms():
 def test_symmetrize_pairs_drifted_conjugates():
     drift = 1e-5
     poles = np.array([2.0 + 1.0j, 2.0 + drift - (1.0 + drift) * 1j])
-    out = _symmetrize_poles(poles, GOLDEN_RECT)
+    out = _symmetrize_poles(poles)
     assert classify_conjugate_poles(out) is not None
     assert out[0] == np.conj(out[1])
 
 
 def test_symmetrize_snaps_lone_near_real_pole():
     poles = np.array([3.0 + 1e-9j])
-    out = _symmetrize_poles(poles, GOLDEN_RECT)
+    out = _symmetrize_poles(poles)
     assert out[0].imag == 0.0
 
 
-def test_symmetrize_leaves_asymmetric_rectangles_alone():
-    rect = BoundingRectangle(mu_min=-1.0, mu_max=0.0, nu_min=-0.2, nu_max=0.5)
-    poles = np.array([3.0 + 1e-9j])
-    out = _symmetrize_poles(poles, rect)
-    assert out[0].imag == 1e-9
+def test_symmetrize_snaps_lone_pole_far_off_axis():
+    # no partner within reach: the pole goes onto the real axis whatever its
+    # imaginary part, so the set is exactly closed under conjugation
+    out = _symmetrize_poles(np.array([3.0 + 2.0j, 5.0 + 0.0j, -4.0 + 1.0j, -4.0 - 1.0j]))
+    assert out.tolist() == [-4.0 - 1.0j, -4.0 + 1.0j, 3.0 + 0.0j, 5.0 + 0.0j]
+    real_idx, pairs = classify_conjugate_poles(out)
+    assert len(real_idx) == 2 and len(pairs) == 1
+
+
+# rectangles symmetric about the real axis, flat ones and nu_max = 0 (a real
+# segment or a point) included; a side is either 0 or long enough that its
+# samples stay distinct after rounding
+symmetric_rectangles = st.builds(
+    lambda mu_min, width, nu_max: BoundingRectangle(
+        mu_min=mu_min, mu_max=mu_min + width, nu_min=-nu_max, nu_max=nu_max
+    ),
+    st.floats(min_value=-8.0, max_value=0.0),
+    st.sampled_from([0.0]) | st.floats(min_value=1e-6, max_value=8.0),
+    st.sampled_from([0.0]) | st.floats(min_value=1e-6, max_value=3.0),
+)
+
+
+@given(symmetric_rectangles, st.integers(min_value=20, max_value=60))
+@settings(max_examples=100, deadline=None)
+def test_symmetric_rectangles_give_conjugate_closed_samples_and_poles(rect, n_per_side):
+    z = boundary_samples(rect, n_per_side).samples
+    assert {complex(s) for s in z} == {complex(np.conj(s)) for s in z}
+    poles = aaa_poles(boundary_samples(rect, n_per_side), 1e-6)
+    classify_conjugate_poles(poles)  # raises unless exactly closed
+    assert not np.any(rect.contains(poles))
 
 
 # --------------------------------------------------------------------------

@@ -223,6 +223,14 @@ def test_rectangle_validation_and_accessors():
     assert r.contains(z).tolist() == [True, True, False, False]
 
 
+def test_rectangle_rejects_asymmetry_about_the_real_axis():
+    # real M and K give a conjugate-symmetric numerical range; every later
+    # stage relies on the rectangle sharing that symmetry
+    with pytest.raises(ValueError, match="not symmetric about the real axis"):
+        BoundingRectangle(mu_min=-1.0, mu_max=0.0, nu_min=-0.2, nu_max=0.5)
+    assert BoundingRectangle(mu_min=-1.0, mu_max=0.0, nu_min=-0.0, nu_max=0.0).nu_max == 0.0
+
+
 def test_raw_extremes_rejects_size_mismatch(random_pencil_60):
     with pytest.raises(DimensionMismatch):
         raw_extremes(sp.eye_array(3).tocsr(), random_pencil_60.K)
@@ -361,6 +369,34 @@ def test_pencil_rejects_non_finite_entries(square_sys_8, operand, bad):
     mats[operand].data[3] = bad
     with pytest.raises(ValueError, match=f"^{operand} contains NaN or Inf entries$"):
         Pencil(1.0, mats["M"], mats["K"])
+
+
+@pytest.mark.parametrize("operand", ["M", "K"])
+def test_pencil_rejects_complex_operands(square_sys_8, operand):
+    # a complex K used to fail much later, as NoConvergence in the enclosure
+    mats = {"M": square_sys_8.M, "K": square_sys_8.K}
+    mats[operand] = mats[operand] * (1.0 + 0.5j)
+    with pytest.raises(ValueError, match=f"^{operand} is complex; the pencil must be real$"):
+        Pencil(1.0, mats["M"], mats["K"])
+
+
+def _with_nan(A):
+    A = A.copy()
+    A.data[3] = np.nan
+    return A
+
+
+@pytest.mark.parametrize("entry", [
+    lambda s: raw_extremes(s.M, _with_nan(s.K)),  # was NoConvergence (ARPACK -9999)
+    lambda s: raw_extremes(_with_nan(s.M), s.K),
+    lambda s: cond_estimate(_with_nan(s.M)),  # was NoConvergence
+    lambda s: analyze_pencil(s.M, _with_nan(s.K)),
+    lambda s: analyze_pencil(_with_nan(s.M), s.K),  # was NotSPD
+], ids=["raw_extremes-K", "raw_extremes-M", "cond_estimate-M", "analyze_pencil-K",
+        "analyze_pencil-M"])
+def test_enclosure_entry_points_reject_non_finite_entries(square_sys_8, entry):
+    with pytest.raises(ValueError, match=r"^[MK] contains NaN or Inf entries$"):
+        entry(square_sys_8)
 
 
 def test_pencil_records_size(square_pencil_8):

@@ -23,7 +23,7 @@ from expmrect.expmv import (
     expmv_controlled,
     theorem1_bound_check,
 )
-from expmrect.rational import PartialFractionRational, pade45, pade_to_partial_fractions
+from expmrect.rational import pade45, pade_to_partial_fractions
 
 from conftest import random_nonsym_sparse, random_spd_sparse
 
@@ -90,23 +90,23 @@ def test_apply_partial_fraction_matches_dense(square_pencil_8):
     assert np.allclose(got, want.real, rtol=0.0, atol=1e-12 * np.linalg.norm(b))
 
 
-def test_apply_partial_fraction_pairing_consistent(square_pencil_8):
-    # 2+1j has no conjugate partner, so the one-solve-per-pair path cannot
-    # classify the set and the plain complex sum must handle every pole
+def test_apply_complex_vector_matches_dense(square_pencil_8):
+    # a complex b is applied to its real and imaginary parts by linearity
     p = square_pencil_8
-    pf = PartialFractionRational(
-        gamma=0.3, poles=[2.0 + 1.0j, 3.0 - 0.5j, 4.0], weights=[1.0 + 0.5j, -0.2 + 1.0j, 0.7]
-    )
     rng = np.random.default_rng(6)
-    b = rng.standard_normal(p.n)
-    got = apply_partial_fraction(pf, p, b)
+    b = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
     A = _dense_A(p)
+    pf = pade_to_partial_fractions(pade45())
     I = np.eye(p.n)
-    want = pf.gamma * b.astype(complex)
-    for beta, w in zip(pf.poles, pf.weights):
-        want = want + w * np.linalg.solve(beta * I - A, b)
-    assert np.iscomplexobj(got)
-    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.linalg.norm(b))
+
+    def pf_matrix(step):
+        return sum(w * np.linalg.inv(beta * I - step) for beta, w in zip(pf.poles, pf.weights))
+
+    got = apply_partial_fraction(pf, p, b)
+    assert np.allclose(got, pf_matrix(A) @ b, rtol=0.0, atol=1e-12 * np.linalg.norm(b))
+    got = apply_scaled_pade(pade45(scaling=2), p, b)
+    want = np.linalg.matrix_power(pf_matrix(A / 2.0), 2) @ b
+    assert np.allclose(got, want, rtol=0.0, atol=1e-11 * np.linalg.norm(b))
 
 
 def test_apply_scaled_pade_matches_dense_power(square_pencil_8):

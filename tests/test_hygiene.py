@@ -6,11 +6,13 @@ Each module except ``__init__.py`` (which only re-exports) is parsed with
 ``__all__`` entry must be defined at module level, and every private
 module-level name must be referenced somewhere in the package outside its
 own definition. ``__init__.__all__`` lists exactly the names it imports,
-and only ``linalg.py`` calls SuperLU.
+only ``linalg.py`` calls SuperLU, and only ``bounds.py`` compares
+``nu_min`` with ``-nu_max``.
 """
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -129,6 +131,18 @@ def test_only_linalg_calls_superlu(path):
     # every factor, and so every proof of definiteness, goes through linalg
     if path.name != "linalg.py":
         assert "splu" not in path.read_text(), f"{path.name} calls SuperLU outside linalg"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_bounds_decides_rectangle_symmetry(path):
+    # BoundingRectangle guarantees nu_min == -nu_max; a second test of it
+    # elsewhere would be a fallback for rectangles that cannot exist
+    if path.name != "bounds.py":
+        found = re.search(
+            r"nu_min\s*[!=]=\s*-\s*[\w.]*nu_max|-\s*[\w.]*nu_max\s*[!=]=\s*[\w.]*nu_min",
+            path.read_text(),
+        )
+        assert found is None, f"{path.name} compares nu_min with -nu_max: {found.group(0)!r}"
 
 
 def test_init_all_matches_its_imports():

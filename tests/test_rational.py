@@ -122,7 +122,8 @@ def test_classify_conjugate_poles_cases():
     assert real_idx == [0]
     assert pairs == [(1, 2)]
     lone = np.array([1.0 + 2.0j, 1.0 - 2.0000001j])
-    assert classify_conjugate_poles(lone) is None
+    with pytest.raises(ValueError, match="no exact conjugate partner"):
+        classify_conjugate_poles(lone)
 
 
 def test_partial_fraction_validation():
@@ -130,6 +131,29 @@ def test_partial_fraction_validation():
         PartialFractionRational(gamma=0.0, poles=np.array([1.0 + 1j]), weights=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         PartialFractionRational(gamma=0.0, poles=np.array([np.inf + 0j]), weights=np.array([1.0 + 0j]))
+
+
+@pytest.mark.parametrize("gamma,poles,weights,message", [
+    (0.3, [2.0 + 1.0j, 3.0 - 0.5j, 4.0], [1.0 + 0.5j, -0.2 + 1.0j, 0.7], "no exact conjugate"),
+    (0.3, [2.0 + 1.0j, 2.0 - 1.0j], [1.0 + 0.5j, 1.0 + 0.5j], "not conjugate"),
+    (0.3, [4.0], [0.7 + 1e-17j], "real pole has a non-real weight"),
+    (0.3 + 1e-300j, [4.0], [0.7], "gamma must be real"),
+], ids=["lone-pole", "pair-weights-not-conjugate", "real-pole-complex-weight", "complex-gamma"])
+def test_partial_fraction_rejects_forms_that_are_not_conjugate_symmetric(
+    gamma, poles, weights, message
+):
+    # the apply stage does one solve per conjugate pair, which is exact only
+    # for a conjugate-symmetric form, so no other form can be built
+    with pytest.raises(ValueError, match=message):
+        PartialFractionRational(gamma=gamma, poles=poles, weights=weights)
+
+
+def test_partial_fraction_records_its_pairing():
+    pf = pade_to_partial_fractions(pade45())
+    assert isinstance(pf.gamma, float)
+    assert len(pf.real_poles) == 1 and len(pf.pairs) == 2
+    for i, j in pf.pairs:
+        assert pf.poles[i].imag > 0.0 and pf.poles[j] == np.conj(pf.poles[i])
 
 
 # --------------------------------------------------------------------------
