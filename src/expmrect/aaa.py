@@ -150,7 +150,8 @@ def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int):
 
     Returns (poles, support, fsupp, weights, max_err). The number of poles
     is one less than the number of support points. Raises ``DegreeExhausted``
-    when the cap is hit with the sample error still above ``tol``.
+    when the cap is hit, or every sample has become a support point, with the
+    sample error still above ``tol``.
 
     Support points are taken in conjugate pairs and the weight vector is
     projected onto conjugate symmetry, so the computed poles pair up to
@@ -193,9 +194,13 @@ def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int):
         if support.size > max_poles:
             break
     if err > tol:
+        reached = (
+            f"used up all {n} samples at {support.size - 1} poles"
+            if not mask.any()
+            else f"reached {max_poles} poles"
+        )
         raise DegreeExhausted(
-            f"greedy interpolation reached {max_poles} poles with sample error "
-            f"{err:.3e} > {tol:.3e}",
+            f"greedy interpolation {reached} with sample error {err:.3e} > {tol:.3e}",
             context={"max_poles": int(max_poles), "sample_error": err},
         )
     return _barycentric_poles(support, w), support, fsupp, w, err

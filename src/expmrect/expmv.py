@@ -77,7 +77,7 @@ __all__ = [
 
 CROUZEIX_CONSTANT = 1.0 + math.sqrt(2.0)
 AAA_SAMPLES_PER_SIDE = 125  # coarse grid for pole placement; refit gets the dense one
-ORACLE_CUTOFF = 3000  # largest n the dense paths (reference exponential, mode "i") accept
+ORACLE_CUTOFF = 3000  # largest n mode "i" and expm_dense_oracle accept
 
 
 # --------------------------------------------------------------------------
@@ -85,13 +85,18 @@ ORACLE_CUTOFF = 3000  # largest n the dense paths (reference exponential, mode "
 # --------------------------------------------------------------------------
 
 def _shift_factor(p: Pencil, beta: complex, tau: float):
-    """LU factor of (beta * M - tau * K), real when beta is real."""
+    """LU factor of (beta * M - tau * K), real when beta is real.
+
+    The shifted matrix has the structurally symmetric pattern of M and K,
+    so it is ordered by minimum degree on A^T + A, which fills less than
+    COLAMD's unsymmetric ordering.
+    """
     if abs(beta.imag) == 0.0:
         shifted = (beta.real * p.M - tau * p.K).tocsc()
     else:
         shifted = (beta * p.M.astype(complex) - tau * p.K.astype(complex)).tocsc()
     try:
-        return lu_factor(sp.csc_array(shifted))
+        return lu_factor(sp.csc_array(shifted), permc_spec="MMD_AT_PLUS_A")
     except SingularMatrix as exc:
         raise SingularShift(f"shift {beta} makes the pencil singular") from exc
 

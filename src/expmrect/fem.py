@@ -302,44 +302,34 @@ class AssembledSystem:
         return self.M.shape[0]
 
 
-def _element_matrices(p0, p1, p2, c):
-    area2 = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1])
-    area = 0.5 * area2
-    if area <= 0.0:
-        raise DegenerateMesh("element with nonpositive area")
-    # constant gradients of the three hat functions
-    g = np.array(
-        [
-            [p1[1] - p2[1], p2[0] - p1[0]],
-            [p2[1] - p0[1], p0[0] - p2[0]],
-            [p0[1] - p1[1], p1[0] - p0[0]],
-        ]
-    ) / area2
-    mass = (area / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
-    stiff = area * (g @ g.T)
-    cg = g @ np.asarray(c, dtype=float)  # c . grad(phi_j), constant per element
-    adv = (area / 3.0) * np.tile(cg, (3, 1))  # int phi_i (c . grad phi_j)
-    return mass, stiff, adv
-
-
 def assemble_p1_full(mesh: TriMesh, d: float, c=(1.0, 1.0)):
     """Assemble mass and right-hand matrices over all vertices (no boundary
-    elimination). Returns (M_full, K_full) with K = -d * stiffness + advection."""
+    elimination). Returns (M_full, K_full) with K = -d * stiffness + advection.
+
+    The element blocks are computed for all triangles at once and scattered
+    element by element, row-major within each 3 x 3 block, so duplicates are
+    summed in element order.
+    """
     nv = mesh.n_vertices
-    rows, cols = [], []
-    mvals, kvals = [], []
-    for tri in mesh.triangles:
-        p0, p1, p2 = mesh.vertices[tri]
-        mass, stiff, adv = _element_matrices(p0, p1, p2, c)
-        kelem = -d * stiff + adv
-        for a in range(3):
-            for b in range(3):
-                rows.append(tri[a])
-                cols.append(tri[b])
-                mvals.append(mass[a, b])
-                kvals.append(kelem[a, b])
-    M = sp.coo_array((mvals, (rows, cols)), shape=(nv, nv)).tocsr()
-    K = sp.coo_array((kvals, (rows, cols)), shape=(nv, nv)).tocsr()
+    tri = mesh.triangles
+    area = _signed_areas(mesh.vertices, tri)
+    if np.any(area <= 0.0):
+        raise DegenerateMesh("element with nonpositive area")
+    # constant gradients of the three hat functions, (nt, 3, 2): the edge
+    # opposite each vertex turned a quarter clockwise, over twice the area
+    p0, p1, p2 = (mesh.vertices[tri[:, k]] for k in range(3))
+    edges = np.stack([p1 - p2, p2 - p0, p0 - p1], axis=1)
+    g = np.stack([edges[..., 1], -edges[..., 0]], axis=2) / (2.0 * area)[:, None, None]
+    ref_mass = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+    mass = (area / 12.0)[:, None, None] * ref_mass
+    stiff = area[:, None, None] * (g @ g.transpose(0, 2, 1))
+    cg = g @ np.asarray(c, dtype=float)  # c . grad(phi_j), constant per element
+    adv = (area / 3.0)[:, None, None] * cg[:, None, :]  # int phi_i (c . grad phi_j)
+    kelem = -d * stiff + adv
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    M = sp.coo_array((mass.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    K = sp.coo_array((kelem.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
     return M, K
 
 

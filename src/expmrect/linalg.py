@@ -64,12 +64,14 @@ class LuFactor:
         return self._splu.U
 
 
-def lu_factor(A) -> LuFactor:
+def lu_factor(A, permc_spec: str = "COLAMD") -> LuFactor:
     """Factor a square matrix as P*A*Q = L*U by SuperLU.
 
-    A dense array is converted to CSC first. SuperLU pivots by rows with its
-    default column ordering. Raises ``SingularMatrix`` when the smallest
-    pivot falls below ``PIVOT_RTOL * max|A|``.
+    A dense array is converted to CSC first. SuperLU pivots by rows, with
+    the column ordering ``permc_spec`` (SuperLU's default COLAMD, or any
+    other ordering ``scipy.sparse.linalg.splu`` accepts). Raises
+    ``SingularMatrix`` when the smallest pivot falls below
+    ``PIVOT_RTOL * max|A|``.
     """
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
@@ -82,7 +84,7 @@ def lu_factor(A) -> LuFactor:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fac = spla.splu(A)
+            fac = spla.splu(A, permc_spec=permc_spec)
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise SingularMatrix(str(exc)) from exc
     pivots = np.abs(fac.U.diagonal())

@@ -242,6 +242,16 @@ def test_aaa_degree_exhausts_on_tiny_cap():
         aaa_poles(boundary, 1e-12, m_max=3)
 
 
+def test_aaa_exhausting_the_samples_reports_the_poles_it_reached():
+    # a flat rectangle with 2 samples per side has 4 samples, so at most 3
+    # poles, far below the cap
+    rect = BoundingRectangle(mu_min=0.0, mu_max=0.0, nu_min=-1.0, nu_max=1.0)
+    with pytest.raises(DegreeExhausted, match="used up all 4 samples at 3 poles") as info:
+        aaa_poles(boundary_samples(rect, 2), 1e-12)
+    assert info.value.context["max_poles"] == 128
+    assert "128" not in str(info.value)
+
+
 def test_aaa_wide_rectangle_still_certifies():
     # a rectangle shaped like the tau = h_bar pencil rectangles
     rect = BoundingRectangle(mu_min=-35.0, mu_max=-0.2, nu_min=-2.5, nu_max=2.5)

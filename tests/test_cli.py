@@ -9,8 +9,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from expmrect import bounds, cli, expmv, mmio
+from expmrect.bounds import Pencil
 from expmrect.expmv import expm_dense_oracle
 from expmrect.linalg import lu_factor, norm2
 
@@ -243,38 +245,73 @@ def test_sweep_kappa_column_is_kappa_safe_beyond_dense_cutoff(monkeypatch):
 
 
 def test_expmv_certifies_square_128(tmp_path):
-    # n = 16129, the north-star scale point
+    # n = 16129, the north-star scale point, verified like any other size
     out = tmp_path / "run"
     rc = run_cli("expmv", "--domain", "square", "--divisions", "128", "--eps", "1e-6",
-                 "--out", str(out))
+                 "--verify", "--out", str(out))
     assert rc == 0
     rows = (out / "run.csv").read_text().splitlines()
     fields = dict(zip(cli.SWEEP_COLUMNS, rows[1].split(",")))
     assert int(fields["n"]) == 16129
     assert fields["status"] == "ok"
-    assert float(fields["certified_bound"]) <= 1e-6
+    assert float(fields["measured_error"]) <= float(fields["certified_bound"]) <= 1e-6
 
 
-def test_expmv_verify_beyond_oracle_fails_before_enclosing(monkeypatch, tmp_path, capsys):
-    # 56 divisions give n = 3025, beyond the 3000 unknowns the oracle accepts
-    enclosures = _count_calls(monkeypatch, "raw_extremes")
-    out = tmp_path / "run"
-    rc = run_cli("expmv", "--divisions", "56", "--verify", "--out", str(out))
-    assert rc == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ValueError: ")
-    assert "n=3025" in err[0] and f"n <= {expmv.ORACLE_CUTOFF}" in err[0]
-    assert enclosures == [] and not out.exists()
+def test_sweep_verifies_beyond_dense_size():
+    # square/64 has n = 3969, more unknowns than a dense exponential takes
+    rows = cli.run_sweep({
+        "systems": [{"domain": "square", "divisions": 64, "d": 1e-1}],
+        "eps": [1e-6],
+        "verify": True,
+    })
+    assert len(rows) == 2 and {row["n"] for row in rows} == {3969}
+    for row in rows:
+        assert row["status"] == "ok"
+        assert float(row["measured_error"]) <= float(row["certified_bound"]) <= 1e-6
 
 
-def test_sweep_verify_beyond_oracle_fails_before_enclosing(monkeypatch):
-    enclosures = _count_calls(monkeypatch, "raw_extremes")
-    with pytest.raises(ValueError, match="n=3025"):
-        cli.run_sweep({
-            "systems": [{"domain": "square", "divisions": 56, "d": 1e-1}],
-            "verify": True,
-        })
-    assert enclosures == []
+def test_sweep_verify_forms_no_dense_operator(monkeypatch):
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("dense_operator", "expm_dense_oracle"):
+        wrapper = counted(name, getattr(expmv, name))
+        for module in (cli, expmv):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    rows = cli.run_sweep({
+        "systems": [{"domain": "square", "divisions": 8, "d": 1e-1}],
+        "eps": [1e-6],
+        "verify": True,
+    })
+    assert all(row["measured_error"] for row in rows)
+    assert calls == []
+
+
+@pytest.mark.parametrize("domain, size", [("square", 8), ("star", 2)])
+@pytest.mark.parametrize("tau_factor", [1.0, 10.0])
+def test_reference_matches_dense_expm(domain, size, tau_factor):
+    system, mesh = cli._build_system(domain, size, size, 1e-1)
+    p = Pencil(tau=tau_factor * mesh.h_bar, M=system.M, K=system.K)
+    A = p.tau * np.linalg.solve(p.M.toarray(), p.K.toarray())
+    want = scipy.linalg.expm(A) @ system.b0
+    got = cli._reference(p, system.b0, seed=0)
+    assert norm2(got - want) <= 1e-12 * norm2(want)
+
+
+def test_reference_is_reproducible_and_leaves_numpy_state_alone():
+    system, mesh = cli._build_system("square", 8, 8, 1e-1)
+    p = Pencil(tau=mesh.h_bar, M=system.M, K=system.K)
+    state = np.random.get_state()
+    first = cli._reference(p, system.b0, seed=0)
+    assert np.array_equal(cli._reference(p, system.b0, seed=0), first)
+    after = np.random.get_state()
+    assert all(np.array_equal(a, b) for a, b in zip(state, after))
 
 
 def test_sweep_empty_systems_header_only(tmp_path):

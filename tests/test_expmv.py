@@ -23,6 +23,7 @@ from expmrect.expmv import (
     expmv_controlled,
     theorem1_bound_check,
 )
+from expmrect.linalg import lu_factor
 from expmrect.rational import pade45, pade_to_partial_fractions
 
 from conftest import random_nonsym_sparse, random_spd_sparse
@@ -123,6 +124,21 @@ def test_apply_scaled_pade_matches_dense_power(square_pencil_8):
         base = base + w * np.linalg.inv(beta * I - A / 3.0)
     want = (np.linalg.matrix_power(base, 3) @ b).real
     assert np.allclose(got, want, rtol=0.0, atol=1e-11 * np.linalg.norm(b))
+
+
+def test_shift_factor_ordering_fills_less_and_solves_accurately():
+    # the shifts of sub-pade at s = 8 on square/32, tau = 10 h
+    system = fem.assemble_p1(fem.mesh_square(32), d=1e-3)
+    tau = 10.0 * system.mesh.h_bar / 8
+    p = Pencil(tau, system.M, system.K)
+    b = np.random.default_rng(3).standard_normal(p.n)
+    for beta in pade_to_partial_fractions(pade45()).poles:
+        fac = expmv._shift_factor(p, complex(beta), tau)
+        shifted = beta * p.M - tau * p.K
+        colamd = lu_factor(shifted)
+        assert fac.lower.nnz + fac.upper.nnz < colamd.lower.nnz + colamd.upper.nnz
+        x = fac.solve(b)
+        assert np.linalg.norm(shifted @ x - b) <= 1e-13 * np.linalg.norm(b)
 
 
 # --------------------------------------------------------------------------

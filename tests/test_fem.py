@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from expmrect import fem
 from expmrect.errors import DegenerateMesh
@@ -131,10 +132,45 @@ def test_ear_clip_rejects_degenerate_polygon():
 # P1 assembly
 # --------------------------------------------------------------------------
 
+def _element_matrices(p0, p1, p2, c):
+    """Mass, stiffness and advection blocks of one triangle, written out."""
+    area2 = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1])
+    area = 0.5 * area2
+    g = np.array(
+        [
+            [p1[1] - p2[1], p2[0] - p1[0]],
+            [p2[1] - p0[1], p0[0] - p2[0]],
+            [p0[1] - p1[1], p1[0] - p0[0]],
+        ]
+    ) / area2
+    mass = (area / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+    stiff = area * (g @ g.T)
+    adv = (area / 3.0) * np.tile(g @ np.asarray(c, dtype=float), (3, 1))
+    return mass, stiff, adv
+
+
+def _loop_assemble(mesh, d, c=(1.0, 1.0)):
+    """assemble_p1_full as one Python loop over the elements."""
+    nv = mesh.n_vertices
+    rows, cols, mvals, kvals = [], [], [], []
+    for tri in mesh.triangles:
+        mass, stiff, adv = _element_matrices(*mesh.vertices[tri], c)
+        kelem = -d * stiff + adv
+        for a in range(3):
+            for b in range(3):
+                rows.append(tri[a])
+                cols.append(tri[b])
+                mvals.append(mass[a, b])
+                kvals.append(kelem[a, b])
+    M = sp.coo_array((mvals, (rows, cols)), shape=(nv, nv)).tocsr()
+    K = sp.coo_array((kvals, (rows, cols)), shape=(nv, nv)).tocsr()
+    return M, K
+
+
 def test_reference_triangle_element_mass():
-    mass, stiff, _ = fem._element_matrices(
-        np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]), (0.0, 0.0)
-    )
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mesh = fem.TriMesh(vertices, np.array([[0, 1, 2]]), np.ones(3, dtype=bool), 1.0)
+    mass, minus_stiff = (X.toarray() for X in fem.assemble_p1_full(mesh, 1.0, (0.0, 0.0)))
     expected = (1.0 / 24.0) * np.array(
         [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]
     )
@@ -144,7 +180,25 @@ def test_reference_triangle_element_mass():
     expected_stiff = 0.5 * np.array(
         [[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]
     )
-    assert np.allclose(stiff, expected_stiff, rtol=0.0, atol=1e-15)
+    assert np.allclose(-minus_stiff, expected_stiff, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [1e-1, 1e-3])
+@pytest.mark.parametrize("domain", ["square", "star"])
+def test_assembly_is_bitwise_the_element_loop(domain, d):
+    # the batched assembly scatters in the loop's order, so duplicates are
+    # summed in the same order and every stored byte agrees
+    mesh = fem.mesh_square(32) if domain == "square" else fem.mesh_star(refine=4)
+    for got, want in zip(fem.assemble_p1_full(mesh, d), _loop_assemble(mesh, d)):
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
+def test_assembly_rejects_inverted_element():
+    vertices = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])  # clockwise
+    mesh = fem.TriMesh(vertices, np.array([[0, 1, 2]]), np.ones(3, dtype=bool), 1.0)
+    with pytest.raises(DegenerateMesh):
+        fem.assemble_p1_full(mesh, 1.0)
 
 
 def test_full_mass_rows_integrate_to_area(square_mesh_8):
