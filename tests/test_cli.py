@@ -257,6 +257,18 @@ def test_expmv_certifies_square_128(tmp_path):
     assert float(fields["measured_error"]) <= float(fields["certified_bound"]) <= 1e-6
 
 
+def test_expmv_verifies_beyond_dense_size(tmp_path):
+    # 56 divisions give n = 3025, more unknowns than a dense exponential takes
+    out = tmp_path / "run"
+    rc = run_cli("expmv", "--divisions", "56", "--eps", "1e-6", "--verify", "--out", str(out))
+    assert rc == 0
+    rows = (out / "run.csv").read_text().splitlines()
+    fields = dict(zip(cli.SWEEP_COLUMNS, rows[1].split(",")))
+    assert int(fields["n"]) == 3025
+    assert fields["status"] == "ok"
+    assert float(fields["measured_error"]) <= float(fields["certified_bound"]) <= 1e-6
+
+
 def test_sweep_verifies_beyond_dense_size():
     # square/64 has n = 3969, more unknowns than a dense exponential takes
     rows = cli.run_sweep({
