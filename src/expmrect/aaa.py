@@ -144,14 +144,16 @@ def _project_conjugate_weights(w: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return w_sym / float(np.linalg.norm(w_sym))
 
 
-def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int):
-    """Greedy fit on a fixed sample set, which must be exactly closed under
-    conjugation (ValueError otherwise).
+def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int, rect):
+    """Greedy fit on a fixed sample set of the rectangle ``rect``, which must
+    be exactly closed under conjugation (ValueError otherwise).
 
     Returns (poles, support, fsupp, weights, max_err). The number of poles
     is one less than the number of support points. Raises ``DegreeExhausted``
     when the cap is hit, or every sample has become a support point, with the
-    sample error still above ``tol``.
+    sample error still above ``tol``. Raises ValueError naming ``rect`` when
+    the Loewner matrix or the barycentric evaluation is not finite, as on a
+    side so short that sample differences underflow.
 
     Support points are taken in conjugate pairs and the weight vector is
     projected onto conjugate symmetry, so the computed poles pair up to
@@ -181,13 +183,19 @@ def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int):
         if not mask.any():
             break
         diff = Z[mask, None] - support[None, :]
-        loewner = (F[mask, None] - fsupp[None, :]) / diff
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            loewner = (F[mask, None] - fsupp[None, :]) / diff
+        if not np.isfinite(loewner).all():
+            raise ValueError(f"AAA Loewner matrix is not finite on {rect}")
         _, _, Vh = np.linalg.svd(loewner, full_matrices=False)
         w = _project_conjugate_weights(Vh[-1].conj(), np.array(support_conj))
-        num = (w * fsupp / diff).sum(axis=1)
-        den = (w / diff).sum(axis=1)
-        R = F.astype(complex).copy()
-        R[mask] = num / den
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            num = (w * fsupp / diff).sum(axis=1)
+            den = (w / diff).sum(axis=1)
+            R = F.astype(complex).copy()
+            R[mask] = num / den
+        if not (np.isfinite(den).all() and np.isfinite(R).all()):
+            raise ValueError(f"AAA barycentric evaluation is not finite on {rect}")
         err = float(np.max(np.abs(F[mask] - R[mask]), initial=0.0))
         if err <= tol:
             break
@@ -208,13 +216,20 @@ def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int):
 
 def _filter_poles(poles, support, w, fsupp, rect, fscale):
     """Drop spurious poles: anything inside the rectangle, and Froissart
-    doublets whose barycentric residue is negligible."""
+    doublets whose barycentric residue is negligible.
+
+    Raises ValueError naming ``rect`` when the residues cannot be evaluated
+    in floating point, as when a pole lies so close to a support point that
+    the squared distance underflows.
+    """
     keep = ~rect.contains(poles)
     diff = poles[:, None] - support[None, :]
-    num = (w * fsupp / diff).sum(axis=1)
-    dden = -(w / diff**2).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        num = (w * fsupp / diff).sum(axis=1)
+        dden = -(w / diff**2).sum(axis=1)
         residues = np.abs(num / dden)
+    if not (np.isfinite(num).all() and np.isfinite(dden).all()):
+        raise ValueError(f"AAA barycentric evaluation at the poles is not finite on {rect}")
     keep &= ~(residues < FROISSART_RTOL * fscale)
     return poles[keep]
 
@@ -276,7 +291,7 @@ def aaa_poles(
         b = boundary_samples(rect, n)
         Z = b.samples
         F = np.exp(Z)
-        raw, support, fsupp, w, _ = _aaa_on_samples(Z, F, tol, m_max)
+        raw, support, fsupp, w, _ = _aaa_on_samples(Z, F, tol, m_max, rect)
         fscale = float(np.max(np.abs(F)))
         poles = _symmetrize_poles(_filter_poles(raw, support, w, fsupp, rect, fscale))
         poles = poles[~rect.contains(poles)]

@@ -72,39 +72,52 @@ def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     )
 
 
-def _unique_edges(triangles: np.ndarray, return_counts: bool = False):
-    """Sorted vertex pairs of the mesh edges, each once, and optionally the
-    number of triangles that share each one."""
-    e = np.vstack(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
+def _unique_edges(triangles: np.ndarray, return_index: bool = False,
+                  return_inverse: bool = False, return_counts: bool = False):
+    """Sorted vertex pairs of the mesh edges, each once, in lexicographic
+    order, followed by the requested ``np.unique`` outputs.
+
+    The half-edges are taken in the order (a, b), (b, c), (c, a) of each
+    triangle in turn, which is the order the indices and the inverse refer
+    to. Each sorted pair (a, b) is encoded as the key a*nv + b, so a 1-D
+    unique sorts the pairs lexicographically.
+    """
+    nv = int(triangles.max()) + 1
+    e = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, *rest = np.unique(
+        e[:, 0].astype(np.int64) * nv + e[:, 1],
+        return_index=return_index,
+        return_inverse=return_inverse,
+        return_counts=return_counts,
     )
-    e.sort(axis=1)
-    return np.unique(e, axis=0, return_counts=return_counts)
+    edges = np.column_stack(np.divmod(keys, nv))
+    return (edges, *rest) if rest else edges
 
 
-def _boundary_vertices(triangles: np.ndarray, nv: int) -> np.ndarray:
-    # boundary edges belong to exactly one triangle
+def _edge_table(triangles: np.ndarray, nv: int):
+    """The unique edges of the mesh and the boundary flags of its vertices.
+
+    Boundary edges belong to exactly one triangle.
+    """
     edges, counts = _unique_edges(triangles, return_counts=True)
-    flags = np.zeros(nv, dtype=bool)
-    flags[edges[counts == 1].ravel()] = True
-    return flags
+    boundary = np.zeros(nv, dtype=bool)
+    boundary[edges[counts == 1].ravel()] = True
+    return edges, boundary
 
 
-def _mean_edge_length(vertices: np.ndarray, triangles: np.ndarray) -> float:
-    edges = _unique_edges(triangles)
-    d = vertices[edges[:, 0]] - vertices[edges[:, 1]]
-    return float(np.mean(np.hypot(d[:, 0], d[:, 1])))
-
-
-def _make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> TriMesh:
+def _make_mesh(vertices: np.ndarray, triangles: np.ndarray, edges: np.ndarray,
+               boundary: np.ndarray) -> TriMesh:
+    """Check the orientation and attach ``boundary`` and the mean length of
+    ``edges``, which are the unique edges of ``triangles``."""
     areas = _signed_areas(vertices, triangles)
     if np.any(areas <= 0.0):
         raise DegenerateMesh("triangulation contains nonpositive signed areas")
+    d = vertices[edges[:, 0]] - vertices[edges[:, 1]]
     return TriMesh(
         vertices=vertices,
         triangles=triangles,
-        boundary=_boundary_vertices(triangles, vertices.shape[0]),
-        h_bar=_mean_edge_length(vertices, triangles),
+        boundary=boundary,
+        h_bar=float(np.mean(np.hypot(d[:, 0], d[:, 1]))),
     )
 
 
@@ -126,17 +139,12 @@ def mesh_square(divisions: int) -> TriMesh:
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return j * (d + 1) + i
-
-    tris = []
-    for j in range(d):
-        for i in range(d):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return _make_mesh(vertices, np.array(tris, dtype=int))
+    j, i = np.divmod(np.arange(d * d), d)
+    v00 = j * (d + 1) + i
+    v10, v01, v11 = v00 + 1, v00 + d + 1, v00 + d + 2
+    # per cell the triangles (v00, v10, v11) and (v00, v11, v01)
+    tris = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
+    return _make_mesh(vertices, tris, *_edge_table(tris, vertices.shape[0]))
 
 
 # --------------------------------------------------------------------------
@@ -211,43 +219,47 @@ def _ear_clip(polygon: np.ndarray) -> np.ndarray:
 
 
 def _refine_once(vertices: np.ndarray, triangles: np.ndarray):
-    verts = list(map(tuple, vertices))
-    midpoint: dict[tuple[int, int], int] = {}
+    """Uniform midpoint subdivision of every triangle into four.
 
-    def mid(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in midpoint:
-            pa, pb = vertices[a], vertices[b]
-            verts.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
+    Midpoints are numbered after the old vertices in the order the edges
+    are first met, going through (a, b), (b, c), (c, a) of each triangle.
+    """
+    nv = vertices.shape[0]
+    edges, first, inverse = _unique_edges(triangles, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    ab, bc, ca = (nv + rank[inverse.reshape(-1)]).reshape(-1, 3).T
+    a, b, c = triangles.T
+    mids = (vertices[edges[order, 0]] + vertices[edges[order, 1]]) / 2.0
+    new_tris = np.column_stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]).reshape(-1, 3)
+    return np.vstack([vertices, mids]), new_tris
 
-    new_tris = []
-    for a, b, c in triangles:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-    return np.array(verts, dtype=float), np.array(new_tris, dtype=int)
 
-
-def _smooth(vertices: np.ndarray, triangles: np.ndarray, boundary: np.ndarray, sweeps: int):
+def _smooth(vertices: np.ndarray, triangles: np.ndarray, edges: np.ndarray,
+            boundary: np.ndarray, sweeps: int):
     """Laplacian smoothing of interior vertices with per-sweep rollback.
 
-    Each sweep moves every interior vertex to the mean of its neighbors; a
-    sweep that would invert any triangle is undone and smoothing stops.
+    Each sweep moves every interior vertex to the mean of its neighbors as
+    they were before the sweep (a Jacobi sweep), computed as ``A @ prev /
+    deg`` with ``A`` the adjacency matrix: its sorted column indices sum the
+    neighbors in ascending order. A sweep that would invert any triangle is
+    undone and smoothing stops.
     """
-    edges = _unique_edges(triangles)
     nv = vertices.shape[0]
-    neighbors: list[list[int]] = [[] for _ in range(nv)]
-    for a, b in edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
+    ends = np.concatenate([edges, edges[:, ::-1]])
+    A = sp.csr_array(
+        (np.ones(ends.shape[0]), (ends[:, 0], ends[:, 1])), shape=(nv, nv)
+    )
+    A.sort_indices()
+    deg = np.diff(A.indptr)
+    move = ~boundary & (deg > 0)
+    A, deg = A[move], deg[move, None]
     pts = vertices.copy()
     for _ in range(sweeps):
-        prev = pts.copy()
-        for v in range(nv):
-            if boundary[v] or not neighbors[v]:
-                continue
-            pts[v] = np.mean(prev[neighbors[v]], axis=0)
+        prev = pts
+        pts = prev.copy()
+        pts[move] = (A @ prev) / deg
         if np.any(_signed_areas(pts, triangles) <= 0.0):
             pts = prev
             break
@@ -277,9 +289,9 @@ def mesh_star(
     verts = outline.copy()
     for _ in range(refine):
         verts, tris = _refine_once(verts, tris)
-    flags = _boundary_vertices(tris, verts.shape[0])
-    verts = _smooth(verts, tris, flags, smoothing_sweeps)
-    return _make_mesh(verts, tris)
+    edges, boundary = _edge_table(tris, verts.shape[0])
+    verts = _smooth(verts, tris, edges, boundary, smoothing_sweeps)
+    return _make_mesh(verts, tris, edges, boundary)
 
 
 # --------------------------------------------------------------------------
@@ -399,7 +411,7 @@ def read_mesh(path) -> TriMesh:
         verts[i] = (float(x), float(y))
         flags[i] = bool(int(b))
     tris = np.array([list(map(int, lines[1 + nv + j].split())) for j in range(nt)], dtype=int)
-    mesh = _make_mesh(verts, tris)
+    mesh = _make_mesh(verts, tris, *_edge_table(tris, nv))
     if not np.array_equal(mesh.boundary, flags):
         raise DegenerateMesh("stored boundary flags disagree with mesh topology")
     return mesh

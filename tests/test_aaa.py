@@ -6,6 +6,7 @@ rectangle whose certified degree is part of the package's golden values.
 """
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -250,6 +251,32 @@ def test_aaa_exhausting_the_samples_reports_the_poles_it_reached():
         aaa_poles(boundary_samples(rect, 2), 1e-12)
     assert info.value.context["max_poles"] == 128
     assert "128" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "nu_max, where",
+    [
+        (5e-324, "Loewner matrix"),  # top and bottom samples 1e-323 apart
+        (1e-300, "barycentric evaluation at the poles"),  # distances squared underflow
+    ],
+)
+def test_aaa_degenerate_rectangle_fails_typed_and_names_it(nu_max, where):
+    rect = BoundingRectangle(mu_min=-1.0, mu_max=0.0, nu_min=-nu_max, nu_max=nu_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{where} is not finite on BoundingRectangle") as info:
+            aaa_poles(boundary_samples(rect, 20), 1e-2)
+    assert repr(rect) in str(info.value)
+
+
+def test_aaa_exact_real_segment_gives_its_poles_without_warning():
+    rect = BoundingRectangle(mu_min=-30.0, mu_max=-0.1, nu_min=0.0, nu_max=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        poles = aaa_poles(boundary_samples(rect, 125), 1e-8)
+    assert poles.size == 8
+    real_idx, pairs = classify_conjugate_poles(poles)
+    assert len(real_idx) == 0 and len(pairs) == 4
 
 
 def test_aaa_wide_rectangle_still_certifies():

@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expmrect import fem
 from expmrect.errors import DegenerateMesh
@@ -126,6 +128,145 @@ def test_ear_clip_rejects_degenerate_polygon():
     collinear = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(DegenerateMesh):
         fem._ear_clip(collinear)
+
+
+# --------------------------------------------------------------------------
+# the array mesh builders against the Python loops they replaced
+# --------------------------------------------------------------------------
+
+def _loop_edges(triangles):
+    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
+    e.sort(axis=1)
+    return np.unique(e, axis=0, return_counts=True)
+
+
+def _loop_make_mesh(vertices, triangles):
+    edges, counts = _loop_edges(triangles)
+    boundary = np.zeros(vertices.shape[0], dtype=bool)
+    boundary[edges[counts == 1].ravel()] = True
+    d = vertices[edges[:, 0]] - vertices[edges[:, 1]]
+    return fem.TriMesh(vertices, triangles, boundary, float(np.mean(np.hypot(d[:, 0], d[:, 1]))))
+
+
+def _loop_square(d):
+    xs = np.linspace(0.0, 1.0, d + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="xy")
+    vertices = np.column_stack([X.ravel(), Y.ravel()])
+
+    def vid(i, j):
+        return j * (d + 1) + i
+
+    tris = []
+    for j in range(d):
+        for i in range(d):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return _loop_make_mesh(vertices, np.array(tris, dtype=int))
+
+
+def _loop_refine_once(vertices, triangles):
+    verts = list(map(tuple, vertices))
+    midpoint = {}
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in midpoint:
+            pa, pb = vertices[a], vertices[b]
+            verts.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
+            midpoint[key] = len(verts) - 1
+        return midpoint[key]
+
+    new_tris = []
+    for a, b, c in triangles:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        new_tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+    return np.array(verts, dtype=float), np.array(new_tris, dtype=int)
+
+
+def _loop_smooth(vertices, triangles, boundary, sweeps):
+    """Vertex-by-vertex smoothing; also returns the 1-based sweep that was
+    undone, or None."""
+    edges, _ = _loop_edges(triangles)
+    nv = vertices.shape[0]
+    neighbors = [[] for _ in range(nv)]
+    for a, b in edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    pts = vertices.copy()
+    for sweep in range(1, sweeps + 1):
+        prev = pts.copy()
+        for v in range(nv):
+            if boundary[v] or not neighbors[v]:
+                continue
+            pts[v] = np.mean(prev[neighbors[v]], axis=0)
+        if np.any(fem._signed_areas(pts, triangles) <= 0.0):
+            return prev, sweep
+    return pts, None
+
+
+def _loop_star(points=5, r_outer=2.0, r_inner=0.8, refine=0, smoothing_sweeps=8):
+    outline = fem._star_outline(points, r_outer, r_inner)
+    tris = fem._ear_clip(outline)
+    verts = outline.copy()
+    for _ in range(refine):
+        verts, tris = _loop_refine_once(verts, tris)
+    flags = _loop_make_mesh(verts, tris).boundary
+    verts, undone = _loop_smooth(verts, tris, flags, smoothing_sweeps)
+    return _loop_make_mesh(verts, tris), undone
+
+
+def _assert_same_mesh(got, want):
+    for attr in ("vertices", "triangles", "boundary"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    assert np.array_equal(np.signbit(got.vertices), np.signbit(want.vertices))
+    assert got.h_bar == want.h_bar
+
+
+@pytest.mark.parametrize("divisions", [1, 8, 32, 64])
+def test_square_mesh_is_bitwise_the_loop(divisions):
+    _assert_same_mesh(fem.mesh_square(divisions), _loop_square(divisions))
+
+
+@pytest.mark.parametrize(
+    "kwargs, undone",
+    [
+        ({"refine": 0}, None),
+        ({"refine": 1}, None),
+        ({"refine": 2}, 7),
+        ({"refine": 3}, 6),
+        ({"refine": 4}, 6),
+        ({"points": 4, "r_inner": 0.3, "refine": 1}, 1),
+    ],
+)
+def test_star_mesh_is_bitwise_the_loop(kwargs, undone):
+    # ``undone`` is the smoothing sweep that inverts a triangle and is rolled
+    # back, so the rollback rule is pinned too
+    want, want_undone = _loop_star(**kwargs)
+    assert want_undone == undone
+    _assert_same_mesh(fem.mesh_star(**kwargs), want)
+
+
+triangle_arrays = st.integers(min_value=1, max_value=40).flatmap(
+    lambda nt: st.lists(
+        st.lists(st.integers(min_value=0, max_value=30), min_size=3, max_size=3),
+        min_size=nt,
+        max_size=nt,
+    )
+)
+
+
+@given(triangle_arrays)
+@settings(max_examples=200, deadline=None)
+def test_unique_edges_matches_unique_rows(tris):
+    tri = np.array(tris, dtype=int)
+    e = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+    want_edges, want_counts = np.unique(np.sort(e, 1), axis=0, return_counts=True)
+    got_edges, got_counts = fem._unique_edges(tri, return_counts=True)
+    assert np.array_equal(got_edges, want_edges)
+    assert np.array_equal(got_counts, want_counts)
 
 
 # --------------------------------------------------------------------------
