@@ -101,59 +101,70 @@ def _shift_factor(p: Pencil, beta: complex, tau: float):
         raise SingularShift(f"shift {beta} makes the pencil singular") from exc
 
 
-def _pf_apply(pf: PartialFractionRational, p: Pencil, b: np.ndarray, tau: float,
-              factors: dict | None = None):
+def _pf_apply(pf: PartialFractionRational, p: Pencil, b: np.ndarray, factor) -> np.ndarray:
     """Evaluate gamma*b + sum_k w_k (beta_k M - tau K)^{-1} M b.
 
-    The form is exactly conjugate-symmetric and M and K are real, so one
-    solve per real pole and one per conjugate pair suffice: a pair's
-    contribution is twice the real part of its upper member's, and the
-    result is real for real b. A complex b is applied by linearity, as
-    f(b.real) + 1j f(b.imag).
+    ``factor(beta)`` returns the LU factor of beta M - tau K. The form is
+    exactly conjugate-symmetric and M and K are real, so one solve per real
+    pole and one per conjugate pair suffice: a pair's contribution is twice
+    the real part of its upper member's, and the result is real for real b.
+    A complex b is applied by linearity, as f(b.real) + 1j f(b.imag): each
+    pole's factor solves both parts, and the two real sums run in the same
+    order as for a real b. This function holds each factor only for that
+    pole's solves; whether it outlives them is up to ``factor``.
     """
-    factors = factors if factors is not None else {}
-    if np.iscomplexobj(b):
-        re, im = (_pf_apply(pf, p, part, tau, factors) for part in (b.real, b.imag))
-        return re + 1j * im
-    Mb = p.M @ b
+    parts = (b.real, b.imag) if np.iscomplexobj(b) else (b,)
+    Mb = [p.M @ part for part in parts]
 
-    def solve_for(beta):
-        key = complex(beta)
-        if key not in factors:
-            factors[key] = _shift_factor(p, key, tau)
-        return factors[key].solve(Mb)
+    def solves(i):
+        fac = factor(pf.poles[i])
+        return [fac.solve(rhs) for rhs in Mb]
 
-    x = pf.gamma * b.astype(float)
+    xs = [pf.gamma * part.astype(float) for part in parts]
     for i in pf.real_poles:
-        x = x + pf.weights[i].real * solve_for(pf.poles[i]).real
+        xs = [x + pf.weights[i].real * y.real for x, y in zip(xs, solves(i))]
     for i, _ in pf.pairs:
-        x = x + 2.0 * (pf.weights[i] * solve_for(pf.poles[i])).real
-    return x
+        xs = [x + 2.0 * (pf.weights[i] * y).real for x, y in zip(xs, solves(i))]
+    return xs[0] + 1j * xs[1] if len(xs) == 2 else xs[0]
 
 
 def apply_partial_fraction(r: PartialFractionRational, p: Pencil, b: np.ndarray) -> np.ndarray:
     """Apply r(tau inv(M) K) to b via shifted sparse solves.
 
-    Each real pole and each conjugate pair costs one factorization and one
-    solve of (beta_k M - tau K) y = M b; a real b gives a real result, and
-    a complex b is applied to its real and imaginary parts.
+    Each real pole and each conjugate pair costs one factorization of
+    (beta_k M - tau K) and one solve with M b (two for a complex b, one per
+    part). Poles are taken one at a time, and each factor is released as
+    soon as its solves return, so at most one factor is alive at any time
+    and peak memory does not grow with the degree.
     """
     if b.shape[0] != p.n:
         raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
-    return _pf_apply(r, p, np.asarray(b), p.tau)
+    return _pf_apply(r, p, np.asarray(b), lambda beta: _shift_factor(p, complex(beta), p.tau))
 
 
 def apply_scaled_pade(pade: PadeRational, p: Pencil, b: np.ndarray) -> np.ndarray:
     """Apply (r45(tau inv(M) K / s))**s to b, one partial fraction pass per
-    power, with the s shifted factorizations shared across passes."""
+    power.
+
+    The shifts are the same in every pass, so the three factors of r45 (one
+    real pole and two conjugate pairs) are taken once, in the first pass,
+    kept for all s passes and released when the call returns.
+    """
     if b.shape[0] != p.n:
         raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
     pf = pade_to_partial_fractions(pade)
     tau_step = p.tau / pade.scaling
     factors: dict = {}
+
+    def factor(beta):
+        key = complex(beta)
+        if key not in factors:
+            factors[key] = _shift_factor(p, key, tau_step)
+        return factors[key]
+
     x = np.asarray(b)
     for _ in range(pade.scaling):
-        x = _pf_apply(pf, p, x, tau_step, factors=factors)
+        x = _pf_apply(pf, p, x, factor)
     return x
 
 

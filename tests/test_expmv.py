@@ -7,13 +7,15 @@ the code path being tested.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from expmrect import expmv, fem
-from expmrect.bounds import Pencil, analyze_pencil
+from expmrect.aaa import aaa_poles, refit_partial_fractions
+from expmrect.bounds import Pencil, analyze_pencil, bounding_rectangle
 from expmrect.errors import DimensionMismatch, ScalingExhausted
 from expmrect.expmv import (
     ExpmvRequest,
@@ -23,8 +25,8 @@ from expmrect.expmv import (
     expmv_controlled,
     theorem1_bound_check,
 )
-from expmrect.linalg import lu_factor
-from expmrect.rational import pade45, pade_to_partial_fractions
+from expmrect.linalg import LuFactor, lu_factor
+from expmrect.rational import boundary_samples, pade45, pade_to_partial_fractions
 
 from conftest import random_nonsym_sparse, random_spd_sparse
 
@@ -124,6 +126,80 @@ def test_apply_scaled_pade_matches_dense_power(square_pencil_8):
         base = base + w * np.linalg.inv(beta * I - A / 3.0)
     want = (np.linalg.matrix_power(base, 3) @ b).real
     assert np.allclose(got, want, rtol=0.0, atol=1e-11 * np.linalg.norm(b))
+
+
+def _aaa_form(p: Pencil):
+    rect = bounding_rectangle(p)
+    poles = aaa_poles(boundary_samples(rect, 125), 1e-8, 128)
+    return refit_partial_fractions(poles, boundary_samples(rect, 500), 1e-8).form
+
+
+def _track_factors(monkeypatch):
+    """Weak references to every shifted factor, and how many of them were
+    alive as each factorization began and at each solve."""
+    refs, at_factor, at_solve = [], [], []
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    def shift_factor(*args):
+        at_factor.append(alive())
+        fac = shift_factor_orig(*args)
+        refs.append(weakref.ref(fac))
+        return fac
+
+    def solve(self, b):
+        at_solve.append(alive())
+        return solve_orig(self, b)
+
+    shift_factor_orig, solve_orig = expmv._shift_factor, LuFactor.solve
+    monkeypatch.setattr(expmv, "_shift_factor", shift_factor)
+    monkeypatch.setattr(LuFactor, "solve", solve)
+    return refs, at_factor, at_solve, alive
+
+
+@pytest.mark.parametrize("complex_b", [False, True])
+def test_partial_fraction_keeps_one_factor_alive(square_pencil_8, monkeypatch, complex_b):
+    p = square_pencil_8
+    pf = _aaa_form(p)
+    assert pf.degree >= 6
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal(p.n) + (1j * rng.standard_normal(p.n) if complex_b else 0.0)
+    refs, at_factor, at_solve, alive = _track_factors(monkeypatch)
+    apply_partial_fraction(pf, p, b)
+    assert len(refs) == len(pf.real_poles) + len(pf.pairs)
+    assert at_factor == [0] * len(refs)  # the previous factor is gone before the next
+    assert len(at_solve) == len(refs) * (2 if complex_b else 1)
+    assert max(at_solve) == 1
+    assert alive() == 0
+
+
+@pytest.mark.parametrize("complex_b", [False, True])
+def test_scaled_pade_keeps_its_three_factors_for_the_call(square_pencil_8, monkeypatch,
+                                                         complex_b):
+    p = square_pencil_8
+    rng = np.random.default_rng(9)
+    b = rng.standard_normal(p.n) + (1j * rng.standard_normal(p.n) if complex_b else 0.0)
+    refs, at_factor, at_solve, alive = _track_factors(monkeypatch)
+    apply_scaled_pade(pade45(scaling=3), p, b)
+    assert len(refs) == 3  # one real pole and two pairs, shared by the 3 passes
+    assert at_factor == [0, 1, 2]
+    assert max(at_solve) == 3
+    assert alive() == 0
+
+
+def test_complex_vector_is_exactly_the_sum_of_its_parts(square_pencil_8):
+    # one factor per pole serves both parts, and each part's sum runs in the
+    # same order as for a real vector, so the result is bitwise linear
+    p = square_pencil_8
+    rng = np.random.default_rng(10)
+    b = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
+    pf = _aaa_form(p)
+    for f in (lambda v: apply_partial_fraction(pf, p, v),
+              lambda v: apply_scaled_pade(pade45(scaling=3), p, v)):
+        got = f(b)
+        want = f(b.real.copy()) + 1j * f(b.imag.copy())
+        assert np.array_equal(got, want)
 
 
 def test_shift_factor_ordering_fills_less_and_solves_accurately():
