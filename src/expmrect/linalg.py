@@ -64,12 +64,16 @@ class LuFactor:
         return self._splu.U
 
 
-def lu_factor(A, permc_spec: str = "COLAMD") -> LuFactor:
+def lu_factor(A, symmetric: bool = False) -> LuFactor:
     """Factor a square matrix as P*A*Q = L*U by SuperLU.
 
-    A dense array is converted to CSC first. SuperLU pivots by rows, with
-    the column ordering ``permc_spec`` (SuperLU's default COLAMD, or any
-    other ordering ``scipy.sparse.linalg.splu`` accepts). Raises
+    A dense array is converted to CSC first. By default SuperLU orders the
+    columns by COLAMD and pivots by rows. ``symmetric=True`` suits a
+    structurally symmetric matrix whose diagonal pivots exist in any
+    symmetric order: rows and columns are ordered alike by minimum degree on
+    A^T + A (SuperLU's symmetric mode), and a diagonal pivot is kept unless
+    it is below 0.1 times its column's largest entry, so the ordering's low
+    fill survives; only such pivots fall back to row pivoting. Raises
     ``SingularMatrix`` when the smallest pivot falls below
     ``PIVOT_RTOL * max|A|``.
     """
@@ -84,7 +88,11 @@ def lu_factor(A, permc_spec: str = "COLAMD") -> LuFactor:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fac = spla.splu(A, permc_spec=permc_spec)
+            if symmetric:
+                fac = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                                options={"SymmetricMode": True})
+            else:
+                fac = spla.splu(A)
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise SingularMatrix(str(exc)) from exc
     pivots = np.abs(fac.U.diagonal())

@@ -217,6 +217,29 @@ def test_shift_factor_ordering_fills_less_and_solves_accurately():
         assert np.linalg.norm(shifted @ x - b) <= 1e-13 * np.linalg.norm(b)
 
 
+@pytest.fixture(scope="module")
+def square_sys_32_advective():
+    return fem.assemble_p1(fem.mesh_square(32), d=1e-3)
+
+
+@pytest.mark.parametrize("beta", [1.0, 1 + 1j, 1.8 + 4j])
+@pytest.mark.parametrize("tau_factor", [10.0, 30.0])
+def test_shift_factor_keeps_its_ordering_on_advective_shifts(square_sys_32_advective,
+                                                             tau_factor, beta):
+    # With row pivoting, minimum degree filled 4-6 times COLAMD here; symmetric
+    # mode keeps the diagonal pivots that beta outside the rectangle guarantees.
+    system = square_sys_32_advective
+    tau = tau_factor * system.mesh.h_bar
+    p = Pencil(tau, system.M, system.K)
+    fac = expmv._shift_factor(p, complex(beta), tau)
+    shifted = beta * p.M - tau * p.K
+    colamd = lu_factor(shifted)
+    assert fac.lower.nnz + fac.upper.nnz <= colamd.lower.nnz + colamd.upper.nnz
+    b = np.random.default_rng(4).standard_normal(p.n)
+    x = fac.solve(b)
+    assert np.linalg.norm(shifted @ x - b) <= 1e-14 * np.linalg.norm(b)
+
+
 # --------------------------------------------------------------------------
 # the controlled driver
 # --------------------------------------------------------------------------
