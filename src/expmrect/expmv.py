@@ -95,9 +95,9 @@ def _shift_factor(p: Pencil, beta: complex, tau: float):
     Re(c (beta - z)) > 0 on R, and c (beta M - tau K), congruent to
     c (beta I - A_hat) through M^(1/2), has a positive definite Hermitian
     part. So has every principal submatrix and every Schur complement,
-    whatever the symmetric order. With row pivoting SuperLU leaves the
-    diagonal, which on advection-dominated shifts defeated the ordering:
-    on square/64 d=1e-3, tau=10h, beta=1+1j it filled 6.0M against 189k.
+    whatever the symmetric order. SuperLU's default row pivoting would
+    leave the diagonal on advection-dominated shifts and defeat the
+    ordering (square/64 d=1e-3, tau=10h, beta=1+1j: 6.0M fill, not 189k).
     """
     if abs(beta.imag) == 0.0:
         shifted = (beta.real * p.M - tau * p.K).tocsc()

@@ -226,7 +226,7 @@ def square_sys_32_advective():
 @pytest.mark.parametrize("tau_factor", [10.0, 30.0])
 def test_shift_factor_keeps_its_ordering_on_advective_shifts(square_sys_32_advective,
                                                              tau_factor, beta):
-    # With row pivoting, minimum degree filled 4-6 times COLAMD here; symmetric
+    # With row pivoting, minimum degree filled up to 6 times COLAMD here; symmetric
     # mode keeps the diagonal pivots that beta outside the rectangle guarantees.
     system = square_sys_32_advective
     tau = tau_factor * system.mesh.h_bar
