@@ -118,15 +118,21 @@ def _barycentric_poles(support: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _conjugate_permutation(points: np.ndarray) -> np.ndarray:
     """Index map sending each point to its exact conjugate; ValueError if
-    some conjugate is missing from the set."""
-    lookup = {complex(p): i for i, p in enumerate(points)}
-    perm = np.empty(points.size, dtype=int)
-    for i, p in enumerate(points):
-        j = lookup.get(complex(np.conj(p)))
-        if j is None:
-            raise ValueError(f"sample {p} has no exact conjugate in the sample set")
-        perm[i] = j
-    return perm
+    some conjugate is missing from the set. A repeated point stands for its
+    last occurrence: a stable sort (in which -0.0 and 0.0 tie) puts that one
+    last among its equals, and a binary search finds each conjugate there."""
+    order = np.argsort(points, kind="stable")
+    ranked = points[order]
+    last = np.ones(points.size, dtype=bool)
+    last[:-1] = ranked[1:] != ranked[:-1]
+    distinct, index = ranked[last], order[last]
+    conj = np.conj(points)
+    pos = np.minimum(np.searchsorted(distinct, conj), distinct.size - 1)
+    missing = distinct[pos] != conj
+    if missing.any():
+        p = points[np.argmax(missing)]
+        raise ValueError(f"sample {p} has no exact conjugate in the sample set")
+    return index[pos]
 
 
 def _project_conjugate_weights(w: np.ndarray, perm: np.ndarray) -> np.ndarray:

@@ -80,9 +80,9 @@ def lu_factor(A, symmetric: bool = False) -> LuFactor:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     A = sp.csc_matrix(A)
-    if A.nnz and not np.all(np.isfinite(A.data)):
-        raise ValueError("matrix contains NaN or Inf entries")
     scale = float(np.max(np.abs(A.data))) if A.nnz else 0.0
+    if not np.isfinite(scale):
+        raise ValueError("matrix contains NaN or Inf entries")
     if scale == 0.0:
         raise SingularMatrix("matrix is identically zero")
     try:

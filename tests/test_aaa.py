@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from expmrect.aaa import (
     _DDAccumulator,
+    _conjugate_permutation,
     _symmetrize_poles,
     _two_prod,
     _two_sum,
@@ -129,6 +130,54 @@ def test_symmetric_rectangles_give_conjugate_closed_samples_and_poles(rect, n_pe
     poles = aaa_poles(boundary_samples(rect, n_per_side), 1e-6)
     classify_conjugate_poles(poles)  # raises unless exactly closed
     assert not np.any(rect.contains(poles))
+
+
+def _conjugate_permutation_by_dict(points):
+    """The dict loop that ``_conjugate_permutation`` replaced, kept as its
+    reference: a repeated point maps to its last occurrence."""
+    lookup = {complex(p): i for i, p in enumerate(points)}
+    perm = np.empty(points.size, dtype=int)
+    for i, p in enumerate(points):
+        j = lookup.get(complex(np.conj(p)))
+        if j is None:
+            raise ValueError(f"sample {p} has no exact conjugate in the sample set")
+        perm[i] = j
+    return perm
+
+
+def _map_or_message(f, points):
+    try:
+        return f(points).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+# few distinct parts, so points repeat and both signed zeros occur
+_parts = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5])
+_points = st.lists(st.builds(complex, _parts, _parts), max_size=12)
+conjugate_test_sets = (
+    _points
+    | _points.flatmap(lambda zs: st.permutations(zs + [z.conjugate() for z in zs]))
+).map(lambda zs: np.array(zs, dtype=complex)) | st.builds(
+    lambda rect, n: boundary_samples(rect, n).samples,
+    symmetric_rectangles,
+    st.integers(min_value=2, max_value=60),
+)
+
+
+@given(conjugate_test_sets)
+@settings(max_examples=300, deadline=None)
+def test_conjugate_permutation_matches_dict_loop(points):
+    want = _map_or_message(_conjugate_permutation_by_dict, points)
+    assert _map_or_message(_conjugate_permutation, points) == want
+
+
+def test_conjugate_permutation_maps_repeats_to_last_and_names_a_missing_conjugate():
+    assert _conjugate_permutation(np.array([1 + 1j, 1 - 1j, 1 + 1j, -0.0 + 0j])).tolist() == [
+        1, 2, 1, 3,
+    ]
+    with pytest.raises(ValueError, match=r"sample \(2\+1j\) has no exact conjugate"):
+        _conjugate_permutation(np.array([3 + 0j, 1 + 2j, 2 + 1j, 1 - 2j, 5 + 1j]))
 
 
 # --------------------------------------------------------------------------

@@ -23,12 +23,12 @@ from expmrect.expmv import (
     apply_scaled_pade,
     expm_dense_oracle,
     expmv_controlled,
-    theorem1_bound_check,
 )
 from expmrect.linalg import LuFactor, lu_factor
 from expmrect.rational import boundary_samples, pade45, pade_to_partial_fractions
 
 from conftest import random_nonsym_sparse, random_spd_sparse
+from theorem1 import theorem1_bound_check
 
 
 def _dense_A(p: Pencil) -> np.ndarray:
@@ -72,6 +72,8 @@ def test_oracle_validates_input(monkeypatch):
     monkeypatch.setattr(expmv, "ORACLE_CUTOFF", 4)
     with pytest.raises(ValueError):
         expm_dense_oracle(np.zeros((5, 5)))
+    assert np.array_equal(expm_dense_oracle(np.zeros((4, 4))), np.eye(4))
+    assert expm_dense_oracle(np.zeros((0, 0))).shape == (0, 0)
 
 
 # --------------------------------------------------------------------------
@@ -238,6 +240,35 @@ def test_shift_factor_keeps_its_ordering_on_advective_shifts(square_sys_32_advec
     b = np.random.default_rng(4).standard_normal(p.n)
     x = fac.solve(b)
     assert np.linalg.norm(shifted @ x - b) <= 1e-14 * np.linalg.norm(b)
+
+
+def _old_shifted_matrix(p: Pencil, beta: complex, tau: float):
+    """The shifted matrix as ``_shift_factor`` built it before it let
+    ``lu_factor`` take the CSR sum: two complex copies, two conversions."""
+    if abs(beta.imag) == 0.0:
+        shifted = (beta.real * p.M - tau * p.K).tocsc()
+    else:
+        shifted = (beta * p.M.astype(complex) - tau * p.K.astype(complex)).tocsc()
+    return sp.csc_array(shifted)
+
+
+def _bits(A):
+    A = sp.csc_matrix(A)  # what lu_factor factors
+    return A.dtype, A.indptr.tolist(), A.indices.tolist(), A.data.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("d", [0.1, 1e-3])
+def test_shift_factor_matrix_is_bitwise_the_old_construction(monkeypatch, d):
+    system = fem.assemble_p1(fem.mesh_square(32), d=d)
+    factored = []
+    monkeypatch.setattr(expmv, "lu_factor", lambda A, symmetric: factored.append(A))
+    shifts = [1.0, 3.0, 1e-3 + 1e-9j, 1 + 1j, 1.8 + 4j, -0.5 - 3j, 2.0 - 0.0j]
+    shifts += list(pade_to_partial_fractions(pade45()).poles)
+    for tau_factor in (1.0, 10.0):
+        p = Pencil(tau_factor * system.mesh.h_bar, system.M, system.K)
+        for beta in shifts:
+            expmv._shift_factor(p, complex(beta), p.tau)
+            assert _bits(factored.pop()) == _bits(_old_shifted_matrix(p, complex(beta), p.tau))
 
 
 # --------------------------------------------------------------------------

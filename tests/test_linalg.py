@@ -64,6 +64,19 @@ def test_lu_rejects_singular():
         lu_factor(sp.csr_array(singular))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_lu_rejects_non_finite_entries(bad, symmetric):
+    A = sp.csr_array(np.eye(4) + np.diag([0.5, 0.5, 0.5], 1))
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="matrix contains NaN or Inf entries"):
+        lu_factor(A, symmetric=symmetric)
+    A = np.eye(4, dtype=complex)
+    A[3, 3] = complex(1.0, bad)
+    with pytest.raises(ValueError, match="matrix contains NaN or Inf entries"):
+        lu_factor(A, symmetric=symmetric)
+
+
 def test_lu_validates_shape_and_rhs():
     with pytest.raises(DimensionMismatch):
         lu_factor(np.zeros((3, 4)))
