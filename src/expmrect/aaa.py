@@ -224,10 +224,13 @@ def _filter_poles(poles, support, w, fsupp, rect, fscale):
     """Drop spurious poles: anything inside the rectangle, and Froissart
     doublets whose barycentric residue is negligible.
 
-    Raises ValueError naming ``rect`` when the residues cannot be evaluated
-    in floating point, as when a pole lies so close to a support point that
-    the squared distance underflows.
+    A pole equal to a support point lies on the rectangle's boundary and has
+    no finite residue, so it is dropped before the residues are evaluated.
+    Raises ValueError naming ``rect`` when the residues of the others cannot
+    be evaluated in floating point, as when a pole lies so close to a
+    support point that the squared distance underflows.
     """
+    poles = poles[~np.isin(poles, support)]
     keep = ~rect.contains(poles)
     diff = poles[:, None] - support[None, :]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -10,10 +10,12 @@ This module computes those extreme eigenvalues with ARPACK's ``eigsh`` at
 every size. One symmetric sparse factorization of M proves M positive
 definite by its pivot signs and then serves as the solve with M; the
 maximum of a symmetric part whose pivots prove it negative definite comes
-from shift-invert about 0. The module also assembles the safety-inflated
-rectangle, estimates the condition number of M, and certifies
-left-half-plane location. ``analyze_pencil`` computes the tau-independent
-part (extremes and condition estimate) once, for reuse across time steps.
+from shift-invert about 0. The same path encloses W(tau inv(M) K) itself
+through the pencil (K M, M M) (``plain_range_rectangle``, mode "i"). The
+module also assembles the safety-inflated rectangle, estimates the
+condition number of M, and certifies left-half-plane location.
+``analyze_pencil`` computes the tau-independent part (extremes and
+condition estimate) once, for reuse across time steps.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ __all__ = [
     "inflated_rectangle",
     "rectangle_from_extremes",
     "bounding_rectangle",
+    "plain_range_rectangle",
     "cond_estimate",
     "analyze_pencil",
     "is_lhp_certified",
@@ -355,6 +358,23 @@ def bounding_rectangle(
     ``inflated_rectangle``.
     """
     ext = raw_extremes(p.M, p.K, rel_resid_tol, seed=seed)
+    return rectangle_from_extremes(ext, p.tau, rel_resid_tol)
+
+
+def plain_range_rectangle(
+    p: Pencil,
+    rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
+    seed: int = 0,
+) -> BoundingRectangle:
+    """Rectangle enclosing W(tau inv(M) K) itself, without the similarity.
+
+    With x = M y, x* inv(M) K x / x* x = y* (K M) y / y* (M M) y, so
+    W(inv(M) K) is the numerical range of the sparse pencil (K M, M M),
+    whose mass M M is symmetric positive definite with M. ``raw_extremes``
+    encloses it like any other pencil, and the result is scaled and widened
+    by ``rectangle_from_extremes``.
+    """
+    ext = raw_extremes(p.M @ p.M, p.K @ p.M, rel_resid_tol, seed=seed)
     return rectangle_from_extremes(ext, p.tau, rel_resid_tol)
 
 

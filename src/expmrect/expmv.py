@@ -15,11 +15,12 @@ certificate holds. ``kappa_power`` defaults to 1/2, which is what the
 similarity argument supports; the strict value 1.0 is available for
 conservative replication of the coarser bound.
 
-Two region modes exist. Mode "ii" (default, any scale) bounds the numerical
-range of the symmetrized operator via the pencils of the symmetric and skew
-parts against M. Mode "i" (desk scale only) forms A = tau inv(M) K densely
-and rectangles W(A) itself; no kappa factor is needed but the rectangle may
-protrude far into the right half-plane when M mixes eigenvectors strongly.
+Two region modes exist; both enclose at any scale through ``bounds``.
+Mode "ii" (default) bounds the numerical range of the symmetrized operator
+via the pencils of the symmetric and skew parts against M. Mode "i"
+rectangles W(A) of A = tau inv(M) K itself; no kappa factor is needed but
+the rectangle may protrude far into the right half-plane when M mixes
+eigenvectors strongly.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .bounds import (
     PencilAnalysis,
     bounding_rectangle,
     cond_estimate,
-    inflated_rectangle,
+    plain_range_rectangle,
     rectangle_from_extremes,
 )
 from .errors import (
@@ -68,15 +69,13 @@ __all__ = [
     "ExpmvCertificate",
     "apply_partial_fraction",
     "apply_scaled_pade",
-    "dense_operator",
     "expmv_controlled",
     "expm_dense_oracle",
-    "plain_range_rectangle",
 ]
 
 CROUZEIX_CONSTANT = 1.0 + math.sqrt(2.0)
 AAA_SAMPLES_PER_SIDE = 125  # coarse grid for pole placement; refit gets the dense one
-ORACLE_CUTOFF = 3000  # largest n mode "i" and expm_dense_oracle accept
+ORACLE_CUTOFF = 3000  # largest n expm_dense_oracle accepts
 
 
 # --------------------------------------------------------------------------
@@ -192,7 +191,7 @@ class ExpmvRequest:
     b: np.ndarray
     eps: float
     method: str = "sub-pade"  # "sub-pade" | "rat-interp"
-    mode: str = "ii"  # "ii": pencil rectangles; "i": dense W(A) rectangle
+    mode: str = "ii"  # "ii": W of the symmetrized operator; "i": W(A) itself
     kappa_power: float = 0.5
     rel_resid_tol: float = 1e-3
     n_per_side: int = DEFAULT_SAMPLES_PER_SIDE
@@ -262,31 +261,6 @@ class ExpmvCertificate:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def dense_operator(p: Pencil) -> np.ndarray:
-    """A = tau inv(M) K as a dense array, for the desk-scale paths."""
-    return p.tau * lu_factor(p.M).solve(p.K.toarray())
-
-
-def plain_range_rectangle(p: Pencil, rel_resid_tol: float = 1e-3) -> BoundingRectangle:
-    """Rectangle around W(tau inv(M) K) itself, formed densely (mode "i").
-
-    Desk-scale only: A is materialized, so n may not exceed
-    ``ORACLE_CUTOFF``. Horizontal extent from the extreme
-    eigenvalues of the symmetric part, vertical from the largest singular
-    value of the skew part, widened by ``bounds.inflated_rectangle`` like
-    the pencil path.
-    """
-    n = p.n
-    if n > ORACLE_CUTOFF:
-        raise ValueError(f"plain-range mode forms A densely, n={n} exceeds {ORACLE_CUTOFF}")
-    A = dense_operator(p)
-    H = 0.5 * (A + A.T)
-    W = 0.5 * (A - A.T)
-    w = np.linalg.eigvalsh(H)
-    nu = float(np.linalg.svd(W, compute_uv=False)[0]) if n > 1 else 0.0
-    return inflated_rectangle(float(w[0]), float(w[-1]), nu, rel_resid_tol)
-
-
 def _attach_context(exc, rect, kappa, target, req):
     exc.context.update(
         {
@@ -315,7 +289,7 @@ def expmv_controlled(req: ExpmvRequest) -> tuple[np.ndarray, ExpmvCertificate]:
         raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
 
     if req.mode == "i":
-        rect = plain_range_rectangle(p, req.rel_resid_tol)
+        rect = plain_range_rectangle(p, req.rel_resid_tol, seed=req.seed)
         kappa_safe = 1.0
     elif req.analysis is not None:
         rect = rectangle_from_extremes(req.analysis.extremes, p.tau, req.rel_resid_tol)

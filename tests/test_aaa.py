@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from expmrect.aaa import (
     _DDAccumulator,
     _conjugate_permutation,
+    _filter_poles,
     _symmetrize_poles,
     _two_prod,
     _two_sum,
@@ -316,6 +317,28 @@ def test_aaa_degenerate_rectangle_fails_typed_and_names_it(nu_max, where):
         with pytest.raises(ValueError, match=f"{where} is not finite on BoundingRectangle") as info:
             aaa_poles(boundary_samples(rect, 20), 1e-2)
     assert repr(rect) in str(info.value)
+
+
+def test_filter_poles_drops_a_pole_on_a_support_point():
+    # its residue is NaN; evaluating it first would fail the whole fit
+    support = boundary_samples(GOLDEN_RECT, 4).samples
+    w = np.linspace(1.0, 2.0, support.size).astype(complex)
+    poles = np.array([support[2], 3.0 + 0.0j])
+    kept = _filter_poles(poles, support, w, np.exp(support), GOLDEN_RECT, 1.0)
+    assert np.array_equal(kept, poles[1:])
+
+
+def test_aaa_pole_on_a_support_point_is_not_fatal():
+    # the mode-"i" rectangle of star/4 d=1e-3, tau=30h, where a pole landed
+    # exactly on the support point at mu_max and AAA raised ValueError
+    rect = BoundingRectangle(mu_min=-65.67238866668586, mu_max=11.845887824377824,
+                             nu_min=-153.196183971747, nu_max=153.196183971747,
+                             inflation=0.002)
+    try:
+        poles = aaa_poles(boundary_samples(rect, 125), 1e-8 / CROUZEIX_CONSTANT, 128)
+    except DegreeExhausted:
+        return
+    assert not np.any(rect.contains(poles))
 
 
 def test_aaa_exact_real_segment_gives_its_poles_without_warning():

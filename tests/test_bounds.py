@@ -24,6 +24,7 @@ from expmrect.bounds import (
     bounding_rectangle,
     cond_estimate,
     is_lhp_certified,
+    plain_range_rectangle,
     raw_extremes,
     rectangle_from_extremes,
     split,
@@ -312,6 +313,33 @@ def test_advection_diffusion_rectangle_is_lhp(square_pencil_8):
     assert not is_lhp_certified(
         BoundingRectangle(mu_min=-1.0, mu_max=0.1, nu_min=0.0, nu_max=0.0)
     )
+
+
+def _dense_plain_range_edges(p):
+    A = p.tau * np.linalg.solve(p.M.toarray(), p.K.toarray())
+    w = np.linalg.eigvalsh(0.5 * (A + A.T))
+    nu = np.linalg.svd(0.5 * (A - A.T), compute_uv=False)[0]
+    return float(w[0]), float(w[-1]), float(nu)
+
+
+@pytest.mark.parametrize("domain, size, d, tau_factor", [
+    *[("square", 16, d, tf) for d in (1e-1, 1e-3) for tf in (1.0, 10.0)],
+    ("star", 2, 1e-1, 1.0),
+    ("star", 2, 1e-3, 10.0),
+])
+def test_plain_range_rectangle_matches_dense_range_of_a(domain, size, d, tau_factor):
+    # mode "i" encloses W(tau inv(M) K) through the pencil (K M, M M); its
+    # edges before inflation are those of A's symmetric and skew parts, and
+    # W(A) reaches into the right half plane on the advective pencils
+    mesh = fem.mesh_square(size) if domain == "square" else fem.mesh_star(refine=size)
+    s = fem.assemble_p1(mesh, d=d, domain=domain)
+    p = Pencil(tau_factor * mesh.h_bar, s.M, s.K)
+    ext = raw_extremes(p.M @ p.M, p.K @ p.M)
+    got = [p.tau * e for e in (ext.mu_min, ext.mu_max, ext.nu_max)]
+    for g, want in zip(got, _dense_plain_range_edges(p)):
+        assert math.isclose(g, want, rel_tol=1e-10)
+    assert (got[1] > 0.0) == (d == 1e-3)
+    assert plain_range_rectangle(p) == rectangle_from_extremes(ext, p.tau)
 
 
 # --------------------------------------------------------------------------

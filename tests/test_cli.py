@@ -148,7 +148,7 @@ def test_sweep_deterministic_bytes(tmp_path):
         "tau_factors": [1.0],
         "eps": [1e-2, 1e-4],
         "methods": ["sub-pade", "rat-interp"],
-        "modes": ["ii"],
+        "modes": ["ii", "i"],
         "verify": True,
     }
     cfg = tmp_path / "cfg.json"
@@ -159,7 +159,7 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()
     assert lines[0].split(",") == cli.SWEEP_COLUMNS
-    assert len(lines) == 1 + 4  # header + 2 methods x 2 eps
+    assert len(lines) == 1 + 8  # header + 2 methods x 2 modes x 2 eps
     for line in lines[1:]:
         fields = dict(zip(cli.SWEEP_COLUMNS, line.split(",")))
         assert fields["status"] == "ok"
@@ -284,18 +284,15 @@ def test_sweep_verifies_beyond_dense_size():
 
 def test_sweep_verify_forms_no_dense_operator(monkeypatch):
     calls = []
+    original = expmv.expm_dense_oracle
 
-    def counted(name, original):
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-        return wrapper
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    for name in ("dense_operator", "expm_dense_oracle"):
-        wrapper = counted(name, getattr(expmv, name))
-        for module in (cli, expmv):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapper)
+    for module in (cli, expmv):
+        if hasattr(module, "expm_dense_oracle"):
+            monkeypatch.setattr(module, "expm_dense_oracle", counted)
     rows = cli.run_sweep({
         "systems": [{"domain": "square", "divisions": 8, "d": 1e-1}],
         "eps": [1e-6],
@@ -334,10 +331,11 @@ def test_sweep_empty_systems_header_only(tmp_path):
     assert out.read_text().splitlines() == [",".join(cli.SWEEP_COLUMNS)]
 
 
-@pytest.mark.parametrize("command", ["bound", "expmv"])
+@pytest.mark.parametrize("command", [("bound",), ("expmv",), ("expmv", "--mode", "i")],
+                         ids=["bound", "expmv", "expmv-mode-i"])
 def test_one_unknown_fails_cleanly(command, capsys):
     # a 2-division square has one interior vertex, too few for eigsh
-    rc = run_cli(command, "--domain", "square", "--divisions", "2")
+    rc = run_cli(*command, "--domain", "square", "--divisions", "2")
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ValueError: ") and "n=1" in err[0]
@@ -352,14 +350,23 @@ def test_main_reports_package_errors(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("--eps", "2"), "eps must lie in"),
-    (("--mode", "i", "--divisions", "56"), "plain-range mode forms A densely"),
 ])
 def test_main_reports_request_errors(argv, message, capsys):
-    # 56 divisions give n = 3025, beyond the ORACLE_CUTOFF that mode "i" needs
     rc = run_cli("expmv", "--domain", "square", *argv)
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError: ") and message in err
+
+
+def test_mode_i_runs_beyond_dense_size(tmp_path):
+    # 56 divisions give n = 3025, above ORACLE_CUTOFF: mode "i" forms no
+    # dense matrix
+    run = tmp_path / "run"
+    assert run_cli("expmv", "--domain", "square", "--divisions", "56", "--mode", "i",
+                   "--verify", "--out", str(run)) == 0
+    row = dict(zip(cli.SWEEP_COLUMNS, (run / "run.csv").read_text().splitlines()[1].split(",")))
+    assert row["n"] == "3025" and row["mode"] == "i" and row["status"] == "ok"
+    assert float(row["measured_error"]) <= float(row["certified_bound"]) <= 1e-6
 
 
 def test_sweep_rejects_unknown_config_key(tmp_path, capsys):

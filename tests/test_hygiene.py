@@ -134,6 +134,14 @@ def test_only_linalg_calls_superlu(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_bounds_calls_an_eigensolver(path):
+    # every rectangle and condition estimate comes from one eigensolver path
+    if path.name != "bounds.py":
+        found = re.findall(r"\beig(?:sh|valsh)\b", path.read_text())
+        assert not found, f"{path.name} calls {sorted(set(found))} outside bounds"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_bounds_decides_rectangle_symmetry(path):
     # BoundingRectangle guarantees nu_min == -nu_max; a second test of it
     # elsewhere would be a fallback for rectangles that cannot exist

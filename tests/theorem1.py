@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from expmrect.bounds import Pencil
-from expmrect.expmv import CROUZEIX_CONSTANT, dense_operator
+from expmrect.expmv import CROUZEIX_CONSTANT
 from expmrect.rational import CertifiedApproximant
 
 
@@ -51,7 +51,7 @@ def theorem1_bound_check(p: Pencil, cert: CertifiedApproximant,
     n = p.n
     if n > size_cap:
         raise ValueError(f"bound check is desk-scale only (n <= {size_cap})")
-    A = dense_operator(p)
+    A = p.tau * np.linalg.solve(p.M.toarray(), p.K.toarray())
     R = _rational_matrix(cert, A)
     E = scipy.linalg.expm(A)
     lhs = float(np.linalg.norm(R - E, 2))
