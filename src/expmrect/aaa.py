@@ -41,6 +41,7 @@ from .rational import (
 __all__ = ["aaa_poles", "refit_partial_fractions"]
 
 FROISSART_RTOL = 1e-13
+M_MAX = 128  # degree cap of the greedy fit
 MAX_DOUBLINGS = 4  # boundary-density doublings while the AAA degree settles
 MAX_REFINEMENTS = 4  # double-double refinement steps of the least-squares refit
 
@@ -71,30 +72,16 @@ def _two_prod(a, b):
     return p, err
 
 
-class _DDAccumulator:
-    """Vector of double-double sums: hi + lo holds the running value."""
-
-    def __init__(self, init: np.ndarray):
-        self.hi = np.array(init, dtype=float)
-        self.lo = np.zeros_like(self.hi)
-
-    def add_product(self, a: np.ndarray, b, sign: float = 1.0):
-        p, pe = _two_prod(a, sign * b)
-        s, e = _two_sum(self.hi, p)
-        self.hi = s
-        self.lo = self.lo + (e + pe)
-
-    def value(self) -> np.ndarray:
-        return self.hi + self.lo
-
-
 def _dd_residual(A: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """rhs - A @ x for real A and x, with products and sums carried in
-    double-double."""
-    acc = _DDAccumulator(rhs)
+    double-double: hi + lo holds the running value."""
+    hi = np.array(rhs, dtype=float)
+    lo = np.zeros_like(hi)
     for k in range(A.shape[1]):
-        acc.add_product(A[:, k], float(x[k]), -1.0)
-    return acc.value()
+        p, pe = _two_prod(A[:, k], -float(x[k]))
+        hi, e = _two_sum(hi, p)
+        lo = lo + (e + pe)
+    return hi + lo
 
 
 # --------------------------------------------------------------------------
@@ -154,7 +141,7 @@ def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int, re
     """Greedy fit on a fixed sample set of the rectangle ``rect``, which must
     be exactly closed under conjugation (ValueError otherwise).
 
-    Returns (poles, support, fsupp, weights, max_err). The number of poles
+    Returns (poles, support, fsupp, weights). The number of poles
     is one less than the number of support points. Raises ``DegreeExhausted``
     when the cap is hit, or every sample has become a support point, with the
     sample error still above ``tol``. Raises ValueError naming ``rect`` when
@@ -175,7 +162,7 @@ def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int, re
     support_conj: list[int] = []  # position of each support point's conjugate
     err = float(np.max(np.abs(F - R)))
     if err <= tol:
-        return np.empty(0, dtype=complex), support, fsupp, w, err
+        return np.empty(0, dtype=complex), support, fsupp, w
     while True:
         j = int(np.argmax(np.where(mask, np.abs(F - R), -np.inf)))
         j2 = int(conj_index[j])
@@ -217,7 +204,7 @@ def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int, re
             f"greedy interpolation {reached} with sample error {err:.3e} > {tol:.3e}",
             context={"max_poles": int(max_poles), "sample_error": err},
         )
-    return _barycentric_poles(support, w), support, fsupp, w, err
+    return _barycentric_poles(support, w), support, fsupp, w
 
 
 def _filter_poles(poles, support, w, fsupp, rect, fscale):
@@ -277,7 +264,7 @@ def _symmetrize_poles(poles: np.ndarray) -> np.ndarray:
 def aaa_poles(
     boundary: RegionBoundary,
     target: float,
-    m_max: int = 128,
+    m_max: int = M_MAX,
 ) -> np.ndarray:
     """Pole set for a rational approximant of exp on the boundary's rectangle.
 
@@ -300,7 +287,7 @@ def aaa_poles(
         b = boundary_samples(rect, n)
         Z = b.samples
         F = np.exp(Z)
-        raw, support, fsupp, w, _ = _aaa_on_samples(Z, F, tol, m_max, rect)
+        raw, support, fsupp, w = _aaa_on_samples(Z, F, tol, m_max, rect)
         fscale = float(np.max(np.abs(F)))
         poles = _symmetrize_poles(_filter_poles(raw, support, w, fsupp, rect, fscale))
         poles = poles[~rect.contains(poles)]

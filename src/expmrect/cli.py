@@ -395,6 +395,10 @@ def _add_system_args(sub):
     sub.add_argument("--m", help="mass matrix file (Matrix Market)")
     sub.add_argument("--k", help="stiffness matrix file (Matrix Market)")
     sub.add_argument("--b", help="initial vector file (one value per line)")
+    _add_generator_args(sub)
+
+
+def _add_generator_args(sub):
     sub.add_argument("--domain", choices=["square", "star"], default="square")
     sub.add_argument("--divisions", type=int, default=32, help="square grid divisions")
     sub.add_argument("--refine", type=int, default=4, help="star refinement rounds")
@@ -418,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     g = subs.add_parser("generate", help="build and write a FEM test system")
-    _add_system_args(g)
+    _add_generator_args(g)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True, help="output directory")
     g.set_defaults(func=cmd_generate)

@@ -30,11 +30,6 @@ class NoConvergence(ExpmrectError):
     """An iteration reached its budget without meeting its tolerance."""
 
 
-class RepeatedRoots(ExpmrectError):
-    """A denominator has (numerically) repeated roots, so the partial
-    fraction form does not exist."""
-
-
 class PoleInsideRegion(ExpmrectError):
     """A rational function has a pole inside or on the target rectangle."""
 

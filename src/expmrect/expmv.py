@@ -5,15 +5,14 @@ pipeline: bound the numerical range of the mass-symmetrized operator by a
 rectangle, estimate the condition number of M, derive the scalar
 approximation target
 
-    target = eps / ((1 + sqrt(2)) * kappa_safe ** kappa_power),
+    target = eps / ((1 + sqrt(2)) * kappa_safe ** 0.5),
 
 construct a rational approximant r certified below that target on the
 rectangle, and apply r through shifted pencil solves. Because the rectangle
 encloses the numerical range and that range is a (1 + sqrt(2))-spectral set,
 the result satisfies ||x - exp(tau inv(M) K) b|| <= eps * ||b|| whenever the
-certificate holds. ``kappa_power`` defaults to 1/2, which is what the
-similarity argument supports; the strict value 1.0 is available for
-conservative replication of the coarser bound.
+certificate holds. The power 1/2 (``KAPPA_POWER``) is exact: the similarity
+A_hat = M^(1/2) A M^(-1/2) costs the factor kappa(M)^(1/2) and no more.
 
 Two region modes exist; both enclose at any scale through ``bounds``.
 Mode "ii" (default) bounds the numerical range of the symmetrized operator
@@ -26,12 +25,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .aaa import aaa_poles, refit_partial_fractions
+from .aaa import M_MAX, aaa_poles, refit_partial_fractions
 from .bounds import (
     BoundingRectangle,
     Pencil,
@@ -53,11 +52,12 @@ from .linalg import lu_factor
 from .rational import (
     CertifiedApproximant,
     DEFAULT_SAMPLES_PER_SIDE,
+    PADE45_CORE,
+    S_MAX,
     PadeRational,
     PartialFractionRational,
     boundary_samples,
     pade45,
-    pade_to_partial_fractions,
     select_scaling,
     sup_error_on_rectangle,
 )
@@ -74,6 +74,7 @@ __all__ = [
 ]
 
 CROUZEIX_CONSTANT = 1.0 + math.sqrt(2.0)
+KAPPA_POWER = 0.5  # the similarity transform's exact cost: kappa(M)**(1/2)
 AAA_SAMPLES_PER_SIDE = 125  # coarse grid for pole placement; refit gets the dense one
 ORACLE_CUTOFF = 3000  # largest n expm_dense_oracle accepts
 
@@ -156,7 +157,6 @@ def apply_scaled_pade(pade: PadeRational, p: Pencil, b: np.ndarray) -> np.ndarra
     """
     if b.shape[0] != p.n:
         raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
-    pf = pade_to_partial_fractions(pade)
     tau_step = p.tau / pade.scaling
     factors: dict = {}
 
@@ -168,7 +168,7 @@ def apply_scaled_pade(pade: PadeRational, p: Pencil, b: np.ndarray) -> np.ndarra
 
     x = np.asarray(b)
     for _ in range(pade.scaling):
-        x = _pf_apply(pf, p, x, factor)
+        x = _pf_apply(PADE45_CORE, p, x, factor)
     return x
 
 
@@ -185,6 +185,11 @@ class ExpmvRequest:
     enclosing again. It must be of this pencil's M and K and computed with
     this request's ``rel_resid_tol`` and ``seed``, or the request raises
     ValueError.
+
+    ``kappa_power``, ``n_per_side``, ``s_max`` and ``m_max`` are fixed, not
+    arguments. They hold the driver's ``KAPPA_POWER``, its boundary sampling
+    density ``DEFAULT_SAMPLES_PER_SIDE``, and the caps ``S_MAX`` on the Pade
+    scaling and ``M_MAX`` on the AAA degree.
     """
 
     pencil: Pencil
@@ -192,11 +197,11 @@ class ExpmvRequest:
     eps: float
     method: str = "sub-pade"  # "sub-pade" | "rat-interp"
     mode: str = "ii"  # "ii": W of the symmetrized operator; "i": W(A) itself
-    kappa_power: float = 0.5
+    kappa_power: float = field(default=KAPPA_POWER, init=False)
     rel_resid_tol: float = 1e-3
-    n_per_side: int = DEFAULT_SAMPLES_PER_SIDE
-    s_max: int = 64
-    m_max: int = 128
+    n_per_side: int = field(default=DEFAULT_SAMPLES_PER_SIDE, init=False)
+    s_max: int = field(default=S_MAX, init=False)
+    m_max: int = field(default=M_MAX, init=False)
     seed: int = 0
     analysis: PencilAnalysis | None = None
 
@@ -207,8 +212,6 @@ class ExpmvRequest:
             raise ValueError(f"unknown method {self.method!r}")
         if self.mode not in ("i", "ii"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.kappa_power not in (0.5, 1.0):
-            raise ValueError("kappa_power must be 0.5 or 1.0")
         if not np.all(np.isfinite(self.b)):
             raise ValueError("b contains NaN or Inf entries")
         if self.analysis is not None:
@@ -297,17 +300,17 @@ def expmv_controlled(req: ExpmvRequest) -> tuple[np.ndarray, ExpmvCertificate]:
     else:
         rect = bounding_rectangle(p, req.rel_resid_tol, seed=req.seed)
         kappa_safe = cond_estimate(p.M, req.rel_resid_tol, seed=req.seed).kappa_safe
-    target = req.eps / (CROUZEIX_CONSTANT * kappa_safe**req.kappa_power)
+    target = req.eps / (CROUZEIX_CONSTANT * kappa_safe**KAPPA_POWER)
 
     if req.method == "sub-pade":
         try:
-            s = select_scaling(rect, target, req.s_max, req.n_per_side)
+            s = select_scaling(rect, target)
         except ScalingExhausted as exc:
             raise _attach_context(exc, rect, kappa_safe, target, req)
         pade = pade45(scaling=s)
-        achieved = sup_error_on_rectangle(pade, rect, req.n_per_side)
+        achieved = sup_error_on_rectangle(pade, rect)
         cert_form = CertifiedApproximant(
-            form=pade_to_partial_fractions(pade),
+            form=PADE45_CORE,
             sup_error_estimate=achieved,
             target=target,
             method="sub-pade",
@@ -315,18 +318,16 @@ def expmv_controlled(req: ExpmvRequest) -> tuple[np.ndarray, ExpmvCertificate]:
         )
         x = apply_scaled_pade(pade, p, b)
     else:
-        aaa_boundary = boundary_samples(rect, min(AAA_SAMPLES_PER_SIDE, req.n_per_side))
         try:
-            poles = aaa_poles(aaa_boundary, target, req.m_max)
-            fit_boundary = boundary_samples(rect, req.n_per_side)
-            cert_form = refit_partial_fractions(poles, fit_boundary, target)
+            poles = aaa_poles(boundary_samples(rect, AAA_SAMPLES_PER_SIDE), target)
+            cert_form = refit_partial_fractions(poles, boundary_samples(rect), target)
         except (DegreeExhausted, RefitFailed) as exc:
             raise _attach_context(exc, rect, kappa_safe, target, req)
         x = apply_partial_fraction(cert_form.form, p, b)
     cert = ExpmvCertificate(
         rectangle=rect,
         kappa_safe=kappa_safe,
-        kappa_power=req.kappa_power,
+        kappa_power=KAPPA_POWER,
         scalar_target=target,
         achieved_bound=cert_form.sup_error_estimate,
         degree=cert_form.degree,

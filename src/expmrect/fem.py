@@ -151,10 +151,16 @@ def mesh_square(divisions: int) -> TriMesh:
 # star polygon
 # --------------------------------------------------------------------------
 
-def _star_outline(points: int, r_outer: float, r_inner: float) -> np.ndarray:
-    k = np.arange(2 * points)
-    ang = np.pi / 2 + np.pi * k / points
-    rad = np.where(k % 2 == 0, r_outer, r_inner)
+STAR_POINTS = 5
+STAR_R_OUTER = 2.0
+STAR_R_INNER = 0.8
+STAR_SMOOTHING_SWEEPS = 8
+
+
+def _star_outline() -> np.ndarray:
+    k = np.arange(2 * STAR_POINTS)
+    ang = np.pi / 2 + np.pi * k / STAR_POINTS
+    rad = np.where(k % 2 == 0, STAR_R_OUTER, STAR_R_INNER)
     return np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
 
 
@@ -266,31 +272,23 @@ def _smooth(vertices: np.ndarray, triangles: np.ndarray, edges: np.ndarray,
     return pts
 
 
-def mesh_star(
-    points: int = 5,
-    r_outer: float = 2.0,
-    r_inner: float = 0.8,
-    refine: int = 0,
-    smoothing_sweeps: int = 8,
-) -> TriMesh:
-    """Triangulated star polygon centered at the origin.
+def mesh_star(refine: int = 0) -> TriMesh:
+    """Triangulated five-pointed star polygon centered at the origin.
 
-    The outline alternates ``points`` outer and inner radii; ear clipping
-    produces a coarse triangulation which is refined ``refine`` times by
-    midpoint subdivision (each round quadruples the triangle count, new
-    boundary vertices stay on the polygon edges exactly) and then smoothed.
+    The outline alternates ``STAR_POINTS`` outer and inner radii
+    (``STAR_R_OUTER`` and ``STAR_R_INNER``); ear clipping produces a coarse
+    triangulation which is refined ``refine`` times by midpoint subdivision
+    (each round quadruples the triangle count, new boundary vertices stay on
+    the polygon edges exactly) and then smoothed by at most
+    ``STAR_SMOOTHING_SWEEPS`` sweeps.
     """
-    if points < 3:
-        raise ValueError("a star needs at least 3 points")
-    if not (0.0 < r_inner < r_outer):
-        raise ValueError("need 0 < r_inner < r_outer")
-    outline = _star_outline(points, r_outer, r_inner)
+    outline = _star_outline()
     tris = _ear_clip(outline)
     verts = outline.copy()
     for _ in range(refine):
         verts, tris = _refine_once(verts, tris)
     edges, boundary = _edge_table(tris, verts.shape[0])
-    verts = _smooth(verts, tris, edges, boundary, smoothing_sweeps)
+    verts = _smooth(verts, tris, edges, boundary, STAR_SMOOTHING_SWEEPS)
     return _make_mesh(verts, tris, edges, boundary)
 
 

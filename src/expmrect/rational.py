@@ -31,17 +31,18 @@ from .bounds import BoundingRectangle
 from .errors import (
     PoleEvaluation,
     PoleInsideRegion,
-    RepeatedRoots,
     ScalingExhausted,
 )
 
 __all__ = [
+    "PADE45_CORE",
+    "PADE45_DEN",
+    "PADE45_NUM",
     "PadeRational",
     "PartialFractionRational",
     "RegionBoundary",
     "CertifiedApproximant",
     "pade45",
-    "pade_to_partial_fractions",
     "boundary_samples",
     "sup_error_on_rectangle",
     "select_scaling",
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES_PER_SIDE = 500
+S_MAX = 64  # largest scaling select_scaling tries
 SAMPLING_SAFETY = 1.1
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -57,47 +59,36 @@ UNIT_ROUNDOFF = 2.0**-53
 # subdiagonal (4, 5) Pade approximant of exp
 # --------------------------------------------------------------------------
 
-def _pade45_coefficients() -> tuple[np.ndarray, np.ndarray]:
-    # Closed form for the (4,5) Pade approximant of exp: numerator degree 4,
-    # denominator degree 5, coefficients in ascending order.
-    p = [
-        factorial(9 - j) * factorial(4) / (factorial(9) * factorial(j) * factorial(4 - j))
-        for j in range(5)
-    ]
-    q = [
-        (-1) ** j
-        * factorial(9 - j)
-        * factorial(5)
-        / (factorial(9) * factorial(j) * factorial(5 - j))
-        for j in range(6)
-    ]
-    return np.array(p), np.array(q)
+# Closed form for the (4,5) Pade approximant of exp: numerator degree 4,
+# denominator degree 5, coefficients in ascending order, p(0) = q(0) = 1.
+PADE45_NUM = np.array([
+    factorial(9 - j) * factorial(4) / (factorial(9) * factorial(j) * factorial(4 - j))
+    for j in range(5)
+])
+PADE45_DEN = np.array([
+    (-1) ** j * factorial(9 - j) * factorial(5) / (factorial(9) * factorial(j) * factorial(5 - j))
+    for j in range(6)
+])
 
 
 @dataclass(frozen=True)
 class PadeRational:
     """The (4,5) Pade approximant of exp, optionally scaled-and-powered.
 
-    Represents r(z) = (p(z/s)/q(z/s))**s with ``scaling`` = s >= 1. The
-    coefficient arrays are ascending-order polynomial coefficients with
-    p(0) = q(0) = 1.
+    Represents r(z) = (p(z/s)/q(z/s))**s with ``scaling`` = s >= 1, where p
+    and q have the coefficients ``PADE45_NUM`` and ``PADE45_DEN``.
     """
 
-    num: np.ndarray
-    den: np.ndarray
     scaling: int = 1
 
     def __post_init__(self):
         if self.scaling < 1:
             raise ValueError("scaling must be a positive integer")
-        if not (self.num[0] == 1.0 and self.den[0] == 1.0):
-            raise ValueError("Pade coefficients must be normalized with p(0)=q(0)=1")
 
 
 def pade45(scaling: int = 1) -> PadeRational:
     """Construct the (4,5) Pade approximant of exp with the given scaling."""
-    p, q = _pade45_coefficients()
-    return PadeRational(num=p, den=q, scaling=int(scaling))
+    return PadeRational(scaling=int(scaling))
 
 
 # --------------------------------------------------------------------------
@@ -169,24 +160,18 @@ def classify_conjugate_poles(poles: np.ndarray):
     return real_idx, pairs
 
 
-def pade_to_partial_fractions(pade: PadeRational) -> PartialFractionRational:
-    """Partial fraction form of the unscaled (4,5) core rational p/q.
-
-    The denominator roots of the subdiagonal approximant are simple (one
-    real, two conjugate pairs, all with positive real part); the caller is
-    responsible for applying any outer scaling-and-powering. Raises
-    ``RepeatedRoots`` if two roots coincide to within 1e-8.
-    """
-    roots = np.roots(pade.den[::-1])
-    if roots.size > 1:
-        dists = np.abs(roots[:, None] - roots[None, :])
-        np.fill_diagonal(dists, np.inf)
-        if dists.min() < 1e-8:
-            raise RepeatedRoots("denominator roots closer than 1e-8")
-    dq = npoly.polyder(pade.den)
-    weights = -npoly.polyval(roots, pade.num) / npoly.polyval(roots, dq)
+def _pade45_core() -> PartialFractionRational:
+    # The denominator roots are simple: one real and two conjugate pairs, all
+    # with positive real part.
+    roots = np.roots(PADE45_DEN[::-1])
+    weights = -npoly.polyval(roots, PADE45_NUM) / npoly.polyval(roots, npoly.polyder(PADE45_DEN))
     order = np.lexsort((roots.imag, roots.real))
     return PartialFractionRational(gamma=0.0, poles=roots[order], weights=weights[order])
+
+
+# Partial fraction form of the unscaled (4,5) core p/q; any outer scaling and
+# powering is the caller's.
+PADE45_CORE = _pade45_core()
 
 
 # --------------------------------------------------------------------------
@@ -249,8 +234,7 @@ def boundary_samples(rect, n_per_side: int = DEFAULT_SAMPLES_PER_SIDE) -> Region
 
 def _effective_poles(r) -> np.ndarray:
     if isinstance(r, PadeRational):
-        base = np.roots(r.den[::-1])
-        return r.scaling * base
+        return r.scaling * PADE45_CORE.poles
     if isinstance(r, PartialFractionRational):
         return r.poles
     raise TypeError(f"not a rational form: {type(r)!r}")
@@ -280,10 +264,10 @@ def eval_rational(r, z):
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     if isinstance(r, PadeRational):
         w = zz / r.scaling
-        den = npoly.polyval(w, r.den)
+        den = npoly.polyval(w, PADE45_DEN)
         if np.any(np.abs(den) == 0.0):
             raise PoleEvaluation("evaluation point coincides with a pole")
-        vals = (npoly.polyval(w, r.num) / den) ** r.scaling
+        vals = (npoly.polyval(w, PADE45_NUM) / den) ** r.scaling
     elif isinstance(r, PartialFractionRational):
         vals = _eval_pf(r, zz)
     else:
@@ -332,7 +316,7 @@ def _rounding(r, samples: np.ndarray) -> float:
 def select_scaling(
     rect,
     target: float,
-    s_max: int = 64,
+    s_max: int = S_MAX,
     n_per_side: int = DEFAULT_SAMPLES_PER_SIDE,
 ) -> int:
     """Smallest scaling s <= s_max with certified Pade error below target.

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expmrect.aaa import (
-    _DDAccumulator,
     _conjugate_permutation,
+    _dd_residual,
     _filter_poles,
     _symmetrize_poles,
     _two_prod,
@@ -67,20 +67,18 @@ def test_two_prod_is_exact(a, b):
 def test_dd_accumulator_beats_naive_summation():
     # alternating huge/tiny/-huge terms whose exact sum is 11; plain float64
     # accumulation swallows every one of the tiny contributions
-    acc = _DDAccumulator(np.zeros(1))
+    terms = np.array([[1e16, 1.0, -1e16] * 11])
     naive = 0.0
-    for _ in range(11):
-        for term in (1e16, 1.0, -1e16):
-            acc.add_product(np.array([term]), 1.0)
-            naive += term
-    assert float(acc.value()[0]) == 11.0
+    for term in terms[0]:
+        naive += term
+    assert float(_dd_residual(terms, -np.ones(terms.shape[1]), np.zeros(1))[0]) == 11.0
     assert naive == 0.0
 
 
 def test_dd_accumulator_product_terms():
-    acc = _DDAccumulator(np.array([-1e16]))
-    acc.add_product(np.array([1e8 + 1.0]), 1e8 - 1.0)  # exact: 1e16 - 1
-    assert float(acc.value()[0]) == -1.0
+    # -1e16 - (1e8 + 1) * -(1e8 - 1), exactly -1
+    got = _dd_residual(np.array([[1e8 + 1.0]]), np.array([-(1e8 - 1.0)]), np.array([-1e16]))
+    assert float(got[0]) == -1.0
 
 
 # --------------------------------------------------------------------------

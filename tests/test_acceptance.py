@@ -38,12 +38,14 @@ from expmrect.expmv import (
 )
 from expmrect.linalg import lu_factor, norm2
 from expmrect.rational import (
+    PADE45_CORE,
+    PADE45_DEN,
+    PADE45_NUM,
     CertifiedApproximant,
     boundary_samples,
     classify_conjugate_poles,
     eval_rational,
     pade45,
-    pade_to_partial_fractions,
     select_scaling,
     sup_error_on_rectangle,
 )
@@ -252,7 +254,7 @@ def _certified_form(p: Pencil, eps: float, method: str) -> CertifiedApproximant:
     if method == "sub-pade":
         s = select_scaling(rect, target)
         return CertifiedApproximant(
-            form=pade_to_partial_fractions(pade45()),
+            form=PADE45_CORE,
             sup_error_estimate=sup_error_on_rectangle(pade45(s), rect),
             target=target,
             method="sub-pade",
@@ -336,12 +338,12 @@ def test_criterion_7_scalar_golden_values():
     """Pade gap at 1, partial-fraction agreement, AAA certified degree."""
     problems = []
     r = pade45()
-    num = np.polynomial.polynomial.polyval(1.0, r.num)
-    den = np.polynomial.polynomial.polyval(1.0, r.den)
+    num = np.polynomial.polynomial.polyval(1.0, PADE45_NUM)
+    den = np.polynomial.polynomial.polyval(1.0, PADE45_DEN)
     gap = abs(math.e - num / den)
     if not (1e-9 <= gap <= 1e-8):
         problems.append(f"|e - r45(1)| = {gap:.6e} outside [1e-9, 1e-8]")
-    pf = pade_to_partial_fractions(r)
+    pf = PADE45_CORE
     pts = np.array([0.0, 1.0, -1.0, 1j, -10.0], dtype=complex)
     agreement = float(np.max(np.abs(eval_rational(r, pts) - eval_rational(pf, pts))))
     if agreement > 1e-12:

@@ -45,6 +45,18 @@ def test_generate_star_params(tmp_path):
     assert params["n_triangles"] == 128
 
 
+@pytest.mark.parametrize("flag", ["--m", "--k", "--b"])
+def test_generate_rejects_file_flags(tmp_path, flag):
+    # generate builds its system from the generator flags alone, so a file
+    # flag is a usage error, not silently ignored
+    out = tmp_path / "sys"
+    with pytest.raises(SystemExit) as ei:
+        run_cli("generate", flag, str(tmp_path / "missing"), "--domain", "square",
+                "--divisions", "4", "--out", str(out))
+    assert ei.value.code == 2
+    assert not out.exists()
+
+
 def test_bound_reports_lhp_rectangle(tmp_path, capsys):
     rc = run_cli("bound", "--domain", "square", "--divisions", "8",
                  "--out", str(tmp_path))

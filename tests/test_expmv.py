@@ -6,6 +6,7 @@ the code path being tested.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import weakref
 
@@ -25,7 +26,7 @@ from expmrect.expmv import (
     expmv_controlled,
 )
 from expmrect.linalg import LuFactor, lu_factor
-from expmrect.rational import boundary_samples, pade45, pade_to_partial_fractions
+from expmrect.rational import PADE45_CORE, boundary_samples, pade45
 
 from conftest import random_nonsym_sparse, random_spd_sparse
 from theorem1 import theorem1_bound_check
@@ -82,7 +83,7 @@ def test_oracle_validates_input(monkeypatch):
 
 def test_apply_partial_fraction_matches_dense(square_pencil_8):
     p = square_pencil_8
-    pf = pade_to_partial_fractions(pade45())
+    pf = PADE45_CORE
     rng = np.random.default_rng(5)
     b = rng.standard_normal(p.n)
     got = apply_partial_fraction(pf, p, b)
@@ -101,7 +102,7 @@ def test_apply_complex_vector_matches_dense(square_pencil_8):
     rng = np.random.default_rng(6)
     b = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
     A = _dense_A(p)
-    pf = pade_to_partial_fractions(pade45())
+    pf = PADE45_CORE
     I = np.eye(p.n)
 
     def pf_matrix(step):
@@ -121,7 +122,7 @@ def test_apply_scaled_pade_matches_dense_power(square_pencil_8):
     b = rng.standard_normal(p.n)
     got = apply_scaled_pade(pade, p, b)
     A = _dense_A(p)
-    pf = pade_to_partial_fractions(pade45())
+    pf = PADE45_CORE
     I = np.eye(p.n)
     base = np.zeros((p.n, p.n), dtype=complex)
     for beta, w in zip(pf.poles, pf.weights):
@@ -210,7 +211,7 @@ def test_shift_factor_ordering_fills_less_and_solves_accurately():
     tau = 10.0 * system.mesh.h_bar / 8
     p = Pencil(tau, system.M, system.K)
     b = np.random.default_rng(3).standard_normal(p.n)
-    for beta in pade_to_partial_fractions(pade45()).poles:
+    for beta in PADE45_CORE.poles:
         fac = expmv._shift_factor(p, complex(beta), tau)
         shifted = beta * p.M - tau * p.K
         colamd = lu_factor(shifted)
@@ -263,7 +264,7 @@ def test_shift_factor_matrix_is_bitwise_the_old_construction(monkeypatch, d):
     factored = []
     monkeypatch.setattr(expmv, "lu_factor", lambda A, symmetric: factored.append(A))
     shifts = [1.0, 3.0, 1e-3 + 1e-9j, 1 + 1j, 1.8 + 4j, -0.5 - 3j, 2.0 - 0.0j]
-    shifts += list(pade_to_partial_fractions(pade45()).poles)
+    shifts += list(PADE45_CORE.poles)
     for tau_factor in (1.0, 10.0):
         p = Pencil(tau_factor * system.mesh.h_bar, system.M, system.K)
         for beta in shifts:
@@ -318,12 +319,13 @@ def test_driver_certificate_json(square_pencil_8):
     assert payload["rectangle"]["mu_max"] < 0.0
 
 
-def test_driver_scaling_exhausted_carries_context(square_pencil_8):
-    b = np.ones(square_pencil_8.n)
+def test_driver_scaling_exhausted_carries_context(square_sys_8):
+    # d=1e-3, tau=30h: no scaling up to the cap of 64 meets the target
+    S = fem.assemble_p1(square_sys_8.mesh, d=1e-3)
+    p = Pencil(30.0 * S.mesh.h_bar, S.M, S.K)
     with pytest.raises(ScalingExhausted) as ei:
-        expmv_controlled(
-            ExpmvRequest(pencil=square_pencil_8, b=b, eps=1e-8, s_max=1)
-        )
+        expmv_controlled(ExpmvRequest(pencil=p, b=S.b0, eps=1e-8))
+    assert ei.value.context["s_max"] == 64
     assert "rectangle" in ei.value.context
     assert ei.value.context["scalar_target"] < 1e-8
 
@@ -335,8 +337,14 @@ def test_driver_request_validation(square_pencil_8):
         ExpmvRequest(pencil=square_pencil_8, b=np.ones(3), eps=1e-6, method="cf")
     with pytest.raises(ValueError):
         ExpmvRequest(pencil=square_pencil_8, b=np.ones(3), eps=1e-6, mode="iii")
-    with pytest.raises(ValueError):
-        ExpmvRequest(pencil=square_pencil_8, b=np.ones(3), eps=1e-6, kappa_power=0.7)
+    # the driver's fixed settings are fields, not arguments
+    for retired in ({"kappa_power": 0.5}, {"n_per_side": 500}, {"s_max": 64}, {"m_max": 128}):
+        with pytest.raises(TypeError):
+            ExpmvRequest(pencil=square_pencil_8, b=np.ones(3), eps=1e-6, **retired)
+    defaults = {f.name: f.default for f in dataclasses.fields(ExpmvRequest)}
+    assert [defaults[k] for k in ("kappa_power", "n_per_side", "s_max", "m_max")] == [
+        0.5, 500, 64, 128
+    ]
     with pytest.raises(DimensionMismatch):
         expmv_controlled(
             ExpmvRequest(pencil=square_pencil_8, b=np.ones(3), eps=1e-6)
@@ -390,18 +398,6 @@ def test_expmv_rejects_mismatched_analysis(square_pencil_8, square_sys_8):
                                           eps=1e-6, analysis=analysis))
 
 
-def test_driver_strict_kappa_power_tightens_target(square_pencil_8):
-    b = np.ones(square_pencil_8.n)
-    _, half = expmv_controlled(
-        ExpmvRequest(pencil=square_pencil_8, b=b, eps=1e-6, kappa_power=0.5)
-    )
-    _, full = expmv_controlled(
-        ExpmvRequest(pencil=square_pencil_8, b=b, eps=1e-6, kappa_power=1.0)
-    )
-    assert full.scalar_target < half.scalar_target
-    assert full.degree >= half.degree
-
-
 # --------------------------------------------------------------------------
 # operator-norm bound verification
 # --------------------------------------------------------------------------
@@ -425,7 +421,7 @@ def certified_form(p: Pencil, eps: float, method: str):
         s = select_scaling(rect, target)
         achieved = sup_error_on_rectangle(pade45(s), rect)
         return CertifiedApproximant(
-            form=pade_to_partial_fractions(pade45()),
+            form=PADE45_CORE,
             sup_error_estimate=achieved,
             target=target,
             method="sub-pade",
@@ -447,7 +443,7 @@ def test_theorem_bound_holds_on_random_pencil(random_pencil_60):
 
 
 def test_theorem_bound_check_size_cap(square_pencil_8):
-    pf = pade_to_partial_fractions(pade45())
+    pf = PADE45_CORE
     from expmrect.rational import CertifiedApproximant
 
     cert = CertifiedApproximant(

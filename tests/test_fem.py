@@ -64,18 +64,18 @@ def test_square_rejects_bad_divisions():
 # --------------------------------------------------------------------------
 
 def test_star_fan_counts_no_refine():
-    # A 3-pointed star outline has 6 vertices; ear clipping any hexagon
-    # yields 4 triangles and every vertex sits on the boundary.
-    mesh = fem.mesh_star(points=3, refine=0)
-    assert mesh.n_vertices == 6
-    assert mesh.n_triangles == 4
+    # A 5-pointed star outline has 10 vertices; ear clipping any decagon
+    # yields 8 triangles and every vertex sits on the boundary.
+    mesh = fem.mesh_star(refine=0)
+    assert mesh.n_vertices == 10
+    assert mesh.n_triangles == 8
     assert bool(np.all(mesh.boundary))
 
 
 def test_star_refinement_quadruples():
-    m0 = fem.mesh_star(points=5, refine=0)
-    m1 = fem.mesh_star(points=5, refine=1)
-    m2 = fem.mesh_star(points=5, refine=2)
+    m0 = fem.mesh_star(refine=0)
+    m1 = fem.mesh_star(refine=1)
+    m2 = fem.mesh_star(refine=2)
     assert m1.n_triangles == 4 * m0.n_triangles
     assert m2.n_triangles == 16 * m0.n_triangles
     assert m2.n_vertices == 85
@@ -95,8 +95,8 @@ def _distance_to_outline(q: np.ndarray, outline: np.ndarray) -> float:
 
 
 def test_star_boundary_vertices_stay_on_polygon():
-    outline = fem._star_outline(5, 2.0, 0.8)
-    mesh = fem.mesh_star(points=5, refine=3)
+    outline = fem._star_outline()
+    mesh = fem.mesh_star(refine=3)
     for idx in np.flatnonzero(mesh.boundary):
         assert _distance_to_outline(mesh.vertices[idx], outline) <= 1e-12
 
@@ -108,7 +108,7 @@ def test_star_positive_areas_after_smoothing():
 
 
 def test_star_total_area_matches_shoelace():
-    outline = fem._star_outline(5, 2.0, 0.8)
+    outline = fem._star_outline()
     x, y = outline[:, 0], outline[:, 1]
     shoelace = 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
     for refine in (0, 2):
@@ -118,10 +118,13 @@ def test_star_total_area_matches_shoelace():
 
 
 def test_star_argument_validation():
-    with pytest.raises(ValueError):
-        fem.mesh_star(points=2)
-    with pytest.raises(ValueError):
-        fem.mesh_star(r_outer=1.0, r_inner=1.0)
+    # the star's geometry is fixed: refine is the only argument
+    for retired in ("points", "r_outer", "r_inner", "smoothing_sweeps"):
+        with pytest.raises(TypeError):
+            fem.mesh_star(refine=0, **{retired: 5})
+    outline = fem._star_outline()
+    assert outline.shape == (10, 2)
+    assert np.allclose(np.hypot(*outline.T), [2.0, 0.8] * 5, rtol=1e-15, atol=0.0)
 
 
 def test_ear_clip_rejects_degenerate_polygon():
@@ -206,14 +209,14 @@ def _loop_smooth(vertices, triangles, boundary, sweeps):
     return pts, None
 
 
-def _loop_star(points=5, r_outer=2.0, r_inner=0.8, refine=0, smoothing_sweeps=8):
-    outline = fem._star_outline(points, r_outer, r_inner)
+def _loop_star(refine):
+    outline = fem._star_outline()
     tris = fem._ear_clip(outline)
     verts = outline.copy()
     for _ in range(refine):
         verts, tris = _loop_refine_once(verts, tris)
     flags = _loop_make_mesh(verts, tris).boundary
-    verts, undone = _loop_smooth(verts, tris, flags, smoothing_sweeps)
+    verts, undone = _loop_smooth(verts, tris, flags, 8)
     return _loop_make_mesh(verts, tris), undone
 
 
@@ -238,7 +241,6 @@ def test_square_mesh_is_bitwise_the_loop(divisions):
         ({"refine": 2}, 7),
         ({"refine": 3}, 6),
         ({"refine": 4}, 6),
-        ({"points": 4, "r_inner": 0.3, "refine": 1}, 1),
     ],
 )
 def test_star_mesh_is_bitwise_the_loop(kwargs, undone):
@@ -398,7 +400,7 @@ def test_initial_vector_square_values():
 
 
 def test_initial_vector_star_origin_is_one():
-    mesh = fem.mesh_star(points=3, refine=0)
+    mesh = fem.mesh_star(refine=0)
     with_origin = fem.TriMesh(
         vertices=np.vstack([mesh.vertices, [0.0, 0.0]]),
         triangles=mesh.triangles,
@@ -415,9 +417,10 @@ def test_initial_vector_unknown_domain():
 
 
 def test_initial_vector_no_overflow_far_out():
-    # sinh overflows in float64 well inside the star's bounding box; the
-    # interpolant must clamp those nodes to zero instead of NaN.
-    mesh = fem.mesh_star(points=3, refine=0, r_outer=6.0, r_inner=2.0)
+    # sinh overflows in float64 well inside the bounding box of a star three
+    # times the size; the interpolant must clamp those nodes to zero, not NaN.
+    mesh = fem.mesh_star(refine=0)
+    mesh = fem.TriMesh(3.0 * mesh.vertices, mesh.triangles, mesh.boundary, 3.0 * mesh.h_bar)
     u = fem.initial_vector(mesh, "star")
     assert np.all(np.isfinite(u))
     assert float(np.min(u)) == 0.0

@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from expmrect.bounds import BoundingRectangle
-from expmrect.errors import PoleInsideRegion, RepeatedRoots, ScalingExhausted
+from expmrect.errors import PoleInsideRegion, ScalingExhausted
 from expmrect.rational import (
+    PADE45_CORE,
+    PADE45_DEN,
+    PADE45_NUM,
     SAMPLING_SAFETY,
     CertifiedApproximant,
     PadeRational,
@@ -25,7 +28,6 @@ from expmrect.rational import (
     classify_conjugate_poles,
     eval_rational,
     pade45,
-    pade_to_partial_fractions,
     select_scaling,
     sup_error_on_rectangle,
 )
@@ -50,18 +52,17 @@ def exact_pade45_coefficients():
 
 
 def test_pade45_coefficients_match_exact_fractions():
-    r = pade45()
     p_exact, q_exact = exact_pade45_coefficients()
-    for got, want in zip(r.num, p_exact):
+    assert len(PADE45_NUM) == len(p_exact) and len(PADE45_DEN) == len(q_exact)
+    for got, want in zip(PADE45_NUM, p_exact):
         assert got == float(want)
-    for got, want in zip(r.den, q_exact):
+    for got, want in zip(PADE45_DEN, q_exact):
         assert got == float(want)
 
 
 def test_pade45_gap_at_one():
-    r = pade45()
-    num = np.polynomial.polynomial.polyval(1.0, r.num)
-    den = np.polynomial.polynomial.polyval(1.0, r.den)
+    num = np.polynomial.polynomial.polyval(1.0, PADE45_NUM)
+    den = np.polynomial.polynomial.polyval(1.0, PADE45_DEN)
     gap = abs(math.e - num / den)
     assert 1e-9 <= gap <= 1e-8
     assert math.isclose(gap, R45_GAP_AT_ONE, rel_tol=1e-9)
@@ -80,8 +81,11 @@ def test_pade45_taylor_match_order():
 def test_pade_scaling_validation():
     with pytest.raises(ValueError):
         pade45(scaling=0)
-    with pytest.raises(ValueError):
-        PadeRational(num=np.array([2.0, 1.0]), den=np.array([1.0, 1.0]))
+    # the (4,5) coefficients are fixed: scaling is the only argument
+    for retired in ({"num": PADE45_NUM}, {"den": PADE45_DEN}):
+        with pytest.raises(TypeError):
+            PadeRational(**retired)
+    assert pade45(3) == PadeRational(scaling=3)
 
 
 # --------------------------------------------------------------------------
@@ -90,7 +94,7 @@ def test_pade_scaling_validation():
 
 def test_partial_fraction_matches_ratio_form():
     r = pade45()
-    pf = pade_to_partial_fractions(r)
+    pf = PADE45_CORE
     pts = np.array([0.0, 1.0, -1.0, 1j, -10.0], dtype=complex)
     ratio = eval_rational(r, pts)
     parts = eval_rational(pf, pts)
@@ -98,22 +102,16 @@ def test_partial_fraction_matches_ratio_form():
 
 
 def test_pade_poles_are_conjugate_closed_right_half_plane():
-    pf = pade_to_partial_fractions(pade45())
+    pf = PADE45_CORE
     assert pf.degree == 5
     assert np.all(pf.poles.real > 0.0)
     classified = classify_conjugate_poles(pf.poles)
     assert classified is not None
     real_idx, pairs = classified
     assert len(real_idx) == 1 and len(pairs) == 2
-
-
-def test_repeated_roots_detected():
-    bad = PadeRational.__new__(PadeRational)
-    object.__setattr__(bad, "num", np.array([1.0, 1.0]))
-    object.__setattr__(bad, "den", np.array([1.0, -2.0, 1.0]))  # (1 - z)^2
-    object.__setattr__(bad, "scaling", 1)
-    with pytest.raises(RepeatedRoots):
-        pade_to_partial_fractions(bad)
+    # simple roots, so the partial fraction form exists
+    gaps = np.abs(pf.poles[:, None] - pf.poles[None, :])
+    assert np.min(gaps[~np.eye(5, dtype=bool)]) > 1e-8
 
 
 def test_classify_conjugate_poles_cases():
@@ -149,7 +147,7 @@ def test_partial_fraction_rejects_forms_that_are_not_conjugate_symmetric(
 
 
 def test_partial_fraction_records_its_pairing():
-    pf = pade_to_partial_fractions(pade45())
+    pf = PADE45_CORE
     assert isinstance(pf.gamma, float)
     assert len(pf.real_poles) == 1 and len(pf.pairs) == 2
     for i, j in pf.pairs:
@@ -262,6 +260,6 @@ def test_select_scaling_validates_target():
 # --------------------------------------------------------------------------
 
 def test_certified_approximant_rejects_broken_certificate():
-    pf = pade_to_partial_fractions(pade45())
+    pf = PADE45_CORE
     with pytest.raises(ValueError):
         CertifiedApproximant(form=pf, sup_error_estimate=1e-3, target=1e-6, method="sub-pade")
