@@ -10,12 +10,11 @@ This module computes those extreme eigenvalues with ARPACK's ``eigsh`` at
 every size. One symmetric sparse factorization of M proves M positive
 definite by its pivot signs and then serves as the solve with M; the
 maximum of a symmetric part whose pivots prove it negative definite comes
-from shift-invert about 0. The same path encloses W(tau inv(M) K) itself
-through the pencil (K M, M M) (``plain_range_rectangle``, mode "i"). The
-module also assembles the safety-inflated rectangle, estimates the
-condition number of M, and certifies left-half-plane location.
-``analyze_pencil`` computes the tau-independent part (extremes and
-condition estimate) once, for reuse across time steps.
+from shift-invert about 0. The module also assembles the safety-inflated
+rectangle, estimates the condition number of M, and certifies
+left-half-plane location. ``analyze_pencil`` decides every enclosure: it
+computes the tau-independent part of either region mode once, for reuse
+across time steps.
 """
 from __future__ import annotations
 
@@ -40,7 +39,6 @@ __all__ = [
     "inflated_rectangle",
     "rectangle_from_extremes",
     "bounding_rectangle",
-    "plain_range_rectangle",
     "cond_estimate",
     "analyze_pencil",
     "is_lhp_certified",
@@ -361,23 +359,6 @@ def bounding_rectangle(
     return rectangle_from_extremes(ext, p.tau, rel_resid_tol)
 
 
-def plain_range_rectangle(
-    p: Pencil,
-    rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-    seed: int = 0,
-) -> BoundingRectangle:
-    """Rectangle enclosing W(tau inv(M) K) itself, without the similarity.
-
-    With x = M y, x* inv(M) K x / x* x = y* (K M) y / y* (M M) y, so
-    W(inv(M) K) is the numerical range of the sparse pencil (K M, M M),
-    whose mass M M is symmetric positive definite with M. ``raw_extremes``
-    encloses it like any other pencil, and the result is scaled and widened
-    by ``rectangle_from_extremes``.
-    """
-    ext = raw_extremes(p.M @ p.M, p.K @ p.M, rel_resid_tol, seed=seed)
-    return rectangle_from_extremes(ext, p.tau, rel_resid_tol)
-
-
 def is_lhp_certified(r: BoundingRectangle) -> bool:
     """True when the rectangle certifies a left-half-plane numerical range."""
     return r.mu_max <= 0.0
@@ -448,25 +429,31 @@ def _same_matrix(A, B) -> bool:
 class PencilAnalysis:
     """Enclosure data of the pencil (M, K) that no time step changes.
 
-    ``extremes`` are the unit-step extreme eigenvalues, which
-    ``rectangle_from_extremes`` scales by tau, and ``cond`` is the condition
-    estimate of M. Both were computed with the recorded settings, so one
-    analysis serves every tau of the pencil.
+    ``extremes`` are the unit-step extreme eigenvalues of region ``mode``,
+    which ``rectangle_from_extremes`` scales by tau, and ``cond`` is the
+    condition estimate of M (None in mode "i"). All were computed with the
+    recorded settings, so one analysis serves every tau of the pencil.
     """
 
     M: sp.csr_array
     K: sp.csr_array
     extremes: RawExtremes
-    cond: CondEstimate
+    cond: CondEstimate | None
     rel_resid_tol: float
     seed: int
+    mode: str
 
-    def check_fits(self, p: Pencil, rel_resid_tol: float, seed: int) -> None:
+    @property
+    def kappa_safe(self) -> float:
+        """The certificate's kappa factor: 1.0 in mode "i"."""
+        return 1.0 if self.cond is None else self.cond.kappa_safe
+
+    def check_fits(self, p: Pencil, rel_resid_tol: float, seed: int, mode: str) -> None:
         """Raise ValueError unless this analysis is of p's M and K, computed
-        with the given settings."""
+        with the given settings in the given mode."""
         if not (_same_matrix(p.M, self.M) and _same_matrix(p.K, self.K)):
             raise ValueError("the pencil analysis was computed for a different pencil")
-        wanted = {"rel_resid_tol": rel_resid_tol, "seed": seed}
+        wanted = {"rel_resid_tol": rel_resid_tol, "seed": seed, "mode": mode}
         differ = {k: (getattr(self, k), v) for k, v in wanted.items() if getattr(self, k) != v}
         if differ:
             raise ValueError(f"pencil analysis settings differ (analysis, request): {differ}")
@@ -477,17 +464,29 @@ def analyze_pencil(
     K,
     rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
     seed: int = 0,
+    mode: str = "ii",
 ) -> PencilAnalysis:
-    """Enclose the pencil (M, K) once: unit-step extremes and kappa(M).
+    """Enclose the pencil (M, K) once: unit-step extremes and kappa(M) in
+    mode "ii". Mode "i" encloses W(inv(M) K) itself and needs no kappa:
+    with x = M y, x* inv(M) K x / x* x = y* (K M) y / y* (M M) y, so it is
+    the numerical range of the sparse pencil (K M, M M), whose mass M M is
+    symmetric positive definite with M.
 
-    A complex or non-finite M or K raises ValueError (``raw_extremes``
-    checks them before any solver runs).
+    ``rel_resid_tol`` outside (0, 1), an unknown mode, or a complex or
+    non-finite M or K (``raw_extremes`` checks them) raise ValueError
+    before any solver runs.
     """
+    if not (0.0 < rel_resid_tol < 1.0):
+        raise ValueError(f"rel_resid_tol must lie in (0, 1), got {rel_resid_tol}")
+    if mode not in ("i", "ii"):
+        raise ValueError(f"unknown mode {mode!r}")
+    mass, stiffness = (M @ M, K @ M) if mode == "i" else (M, K)
     return PencilAnalysis(
         M=sp.csr_array(M),
         K=sp.csr_array(K),
-        extremes=raw_extremes(M, K, rel_resid_tol, seed=seed),
-        cond=cond_estimate(M, rel_resid_tol, seed=seed),
+        extremes=raw_extremes(mass, stiffness, rel_resid_tol, seed=seed),
+        cond=cond_estimate(M, rel_resid_tol, seed=seed) if mode == "ii" else None,
         rel_resid_tol=rel_resid_tol,
         seed=seed,
+        mode=mode,
     )

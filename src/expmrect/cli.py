@@ -44,6 +44,10 @@ SWEEP_COLUMNS = [
     "status",
 ]
 
+# the generator flags' defaults; bound and expmv parse them as None, so that
+# a flag given next to file input can be refused
+GENERATOR_DEFAULTS = {"domain": "square", "divisions": 32, "refine": 4, "d": 1e-1}
+
 SWEEP_KEYS = {"systems", "tau_factors", "eps", "methods", "modes", "verify", "seed"}
 SYSTEM_KEYS = {"domain", "divisions", "refine", "d"}
 REQUIRED_SYSTEM_KEYS = {"domain", "d"}
@@ -70,10 +74,13 @@ def _build_system(domain: str, divisions: int, refine: int, d: float):
 
 
 def _load_system(args):
-    """System from files (--m/--k/--b) or generator parameters."""
+    """System from files (--m/--k/--b) or generator parameters, not both."""
+    given = {k: getattr(args, k) for k in GENERATOR_DEFAULTS if getattr(args, k) is not None}
     if args.m or args.k or args.b:
         if not (args.m and args.k and args.b):
             raise SystemExit("file input needs all of --m, --k and --b")
+        if given:
+            raise SystemExit(f"file input would ignore {', '.join('--' + k for k in given)}")
         M = mmio.read_matrix_market(args.m)
         K = mmio.read_matrix_market(args.k)
         b = mmio.read_vector(args.b)
@@ -82,8 +89,9 @@ def _load_system(args):
         if params.exists():
             h_bar = json.loads(params.read_text()).get("h_bar")
         return M, K, b, h_bar, {"shape": "file", "d": float("nan")}
-    system, mesh = _build_system(args.domain, args.divisions, args.refine, args.d)
-    meta = {"shape": args.domain, "d": args.d}
+    gen = {**GENERATOR_DEFAULTS, **given}
+    system, mesh = _build_system(**gen)
+    meta = {"shape": gen["domain"], "d": gen["d"]}
     return system.M, system.K, system.b0, mesh.h_bar, meta
 
 
@@ -331,8 +339,8 @@ def run_sweep(config: dict) -> list[dict]:
     Rows appear in deterministic order (systems x tau x method x mode x
     eps). Failures are recorded with the ``--`` marker in the degree and
     bound columns and the exception class name in ``status``. Each system
-    is enclosed once and its analysis shared by every cell; the verifying
-    reference is computed once per (system, tau). Raises ValueError on a key
+    is enclosed once per mode, and that analysis is shared by the mode's
+    cells; the verifying reference is computed once per (system, tau). Raises ValueError on a key
     outside ``SWEEP_KEYS``, or on a system with a key outside ``SYSTEM_KEYS``
     or without one of ``REQUIRED_SYSTEM_KEYS``, before any run.
     """
@@ -340,6 +348,7 @@ def run_sweep(config: dict) -> list[dict]:
     rows: list[dict] = []
     seed = int(config.get("seed", 0))
     verify = bool(config.get("verify", False))
+    modes = config.get("modes", ["ii"])
     for spec_sys in config.get("systems", []):
         domain = spec_sys["domain"]
         system, mesh = _build_system(
@@ -348,7 +357,8 @@ def run_sweep(config: dict) -> list[dict]:
             int(spec_sys.get("refine", 4)),
             float(spec_sys["d"]),
         )
-        analysis = analyze_pencil(system.M, system.K, seed=seed)
+        analyses = {mode: analyze_pencil(system.M, system.K, seed=seed, mode=mode)
+                    for mode in modes}
         base = {
             "shape": domain,
             "d": _fmt(float(spec_sys["d"])),
@@ -360,7 +370,7 @@ def run_sweep(config: dict) -> list[dict]:
             p = Pencil(tau=tau, M=system.M, K=system.K)
             reference = _reference(p, system.b0, seed) if verify else None
             for method in config.get("methods", ["sub-pade", "rat-interp"]):
-                for mode in config.get("modes", ["ii"]):
+                for mode in modes:
                     for eps in config.get("eps", [1e-6]):
                         head = dict(
                             base,
@@ -376,7 +386,7 @@ def run_sweep(config: dict) -> list[dict]:
                             method=method,
                             mode=mode,
                             seed=seed,
-                            analysis=analysis,
+                            analysis=analyses[mode],
                         )
                         try:
                             x, cert = expmv_controlled(req)
@@ -395,14 +405,17 @@ def _add_system_args(sub):
     sub.add_argument("--m", help="mass matrix file (Matrix Market)")
     sub.add_argument("--k", help="stiffness matrix file (Matrix Market)")
     sub.add_argument("--b", help="initial vector file (one value per line)")
-    _add_generator_args(sub)
+    _add_generator_args(sub, dict.fromkeys(GENERATOR_DEFAULTS))
 
 
-def _add_generator_args(sub):
-    sub.add_argument("--domain", choices=["square", "star"], default="square")
-    sub.add_argument("--divisions", type=int, default=32, help="square grid divisions")
-    sub.add_argument("--refine", type=int, default=4, help="star refinement rounds")
-    sub.add_argument("--d", type=float, default=1e-1, help="diffusion coefficient")
+def _add_generator_args(sub, defaults=GENERATOR_DEFAULTS):
+    sub.add_argument("--domain", choices=["square", "star"], default=defaults["domain"])
+    sub.add_argument("--divisions", type=int, default=defaults["divisions"],
+                     help="square grid divisions")
+    sub.add_argument("--refine", type=int, default=defaults["refine"],
+                     help="star refinement rounds")
+    sub.add_argument("--d", type=float, default=defaults["d"],
+                     help="diffusion coefficient")
 
 
 def _add_run_args(sub):

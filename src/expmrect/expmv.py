@@ -14,11 +14,12 @@ the result satisfies ||x - exp(tau inv(M) K) b|| <= eps * ||b|| whenever the
 certificate holds. The power 1/2 (``KAPPA_POWER``) is exact: the similarity
 A_hat = M^(1/2) A M^(-1/2) costs the factor kappa(M)^(1/2) and no more.
 
-Two region modes exist; both enclose at any scale through ``bounds``.
-Mode "ii" (default) bounds the numerical range of the symmetrized operator
-via the pencils of the symmetric and skew parts against M. Mode "i"
-rectangles W(A) of A = tau inv(M) K itself; no kappa factor is needed but
-the rectangle may protrude far into the right half-plane when M mixes
+Two region modes exist, and both enclose at any scale through one call,
+``bounds.analyze_pencil``, whose tau-independent result a request may carry
+in. Mode "ii" (default) bounds the numerical range of the symmetrized
+operator via the pencils of the symmetric and skew parts against M. Mode
+"i" rectangles W(A) of A = tau inv(M) K itself; no kappa factor is needed
+but the rectangle may protrude far into the right half-plane when M mixes
 eigenvectors strongly.
 """
 from __future__ import annotations
@@ -35,9 +36,8 @@ from .bounds import (
     BoundingRectangle,
     Pencil,
     PencilAnalysis,
+    analyze_pencil,
     bounding_rectangle,
-    cond_estimate,
-    plain_range_rectangle,
     rectangle_from_extremes,
 )
 from .errors import (
@@ -71,6 +71,9 @@ __all__ = [
     "apply_scaled_pade",
     "expmv_controlled",
     "expm_dense_oracle",
+    # unused here; perfbench's test_tracer_sees_calls_inside_the_driver_and_restores
+    # reads expmv.bounding_rectangle (ROADMAP item 4(c))
+    "bounding_rectangle",
 ]
 
 CROUZEIX_CONSTANT = 1.0 + math.sqrt(2.0)
@@ -181,10 +184,10 @@ class ExpmvRequest:
     """Everything needed to run the controlled-accuracy driver once.
 
     ``analysis`` optionally carries the pencil's tau-independent enclosure
-    (see ``bounds.analyze_pencil``); mode "ii" then reuses it instead of
-    enclosing again. It must be of this pencil's M and K and computed with
-    this request's ``rel_resid_tol`` and ``seed``, or the request raises
-    ValueError.
+    (see ``bounds.analyze_pencil``), in either mode; the driver then reuses
+    it instead of enclosing again. It must be of this pencil's M and K and
+    computed with this request's ``rel_resid_tol``, ``seed`` and ``mode``,
+    or the request raises ValueError.
 
     ``kappa_power``, ``n_per_side``, ``s_max`` and ``m_max`` are fixed, not
     arguments. They hold the driver's ``KAPPA_POWER``, its boundary sampling
@@ -215,7 +218,7 @@ class ExpmvRequest:
         if not np.all(np.isfinite(self.b)):
             raise ValueError("b contains NaN or Inf entries")
         if self.analysis is not None:
-            self.analysis.check_fits(self.pencil, self.rel_resid_tol, self.seed)
+            self.analysis.check_fits(self.pencil, self.rel_resid_tol, self.seed, self.mode)
 
 
 @dataclass(frozen=True)
@@ -291,15 +294,9 @@ def expmv_controlled(req: ExpmvRequest) -> tuple[np.ndarray, ExpmvCertificate]:
     if b.shape[0] != p.n:
         raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
 
-    if req.mode == "i":
-        rect = plain_range_rectangle(p, req.rel_resid_tol, seed=req.seed)
-        kappa_safe = 1.0
-    elif req.analysis is not None:
-        rect = rectangle_from_extremes(req.analysis.extremes, p.tau, req.rel_resid_tol)
-        kappa_safe = req.analysis.cond.kappa_safe
-    else:
-        rect = bounding_rectangle(p, req.rel_resid_tol, seed=req.seed)
-        kappa_safe = cond_estimate(p.M, req.rel_resid_tol, seed=req.seed).kappa_safe
+    analysis = req.analysis or analyze_pencil(p.M, p.K, req.rel_resid_tol, req.seed, req.mode)
+    rect = rectangle_from_extremes(analysis.extremes, p.tau, req.rel_resid_tol)
+    kappa_safe = analysis.kappa_safe
     target = req.eps / (CROUZEIX_CONSTANT * kappa_safe**KAPPA_POWER)
 
     if req.method == "sub-pade":

@@ -24,7 +24,6 @@ from expmrect.bounds import (
     bounding_rectangle,
     cond_estimate,
     is_lhp_certified,
-    plain_range_rectangle,
     raw_extremes,
     rectangle_from_extremes,
     split,
@@ -334,12 +333,14 @@ def test_plain_range_rectangle_matches_dense_range_of_a(domain, size, d, tau_fac
     mesh = fem.mesh_square(size) if domain == "square" else fem.mesh_star(refine=size)
     s = fem.assemble_p1(mesh, d=d, domain=domain)
     p = Pencil(tau_factor * mesh.h_bar, s.M, s.K)
-    ext = raw_extremes(p.M @ p.M, p.K @ p.M)
+    analysis = analyze_pencil(p.M, p.K, mode="i")
+    ext = analysis.extremes
     got = [p.tau * e for e in (ext.mu_min, ext.mu_max, ext.nu_max)]
     for g, want in zip(got, _dense_plain_range_edges(p)):
         assert math.isclose(g, want, rel_tol=1e-10)
     assert (got[1] > 0.0) == (d == 1e-3)
-    assert plain_range_rectangle(p) == rectangle_from_extremes(ext, p.tau)
+    assert ext == raw_extremes(p.M @ p.M, p.K @ p.M)
+    assert analysis.cond is None and analysis.kappa_safe == 1.0
 
 
 # --------------------------------------------------------------------------
@@ -425,6 +426,21 @@ def _with_nan(A):
 def test_enclosure_entry_points_reject_non_finite_entries(square_sys_8, entry):
     with pytest.raises(ValueError, match=r"^[MK] contains NaN or Inf entries$"):
         entry(square_sys_8)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"rel_resid_tol": 0.0}, "rel_resid_tol must lie in"),  # was NoConvergence
+    ({"rel_resid_tol": -1e-3}, "rel_resid_tol must lie in"),
+    ({"rel_resid_tol": np.nan}, "rel_resid_tol must lie in"),
+    ({"rel_resid_tol": 1.0}, "rel_resid_tol must lie in"),
+    ({"mode": "iii"}, "unknown mode"),
+], ids=["tol-zero", "tol-negative", "tol-nan", "tol-one", "mode"])
+def test_analyze_pencil_rejects_bad_settings(square_sys_8, monkeypatch, settings, message):
+    # refused before any solver runs
+    monkeypatch.setattr(bounds, "raw_extremes", None)
+    monkeypatch.setattr(bounds, "cond_estimate", None)
+    with pytest.raises(ValueError, match=message):
+        analyze_pencil(square_sys_8.M, square_sys_8.K, **settings)
 
 
 def test_pencil_records_size(square_pencil_8):

@@ -139,6 +139,21 @@ def test_expmv_requires_all_three_files(tmp_path):
         run_cli("expmv", "--m", "only_m.mtx")
 
 
+@pytest.mark.parametrize("command", ["bound", "expmv"])
+def test_file_input_refuses_generator_flags(tmp_path, command):
+    # the files fix the system, so a generator flag next to them would be
+    # silently ignored; it is refused, naming the flags
+    gen = tmp_path / "sys"
+    run_cli("generate", "--domain", "square", "--divisions", "4", "--out", str(gen))
+    files = ["--m", str(gen / "M.mtx"), "--k", str(gen / "K.mtx"), "--b", str(gen / "b0.txt")]
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as ei:
+        run_cli(command, *files, "--divisions", "8", "--d", "1e-3", "--out", str(out))
+    assert "--divisions, --d" in str(ei.value.code)
+    assert not out.exists()
+    assert run_cli(command, *files, "--out", str(out)) == 0
+
+
 def test_expmv_failure_writes_status_certificate(tmp_path, capsys):
     # the graded star mesh keeps the rectangle wide and anchored near zero,
     # where no admissible scaling reaches 1e-8
@@ -225,10 +240,11 @@ def test_sweep_encloses_each_system_once(monkeypatch):
         "tau_factors": [1.0, 10.0],
         "eps": [1e-4],
         "methods": ["sub-pade", "rat-interp"],
-        "modes": ["ii"],
+        "modes": ["ii", "i"],
     })
-    assert len(rows) == 4 and all(row["status"] == "ok" for row in rows)
-    assert len(enclosures) == 1 and len(kappas) == 1
+    # one enclosure per mode; only mode "ii" needs kappa(M)
+    assert len(rows) == 8 and all(row["status"] == "ok" for row in rows)
+    assert len(enclosures) == 2 and len(kappas) == 1
 
 
 def test_sweep_kappa_column_is_kappa_safe_beyond_dense_cutoff(monkeypatch):
@@ -362,6 +378,11 @@ def test_main_reports_package_errors(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("--eps", "2"), "eps must lie in"),
+    # each was NoConvergence after ARPACK had run; values >= 1 were accepted
+    (("--rel-resid-tol", "0"), "rel_resid_tol must lie in (0, 1)"),
+    (("--rel-resid-tol=-1e-3",), "rel_resid_tol must lie in (0, 1)"),
+    (("--rel-resid-tol", "nan"), "rel_resid_tol must lie in (0, 1)"),
+    (("--rel-resid-tol", "1"), "rel_resid_tol must lie in (0, 1)"),
 ])
 def test_main_reports_request_errors(argv, message, capsys):
     rc = run_cli("expmv", "--domain", "square", *argv)

@@ -363,16 +363,17 @@ def test_driver_request_rejects_non_finite_b(square_pencil_8, bad):
 def test_expmv_with_analysis_is_bit_identical(square_pencil_8, method):
     p = square_pencil_8
     b = np.ones(p.n)
-    analysis = analyze_pencil(p.M, p.K)
-    # one analysis serves every time step of the pencil
-    for tau in (p.tau, 10.0 * p.tau):
-        q = Pencil(tau, p.M, p.K)
-        x1, c1 = expmv_controlled(
-            ExpmvRequest(pencil=q, b=b, eps=1e-6, method=method, analysis=analysis)
-        )
-        x2, c2 = expmv_controlled(ExpmvRequest(pencil=q, b=b, eps=1e-6, method=method))
-        assert np.array_equal(x1, x2)
-        assert c1.to_json() == c2.to_json()
+    # one analysis per mode serves every time step of the pencil
+    for mode in ("ii", "i"):
+        analysis = analyze_pencil(p.M, p.K, mode=mode)
+        for tau in (p.tau, 10.0 * p.tau):
+            q = Pencil(tau, p.M, p.K)
+            x1, c1 = expmv_controlled(ExpmvRequest(pencil=q, b=b, eps=1e-6, method=method,
+                                                   mode=mode, analysis=analysis))
+            x2, c2 = expmv_controlled(ExpmvRequest(pencil=q, b=b, eps=1e-6, method=method,
+                                                   mode=mode))
+            assert np.array_equal(x1, x2)
+            assert c1.to_json() == c2.to_json()
 
 
 def test_expmv_rejects_mismatched_analysis(square_pencil_8, square_sys_8):
@@ -385,6 +386,7 @@ def test_expmv_rejects_mismatched_analysis(square_pencil_8, square_sys_8):
     mismatched = [
         {"seed": 1},
         {"rel_resid_tol": 1e-4},
+        {"mode": "i"},
     ]
     for settings in mismatched:
         with pytest.raises(ValueError, match="settings differ"):

@@ -6,8 +6,9 @@ Each module except ``__init__.py`` (which only re-exports) is parsed with
 ``__all__`` entry must be defined at module level, and every private
 module-level name must be referenced somewhere in the package outside its
 own definition. ``__init__.__all__`` lists exactly the names it imports,
-only ``linalg.py`` calls SuperLU, and only ``bounds.py`` compares
-``nu_min`` with ``-nu_max``.
+only ``linalg.py`` calls SuperLU, only ``bounds.py`` calls the eigensolver
+or decides an enclosure, and only ``bounds.py`` compares ``nu_min`` with
+``-nu_max``.
 """
 from __future__ import annotations
 
@@ -138,6 +139,15 @@ def test_only_bounds_calls_an_eigensolver(path):
     # every rectangle and condition estimate comes from one eigensolver path
     if path.name != "bounds.py":
         found = re.findall(r"\beig(?:sh|valsh)\b", path.read_text())
+        assert not found, f"{path.name} calls {sorted(set(found))} outside bounds"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_bounds_decides_the_enclosure(path):
+    # analyze_pencil picks the pencils each region mode encloses; a second
+    # call site would be a second enclosure path
+    if path.name != "bounds.py":
+        found = re.findall(r"\b(raw_extremes|cond_estimate)\(", path.read_text())
         assert not found, f"{path.name} calls {sorted(set(found))} outside bounds"
 
 
