@@ -12,9 +12,15 @@ density until the selected degree stabilizes.
 
 The rectangle is symmetric about the real axis and so is the best
 approximant, as in the symmetric variant of the scheme: the sample set is
-closed under conjugation, support points come in conjugate pairs, and the
-poles are made an exactly closed set, with any pole left unpaired snapped
-onto the real axis. The barycentric coefficients themselves are discarded:
+closed under conjugation and support points come in conjugate pairs. The
+greedy fit solves that conjugate-symmetric problem exactly, in real
+arithmetic on the samples with Im z >= 0: a pair's weights a +- ib are two
+real unknowns (a real support point has one), a sample off the axis stands
+for itself and its conjugate and so weighs sqrt(2) in the least squares,
+and the weights are the smallest right singular vector of the real matrix
+[Re B; Im B] of the Loewner columns, conjugate by construction. The poles
+are made an exactly closed set, with any pole left unpaired snapped onto
+the real axis. The barycentric coefficients themselves are discarded:
 the final weights are re-fitted by real least squares on the conjugate-
 symmetric basis {1} + {1/(p - z)} (real p) + {1/(p - z) + 1/(conj p - z)}
 and {i/(p - z) - i/(conj p - z)} (pairs), with the residual accumulated in
@@ -44,6 +50,7 @@ FROISSART_RTOL = 1e-13
 M_MAX = 128  # degree cap of the greedy fit
 MAX_DOUBLINGS = 4  # boundary-density doublings while the AAA degree settles
 MAX_REFINEMENTS = 4  # double-double refinement steps of the least-squares refit
+_SQRT_HALF = np.sqrt(0.5)
 
 
 # --------------------------------------------------------------------------
@@ -122,24 +129,39 @@ def _conjugate_permutation(points: np.ndarray) -> np.ndarray:
     return index[pos]
 
 
-def _project_conjugate_weights(w: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Nearest conjugate-symmetric weight vector, w[perm] = conj(w),
-    phase-normalized first.
+def _support_columns(z, f, s, fs):
+    """Loewner and Cauchy columns of the support point s (f(s) = fs) over the
+    samples z.
 
-    A singular vector carries an arbitrary global phase; stripping half the
-    phase of sum(w_i * w_perm(i)) aligns it so the symmetrization does not
-    cancel the vector instead of cleaning it.
+    A real s has one real weight a; a point s off the axis brings in conj s,
+    with weights a + ib and a - ib. The Loewner columns, one per real
+    unknown, are then the sum and i times the difference of the two points'
+    columns, scaled by 1/sqrt(2) so that the unknowns have the norm of the
+    weights (``_weights``). The Cauchy columns 1/(z - s), one per support
+    point, evaluate the barycentric form. Both are (k, z.size) arrays.
     """
-    t = np.sum(w * w[perm])
-    if abs(t) > 0.0:
-        w = w * np.exp(-0.5j * np.angle(t))
-    w_sym = 0.5 * (w + np.conj(w[perm]))
-    return w_sym / float(np.linalg.norm(w_sym))
+    if s.imag == 0.0:
+        return ((f - fs) / (z - s))[None], (1.0 / (z - s))[None]
+    sc, fc = np.conj(s), np.conj(fs)
+    l1, l2 = (f - fs) / (z - s), (f - fc) / (z - sc)
+    return _SQRT_HALF * np.stack([l1 + l2, 1j * (l1 - l2)]), 1.0 / np.stack([z - s, z - sc])
+
+
+def _weights(v: np.ndarray, pairs: list[int]) -> np.ndarray:
+    """Barycentric weights from the real unknowns: a real support point's
+    weight is its unknown, and a pair (a, b) at positions (k, k + 1) gives
+    (a + ib) / sqrt(2) and its exact conjugate."""
+    p = np.array(pairs, dtype=int)
+    w = v.astype(complex)
+    w[p] = _SQRT_HALF * v[p] + 1j * (_SQRT_HALF * v[p + 1])
+    w[p + 1] = np.conj(w[p])
+    return w
 
 
 def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int, rect):
     """Greedy fit on a fixed sample set of the rectangle ``rect``, which must
-    be exactly closed under conjugation (ValueError otherwise).
+    be exactly closed under conjugation (ValueError otherwise), with
+    F = exp(Z).
 
     Returns (poles, support, fsupp, weights). The number of poles
     is one less than the number of support points. Raises ``DegreeExhausted``
@@ -148,55 +170,79 @@ def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int, re
     the Loewner matrix or the barycentric evaluation is not finite, as on a
     side so short that sample differences underflow.
 
-    Support points are taken in conjugate pairs and the weight vector is
-    projected onto conjugate symmetry, so the computed poles pair up to
-    eigensolver roundoff.
+    The problem is solved exactly in its conjugate-symmetric form, in real
+    arithmetic on the samples with Im z >= 0. Support points come in
+    conjugate pairs (a real one alone) and their weights are conjugate, so
+    the error at conj z is the conjugate of the error at z: a sample off the
+    axis stands for itself and its conjugate, with row weight sqrt(2). Each
+    support point adds the columns of ``_support_columns``, computed once and
+    kept across steps in arrays that grow by doubling. The real unknowns are
+    the smallest right singular vector of [Re B; Im B], B the row-weighted
+    Loewner columns, and numerator and denominator are one matrix-vector
+    product each with the Cauchy columns.
     """
     n = Z.size
-    conj_index = _conjugate_permutation(Z)
-    mask = np.ones(n, dtype=bool)  # candidate (non-support) samples
-    R = np.full(n, np.mean(F), dtype=complex)
-    support = np.empty(0, dtype=complex)
-    fsupp = np.empty(0, dtype=complex)
-    w = np.empty(0, dtype=complex)
-    support_conj: list[int] = []  # position of each support point's conjugate
-    err = float(np.max(np.abs(F - R)))
+    _conjugate_permutation(Z)  # ValueError unless closed under conjugation
+    err = float(np.max(np.abs(F - np.mean(F))))
     if err <= tol:
-        return np.empty(0, dtype=complex), support, fsupp, w
+        empty = np.empty(0, dtype=complex)
+        return empty, empty, empty, empty
+    upper = Z.imag >= 0.0
+    z, f = Z[upper], F[upper]
+    nz = z.size
+    row_weight = np.where(z.imag > 0.0, np.sqrt(2.0), 1.0)
+    mask = np.ones(nz, dtype=bool)  # candidate (non-support) samples
+    R = np.full(nz, np.mean(F), dtype=complex)
+    support: list[complex] = []
+    fsupp: list[complex] = []
+    pairs: list[int] = []  # position of each pair's upper member in support
+    cap = 8  # stored columns: rows of the arrays below, doubled as needed
+    A = np.empty((cap, 2 * nz))  # [Re B; Im B], one row per real unknown
+    cauchy = np.empty((cap, nz), dtype=complex)  # one row per support point
     while True:
-        j = int(np.argmax(np.where(mask, np.abs(F - R), -np.inf)))
-        j2 = int(conj_index[j])
-        new = [j] if j2 == j else [j, j2]
-        k = support.size
-        support_conj += [k] if j2 == j else [k + 1, k]
-        for idx in new:
-            mask[idx] = False
-            support = np.append(support, Z[idx])
-            fsupp = np.append(fsupp, F[idx])
+        j = int(np.argmax(np.where(mask, np.abs(f - R), -np.inf)))
+        s, fs = z[j], f[j]
+        k = len(support)
+        support.append(s)
+        fsupp.append(fs)
+        if s.imag != 0.0:
+            pairs.append(k)
+            support.append(np.conj(s))
+            fsupp.append(np.conj(fs))
+        mask[j] = False
         if not mask.any():
             break
-        diff = Z[mask, None] - support[None, :]
+        A[:k, [j, nz + j]] = 0.0
+        cauchy[:k, j] = 0.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            loewner = (F[mask, None] - fsupp[None, :]) / diff
+            loewner, c = _support_columns(z, f, s, fs)
+        loewner[:, ~mask] = c[:, ~mask] = 0.0
         if not np.isfinite(loewner).all():
             raise ValueError(f"AAA Loewner matrix is not finite on {rect}")
-        _, _, Vh = np.linalg.svd(loewner, full_matrices=False)
-        w = _project_conjugate_weights(Vh[-1].conj(), np.array(support_conj))
+        m = len(support)
+        if m > cap:
+            cap *= 2
+            A, cauchy = (
+                np.concatenate([a[:k], np.empty((cap - k, a.shape[1]), a.dtype)])
+                for a in (A, cauchy)
+            )
+        A[k:m, :nz] = row_weight * loewner.real
+        A[k:m, nz:] = row_weight * loewner.imag
+        cauchy[k:m] = c
+        _, _, Vh = np.linalg.svd(np.linalg.qr(A[:m].T, mode="r"))
+        w = _weights(Vh[-1], pairs)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            num = (w * fsupp / diff).sum(axis=1)
-            den = (w / diff).sum(axis=1)
-            R = F.astype(complex).copy()
-            R[mask] = num / den
-        if not (np.isfinite(den).all() and np.isfinite(R).all()):
+            num = (w * np.array(fsupp)) @ cauchy[:m]
+            den = w @ cauchy[:m]
+            R = np.where(mask, num / den, f)
+        if not (np.isfinite(den[mask]).all() and np.isfinite(R).all()):
             raise ValueError(f"AAA barycentric evaluation is not finite on {rect}")
-        err = float(np.max(np.abs(F[mask] - R[mask]), initial=0.0))
-        if err <= tol:
-            break
-        if support.size > max_poles:
+        err = float(np.max(np.abs(f[mask] - R[mask]), initial=0.0))
+        if err <= tol or m > max_poles:
             break
     if err > tol:
         reached = (
-            f"used up all {n} samples at {support.size - 1} poles"
+            f"used up all {n} samples at {len(support) - 1} poles"
             if not mask.any()
             else f"reached {max_poles} poles"
         )
@@ -204,6 +250,7 @@ def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int, re
             f"greedy interpolation {reached} with sample error {err:.3e} > {tol:.3e}",
             context={"max_poles": int(max_poles), "sample_error": err},
         )
+    support, fsupp = np.array(support), np.array(fsupp)
     return _barycentric_poles(support, w), support, fsupp, w
 
 

@@ -27,9 +27,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .aaa import M_MAX, aaa_poles, refit_partial_fractions
 from .bounds import (
@@ -86,25 +88,64 @@ ORACLE_CUTOFF = 3000  # largest n expm_dense_oracle accepts
 # applying a partial fraction form through shifted solves
 # --------------------------------------------------------------------------
 
-def _shift_factor(p: Pencil, beta: complex, tau: float):
+class _ShiftPattern(NamedTuple):
+    """M's and K's values on one canonical CSC pattern, the union of theirs."""
+
+    M: np.ndarray
+    K: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _shift_pattern(p: Pencil) -> _ShiftPattern:
+    """Lay M and K out on the union of their CSC patterns, once per apply
+    call, so that each shifted matrix is one pass over two value arrays."""
+    M, K = p.M.tocsc(), p.K.tocsc()
+    M.sum_duplicates()
+    K.sum_duplicates()
+
+    def ones(A):
+        return sp.csc_array((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+
+    union = ones(M) + ones(K)  # every entry is 1 or 2, so none is dropped
+
+    def keys(A):
+        return np.repeat(np.arange(p.n, dtype=np.int64), np.diff(A.indptr)) * p.n + A.indices
+
+    at = keys(union)
+
+    def values(A):
+        out = np.zeros(union.nnz)
+        out[np.searchsorted(at, keys(A))] = A.data
+        return out
+
+    return _ShiftPattern(values(M), values(K), union.indices, union.indptr)
+
+
+def _shift_factor(pattern: _ShiftPattern, beta: complex, tau: float):
     """LU factor of (beta * M - tau * K), real when beta is real.
 
-    The shifted matrix has the structurally symmetric pattern of M and K,
-    so it is factored in ``lu_factor``'s symmetric mode: minimum degree on
-    A^T + A with diagonal pivots. Those pivots exist because beta lies
-    outside the rectangle R, which contains the numerical range of
-    A_hat = tau M^(-1/2) K M^(-1/2). R is convex, so some unimodular c has
-    Re(c (beta - z)) > 0 on R, and c (beta M - tau K), congruent to
-    c (beta I - A_hat) through M^(1/2), has a positive definite Hermitian
-    part. So has every principal submatrix and every Schur complement,
-    whatever the symmetric order. SuperLU's default row pivoting would
-    leave the diagonal on advection-dominated shifts and defeat the
+    The shifted matrix is built on ``pattern``, the union of the patterns of
+    M and K that each apply call lays out once (on every generated system
+    the two patterns are the same). Its values are beta * M - tau * K entry
+    by entry, the arithmetic of the sparse sum, so it is bitwise that sum
+    wherever no entry cancels exactly; the sum would drop such an entry,
+    this matrix keeps it as an explicit zero. The matrix is factored in
+    ``lu_factor``'s symmetric mode: minimum degree on A^T + A with diagonal pivots. Those
+    pivots exist because beta lies outside the rectangle R, which contains
+    the numerical range of A_hat = tau M^(-1/2) K M^(-1/2). R is convex, so
+    some unimodular c has Re(c (beta - z)) > 0 on R, and c (beta M - tau K),
+    congruent to c (beta I - A_hat) through M^(1/2), has a positive definite
+    Hermitian part. So has every principal submatrix and every Schur
+    complement, whatever the symmetric order. SuperLU's default row pivoting
+    would leave the diagonal on advection-dominated shifts and defeat the
     ordering (square/64 d=1e-3, tau=10h, beta=1+1j: 6.0M fill, not 189k).
     """
-    # Unnamed, the CSR sum can be freed once lu_factor has its CSC copy, before
-    # the factorization; named, a square/64 sub-pade operation peaked 1.2 MB higher.
+    n = pattern.indptr.size - 1
+    data = (beta if beta.imag else beta.real) * pattern.M - tau * pattern.K
     try:
-        return lu_factor((beta if beta.imag else beta.real) * p.M - tau * p.K, symmetric=True)
+        return lu_factor(sp.csc_array((data, pattern.indices, pattern.indptr), shape=(n, n)),
+                         symmetric=True)
     except SingularMatrix as exc:
         raise SingularShift(f"shift {beta} makes the pencil singular") from exc
 
@@ -147,7 +188,8 @@ def apply_partial_fraction(r: PartialFractionRational, p: Pencil, b: np.ndarray)
     """
     if b.shape[0] != p.n:
         raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
-    return _pf_apply(r, p, np.asarray(b), lambda beta: _shift_factor(p, complex(beta), p.tau))
+    pattern = _shift_pattern(p)
+    return _pf_apply(r, p, np.asarray(b), lambda beta: _shift_factor(pattern, complex(beta), p.tau))
 
 
 def apply_scaled_pade(pade: PadeRational, p: Pencil, b: np.ndarray) -> np.ndarray:
@@ -161,12 +203,13 @@ def apply_scaled_pade(pade: PadeRational, p: Pencil, b: np.ndarray) -> np.ndarra
     if b.shape[0] != p.n:
         raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
     tau_step = p.tau / pade.scaling
+    pattern = _shift_pattern(p)
     factors: dict = {}
 
     def factor(beta):
         key = complex(beta)
         if key not in factors:
-            factors[key] = _shift_factor(p, key, tau_step)
+            factors[key] = _shift_factor(pattern, key, tau_step)
         return factors[key]
 
     x = np.asarray(b)

@@ -36,10 +36,13 @@ class LuFactor:
     """SuperLU factorization P A Q = L U.
 
     ``lower``/``upper`` expose the triangular factors, whose product is A
-    with its rows and columns permuted.
+    with its rows and columns permuted. ``dtype`` is that of the factored
+    matrix, recorded when the factor is made: reading it from ``upper``
+    would make SciPy build and cache CSC copies of L and U.
     """
 
     shape: tuple[int, int]
+    dtype: np.dtype
     _splu: Any = field(repr=False)
     kind = "sparse"  # every factor is SuperLU's; perfbench's fill count reads it
 
@@ -49,7 +52,7 @@ class LuFactor:
             raise DimensionMismatch(
                 f"factor of shape {self.shape} cannot solve rhs of shape {b.shape}"
             )
-        if np.iscomplexobj(b) and self._splu.U.dtype.kind != "c":
+        if np.iscomplexobj(b) and self.dtype.kind != "c":
             return self._splu.solve(np.ascontiguousarray(b.real)) + 1j * self._splu.solve(
                 np.ascontiguousarray(b.imag)
             )
@@ -98,7 +101,7 @@ def lu_factor(A, symmetric: bool = False) -> LuFactor:
     pivots = np.abs(fac.U.diagonal())
     if pivots.size == 0 or pivots.min() < PIVOT_RTOL * scale:
         raise SingularMatrix("sparse LU produced a negligible pivot")
-    return LuFactor(shape=A.shape, _splu=fac)
+    return LuFactor(shape=A.shape, dtype=A.dtype, _splu=fac)
 
 
 def definite_factor(B, sign: float) -> LuFactor | None:
@@ -121,7 +124,7 @@ def definite_factor(B, sign: float) -> LuFactor | None:
     except RuntimeError:  # exactly singular
         return None
     if np.array_equal(fac.perm_r, fac.perm_c) and np.all(sign * fac.U.diagonal() > 0.0):
-        return LuFactor(shape=B.shape, _splu=fac)
+        return LuFactor(shape=B.shape, dtype=B.dtype, _splu=fac)
     return None
 
 

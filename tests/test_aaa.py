@@ -6,6 +6,7 @@ rectangle whose certified degree is part of the package's golden values.
 """
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -14,7 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expmrect import aaa
 from expmrect.aaa import (
+    M_MAX,
+    _aaa_on_samples,
     _conjugate_permutation,
     _dd_residual,
     _filter_poles,
@@ -131,6 +135,18 @@ def test_symmetric_rectangles_give_conjugate_closed_samples_and_poles(rect, n_pe
     assert not np.any(rect.contains(poles))
 
 
+@given(symmetric_rectangles, st.integers(min_value=20, max_value=60))
+@settings(max_examples=100, deadline=None)
+def test_aaa_weights_are_exactly_conjugate_symmetric(rect, n_per_side):
+    # the first fit aaa_poles makes; a support point's conjugate carries the
+    # conjugate weight exactly, with no projection afterwards
+    z = boundary_samples(rect, n_per_side).samples
+    _, support, fsupp, w = _aaa_on_samples(z, np.exp(z), 0.5e-6, M_MAX, rect)
+    conj = _conjugate_permutation(support)  # raises unless support is closed
+    assert np.array_equal(w[conj], np.conj(w))
+    assert np.array_equal(fsupp[conj], np.conj(fsupp))
+
+
 def _conjugate_permutation_by_dict(points):
     """The dict loop that ``_conjugate_permutation`` replaced, kept as its
     reference: a repeated point maps to its last occurrence."""
@@ -191,6 +207,78 @@ def test_aaa_poles_golden_rectangle():
     assert classify_conjugate_poles(poles) is not None
     for p in poles:
         assert not GOLDEN_RECT.contains(p)
+
+
+def _enclosed_rect(mu_min, mu_max, nu_max):
+    return BoundingRectangle(mu_min=mu_min, mu_max=mu_max, nu_min=-nu_max, nu_max=nu_max,
+                             inflation=0.002)
+
+
+_EPS_2, _EPS_6 = 0.002020927287067057, 2.0209272870670566e-07  # eps / (CROUZEIX kappa**0.5)
+WIDE_RECT = BoundingRectangle(mu_min=-35.0, mu_max=-0.2, nu_min=-2.5, nu_max=2.5)
+
+# (rectangle, samples per side, target, degree). The first 13 are the
+# rat-interp cells of perfbench's approx-apply workload at seed 0:
+# square/64, d = 0.1 then 1e-3, tau = h, 10h, 30h, eps = 1e-2 and 1e-6, and
+# last square/32 d=1e-3, tau=10h, eps=1e-8. Their rectangles and targets
+# are the enclosure's floats, recorded literally.
+DEGREE_TABLE = [
+    (_enclosed_rect(-188.18832208323676, -0.035008038584677416, 2.517966556973196),
+     125, _EPS_2, 7),
+    (_enclosed_rect(-188.18832208323676, -0.035008038584677416, 2.517966556973196),
+     125, _EPS_6, 11),
+    (_enclosed_rect(-1881.8832208323677, -0.3500803858467742, 25.17966556973196),
+     125, _EPS_2, 15),
+    (_enclosed_rect(-1881.8832208323677, -0.3500803858467742, 25.17966556973196),
+     125, _EPS_6, 19),
+    (_enclosed_rect(-5645.649662497103, -1.0502411575403228, 75.53899670919589),
+     125, _EPS_2, 31),
+    (_enclosed_rect(-5645.649662497103, -1.0502411575403228, 75.53899670919589),
+     125, _EPS_6, 37),
+    (_enclosed_rect(-1.8818832208323666, -0.00035008038584677587, 2.517966556973202),
+     125, _EPS_2, 5),
+    (_enclosed_rect(-1.8818832208323666, -0.00035008038584677587, 2.517966556973202),
+     125, _EPS_6, 7),
+    (_enclosed_rect(-18.81883220832367, -0.003500803858467759, 25.179665569732023),
+     125, _EPS_2, 13),
+    (_enclosed_rect(-18.81883220832367, -0.003500803858467759, 25.179665569732023),
+     125, _EPS_6, 17),
+    (_enclosed_rect(-56.456496624971, -0.010502411575403277, 75.53899670919606),
+     125, _EPS_2, 31),
+    (_enclosed_rect(-56.456496624971, -0.010502411575403277, 75.53899670919606),
+     125, _EPS_6, 37),
+    (_enclosed_rect(-9.356125156995814, -0.00700565541764708, 25.00342077395273),
+     125, 2.0278192428949655e-09, 19),
+    (GOLDEN_RECT, 120, 1e-8 / (1.0 + np.sqrt(2.0)), 5),
+    (GOLDEN_RECT, 200, 1e-8, 5),
+    (WIDE_RECT, 300, 1e-6 / ((1.0 + np.sqrt(2.0)) * 2.0), 9),
+]
+
+
+@pytest.mark.parametrize("rect, n_per_side, target, degree", DEGREE_TABLE)
+def test_aaa_degree_is_pinned(rect, n_per_side, target, degree):
+    assert aaa_poles(boundary_samples(rect, n_per_side), target).size == degree
+
+
+def test_aaa_memory_follows_the_degree_not_the_cap(monkeypatch):
+    # the fit's arrays grow with its support points; columns for M_MAX of
+    # them would take about 25 MB at this sample count
+    densities = []
+
+    def recording(rect, n):
+        densities.append(n)
+        return boundary_samples(rect, n)
+
+    monkeypatch.setattr(aaa, "boundary_samples", recording)
+    tracemalloc.start()
+    try:
+        poles = aaa_poles(boundary_samples(WIDE_RECT, 1000), 1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert densities == [1000, 2000] and poles.size <= 11
+    samples = boundary_samples(WIDE_RECT, 2000).samples.size  # 7996
+    assert peak <= 100 * samples * (poles.size + 1)
 
 
 def test_refit_certifies_golden_rectangle():
@@ -351,7 +439,7 @@ def test_aaa_exact_real_segment_gives_its_poles_without_warning():
 
 def test_aaa_wide_rectangle_still_certifies():
     # a rectangle shaped like the tau = h_bar pencil rectangles
-    rect = BoundingRectangle(mu_min=-35.0, mu_max=-0.2, nu_min=-2.5, nu_max=2.5)
+    rect = WIDE_RECT
     target = 1e-6 / ((1.0 + np.sqrt(2.0)) * 2.0)
     poles = aaa_poles(boundary_samples(rect, 300), target)
     cert = refit_partial_fractions(poles, boundary_samples(rect, 500), target)

@@ -212,7 +212,7 @@ def test_shift_factor_ordering_fills_less_and_solves_accurately():
     p = Pencil(tau, system.M, system.K)
     b = np.random.default_rng(3).standard_normal(p.n)
     for beta in PADE45_CORE.poles:
-        fac = expmv._shift_factor(p, complex(beta), tau)
+        fac = expmv._shift_factor(expmv._shift_pattern(p), complex(beta), tau)
         shifted = beta * p.M - tau * p.K
         colamd = lu_factor(shifted)
         assert fac.lower.nnz + fac.upper.nnz < colamd.lower.nnz + colamd.upper.nnz
@@ -234,7 +234,7 @@ def test_shift_factor_keeps_its_ordering_on_advective_shifts(square_sys_32_advec
     system = square_sys_32_advective
     tau = tau_factor * system.mesh.h_bar
     p = Pencil(tau, system.M, system.K)
-    fac = expmv._shift_factor(p, complex(beta), tau)
+    fac = expmv._shift_factor(expmv._shift_pattern(p), complex(beta), tau)
     shifted = beta * p.M - tau * p.K
     colamd = lu_factor(shifted)
     assert fac.lower.nnz + fac.upper.nnz <= colamd.lower.nnz + colamd.upper.nnz
@@ -260,16 +260,41 @@ def _bits(A):
 
 @pytest.mark.parametrize("d", [0.1, 1e-3])
 def test_shift_factor_matrix_is_bitwise_the_old_construction(monkeypatch, d):
-    system = fem.assemble_p1(fem.mesh_square(32), d=d)
     factored = []
     monkeypatch.setattr(expmv, "lu_factor", lambda A, symmetric: factored.append(A))
     shifts = [1.0, 3.0, 1e-3 + 1e-9j, 1 + 1j, 1.8 + 4j, -0.5 - 3j, 2.0 - 0.0j]
     shifts += list(PADE45_CORE.poles)
-    for tau_factor in (1.0, 10.0):
-        p = Pencil(tau_factor * system.mesh.h_bar, system.M, system.K)
-        for beta in shifts:
-            expmv._shift_factor(p, complex(beta), p.tau)
-            assert _bits(factored.pop()) == _bits(_old_shifted_matrix(p, complex(beta), p.tau))
+    for mesh in (fem.mesh_square(32), fem.mesh_star(refine=4)):
+        system = fem.assemble_p1(mesh, d=d)
+        for tau_factor in (1.0, 10.0):
+            p = Pencil(tau_factor * system.mesh.h_bar, system.M, system.K)
+            pattern = expmv._shift_pattern(p)
+            for beta in shifts:
+                expmv._shift_factor(pattern, complex(beta), p.tau)
+                assert _bits(factored.pop()) == _bits(_old_shifted_matrix(p, complex(beta), p.tau))
+
+
+def test_shift_factor_takes_the_union_of_the_patterns():
+    # file input: K couples two unknowns that M does not, so the shifted
+    # matrix has an entry outside M's pattern
+    system = fem.assemble_p1(fem.mesh_square(8), d=0.1)
+    n = system.M.shape[0]
+    extra = sp.csr_array(([0.5, -0.25], ([0, n - 1], [n - 1, 0])), shape=(n, n))
+    p = Pencil(system.mesh.h_bar, system.M, sp.csr_array(system.K + extra))
+    assert p.M.toarray()[0, n - 1] == 0.0
+    union = (abs(p.M) + abs(p.K)).toarray() != 0.0
+    pattern = expmv._shift_pattern(p)
+    stored = sp.csc_array((np.ones(pattern.indices.size), pattern.indices, pattern.indptr),
+                          shape=(n, n))
+    assert np.array_equal(stored.toarray() != 0.0, union)
+    b = np.random.default_rng(5).standard_normal(n)
+    for beta in (3.0, 1 + 1j, 1.8 - 4j):
+        want = (beta * p.M - p.tau * p.K).toarray()
+        values = beta * pattern.M - p.tau * pattern.K
+        on_pattern = sp.csc_array((values, pattern.indices, pattern.indptr), shape=(n, n))
+        assert np.array_equal(on_pattern.toarray(), want)
+        x = expmv._shift_factor(pattern, complex(beta), p.tau).solve(b)
+        assert np.linalg.norm(want @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 # --------------------------------------------------------------------------

@@ -31,6 +31,30 @@ def test_sparse_lu_complex_shift_real_factor_split():
     assert np.allclose(A @ x, b, atol=1e-11)
 
 
+class _FactorWithoutLU:
+    """A SuperLU factor that only solves: reading its L or U, which makes
+    SciPy build CSC copies of both, fails."""
+
+    def __init__(self, fac):
+        self.solve = fac.solve
+
+    @property
+    def L(self):
+        raise AssertionError("read the L factor")
+
+    U = L
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_solve_never_reads_the_triangular_factors(dtype):
+    rng = np.random.default_rng(11)
+    A = sp.csc_array((rng.standard_normal((15, 15)) + 15 * np.eye(15)).astype(dtype))
+    fac = lu_factor(A)
+    fac._splu = _FactorWithoutLU(fac._splu)
+    for b in (rng.standard_normal(15), rng.standard_normal(15) + 1j * rng.standard_normal(15)):
+        assert np.allclose(A @ fac.solve(b), b, atol=1e-11)
+
+
 def test_complex_sparse_lu():
     rng = np.random.default_rng(2)
     base = rng.standard_normal((10, 10))
