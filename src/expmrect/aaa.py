@@ -19,13 +19,14 @@ real unknowns (a real support point has one), a sample off the axis stands
 for itself and its conjugate and so weighs sqrt(2) in the least squares,
 and the weights are the smallest right singular vector of the real matrix
 [Re B; Im B] of the Loewner columns, conjugate by construction. The poles
-are made an exactly closed set, with any pole left unpaired snapped onto
-the real axis. The barycentric coefficients themselves are discarded:
-the final weights are re-fitted by real least squares on the conjugate-
-symmetric basis {1} + {1/(p - z)} (real p) + {1/(p - z) + 1/(conj p - z)}
-and {i/(p - z) - i/(conj p - z)} (pairs), with the residual accumulated in
-double-double arithmetic so the ill-conditioning of the basis does not
-silently eat the last digits. The refit is certified a posteriori by
+are the eigenvalues of a real arrowhead pencil, in which each conjugate
+support pair is one real 2x2 block, so they too are an exactly closed set,
+with no pairing by tolerance. The barycentric coefficients themselves are
+discarded: the final weights are re-fitted by real least squares on the
+conjugate-symmetric basis {1} + {1/(p - z)} (real p) +
+{1/(p - z) + 1/(conj p - z)} and {i/(p - z) - i/(conj p - z)} (pairs),
+with the residual accumulated in double-double arithmetic so the
+ill-conditioning of the basis does not silently eat the last digits. The refit is certified a posteriori by
 boundary sampling, and an approximant that cannot be certified below its
 target is rejected rather than returned optimistically.
 """
@@ -96,18 +97,33 @@ def _dd_residual(A: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _barycentric_poles(support: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # Finite generalized eigenvalues of the arrowhead pencil built from the
-    # support points and barycentric weights; the two infinite eigenvalues
-    # are discarded.
+    """Finite generalized eigenvalues of the barycentric arrowhead pencil, the
+    zeros of sum_k w_k / (z - support_k), as an exactly conjugate-closed set.
+
+    The pencil is real. A real support point keeps its row of the arrowhead;
+    a conjugate pair (s, conj s), whose upper member sits just before its
+    conjugate in ``support``, becomes the block [[Re s, Im s], [-Im s, Re s]]
+    with row entries (2 Re w, 2 Im w) and column entries (1, 0), which has
+    the same resolvent term w / (z - s) + conj w / (z - conj s). Real QZ
+    returns a pair's two members with different scalings, so each member
+    with Im > 0 is emitted with its exact conjugate and the other discarded;
+    the two infinite eigenvalues are dropped.
+    """
     m = support.size
-    E = np.zeros((m + 1, m + 1), dtype=complex)
-    E[0, 1:] = w
-    E[1:, 0] = 1.0
-    E[1:, 1:] = np.diag(support)
+    E = np.zeros((m + 1, m + 1))
+    row, col, D = E[0, 1:], E[1:, 0], E[1:, 1:]  # views of the arrowhead's parts
+    row[:] = w.real
+    col[:] = 1.0
+    np.fill_diagonal(D, support.real)
+    k = np.flatnonzero(support.imag > 0.0)  # upper members; k + 1 holds the conjugate
+    row[k], row[k + 1] = 2.0 * w[k].real, 2.0 * w[k].imag
+    col[k + 1] = 0.0
+    D[k, k + 1], D[k + 1, k] = support[k].imag, -support[k].imag
     B = np.eye(m + 1)
     B[0, 0] = 0.0
     eigs = sla.eigvals(E, B)
-    return eigs[np.isfinite(eigs)]
+    eigs = eigs[np.isfinite(eigs) & (eigs.imag >= 0.0)]
+    return np.concatenate([eigs, np.conj(eigs[eigs.imag > 0.0])])
 
 
 def _conjugate_permutation(points: np.ndarray) -> np.ndarray:
@@ -255,8 +271,9 @@ def _aaa_on_samples(Z: np.ndarray, F: np.ndarray, tol: float, max_poles: int, re
 
 
 def _filter_poles(poles, support, w, fsupp, rect, fscale):
-    """Drop spurious poles: anything inside the rectangle, and Froissart
-    doublets whose barycentric residue is negligible.
+    """Drop spurious poles from a conjugate-closed set: anything inside the
+    rectangle, and Froissart doublets whose barycentric residue is
+    negligible. A pair is kept or dropped as one, so the set stays closed.
 
     A pole equal to a support point lies on the rectangle's boundary and has
     no finite residue, so it is dropped before the residues are evaluated.
@@ -274,38 +291,7 @@ def _filter_poles(poles, support, w, fsupp, rect, fscale):
     if not (np.isfinite(num).all() and np.isfinite(dden).all()):
         raise ValueError(f"AAA barycentric evaluation at the poles is not finite on {rect}")
     keep &= ~(residues < FROISSART_RTOL * fscale)
-    return poles[keep]
-
-
-def _symmetrize_poles(poles: np.ndarray) -> np.ndarray:
-    """Project a near-conjugate-closed pole set onto an exactly closed one.
-
-    Conjugate near-pairs are averaged into exact pairs first; every pole
-    left without a partner is snapped onto the real axis. The lone poles
-    seen in practice are eigensolver roundoff of a genuinely real pole
-    (imaginary parts of 1e-6 times the pole scale and below).
-    """
-    scale = 1.0 + np.max(np.abs(poles), initial=0.0)
-    out: list[complex] = []
-    pending = sorted(poles, key=lambda p: (p.real, abs(p.imag), p.imag))
-    while pending:
-        p = pending.pop(0)
-        if p.imag == 0.0:
-            out.append(p)
-            continue
-        best, best_dist = None, np.inf
-        for q in pending:
-            d = abs(q - np.conj(p))
-            if d < best_dist:
-                best, best_dist = q, d
-        if best is not None and best_dist <= 1e-3 * scale:
-            pending.remove(best)
-            c = 0.5 * (p + np.conj(best))
-            out.extend([c, c] if c.imag == 0.0 else [c, np.conj(c)])
-        else:
-            out.append(complex(p.real, 0.0))
-    arr = np.array(out, dtype=complex)
-    return arr[np.lexsort((arr.imag, arr.real))]
+    return poles[keep & keep[_conjugate_permutation(poles)]]
 
 
 def aaa_poles(
@@ -319,9 +305,9 @@ def aaa_poles(
     (the headroom is spent later by the refit), refining the boundary
     sampling by doubling, at most ``MAX_DOUBLINGS`` times, until the
     selected denominator degree stabilizes between consecutive densities.
-    Spurious poles are filtered and the rest made exactly closed under
-    conjugation (``_symmetrize_poles``); a pole that this moves into the
-    rectangle is dropped.
+    The poles come from a real pencil and so form an exactly conjugate-closed
+    set; spurious ones are filtered in pairs, and the rest are returned
+    sorted by real part, then imaginary part.
     """
     if target <= 0.0:
         raise ValueError("target must be positive")
@@ -336,13 +322,12 @@ def aaa_poles(
         F = np.exp(Z)
         raw, support, fsupp, w = _aaa_on_samples(Z, F, tol, m_max, rect)
         fscale = float(np.max(np.abs(F)))
-        poles = _symmetrize_poles(_filter_poles(raw, support, w, fsupp, rect, fscale))
-        poles = poles[~rect.contains(poles)]
+        poles = _filter_poles(raw, support, w, fsupp, rect, fscale)
         if prev_degree is not None and poles.size == prev_degree:
             break
         prev_degree = poles.size
         n *= 2
-    return poles
+    return poles[np.lexsort((poles.imag, poles.real))]
 
 
 # --------------------------------------------------------------------------

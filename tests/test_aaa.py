@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,10 +20,10 @@ from expmrect import aaa
 from expmrect.aaa import (
     M_MAX,
     _aaa_on_samples,
+    _barycentric_poles,
     _conjugate_permutation,
     _dd_residual,
     _filter_poles,
-    _symmetrize_poles,
     _two_prod,
     _two_sum,
     aaa_poles,
@@ -83,33 +84,6 @@ def test_dd_accumulator_product_terms():
     # -1e16 - (1e8 + 1) * -(1e8 - 1), exactly -1
     got = _dd_residual(np.array([[1e8 + 1.0]]), np.array([-(1e8 - 1.0)]), np.array([-1e16]))
     assert float(got[0]) == -1.0
-
-
-# --------------------------------------------------------------------------
-# pole symmetrization
-# --------------------------------------------------------------------------
-
-def test_symmetrize_pairs_drifted_conjugates():
-    drift = 1e-5
-    poles = np.array([2.0 + 1.0j, 2.0 + drift - (1.0 + drift) * 1j])
-    out = _symmetrize_poles(poles)
-    assert classify_conjugate_poles(out) is not None
-    assert out[0] == np.conj(out[1])
-
-
-def test_symmetrize_snaps_lone_near_real_pole():
-    poles = np.array([3.0 + 1e-9j])
-    out = _symmetrize_poles(poles)
-    assert out[0].imag == 0.0
-
-
-def test_symmetrize_snaps_lone_pole_far_off_axis():
-    # no partner within reach: the pole goes onto the real axis whatever its
-    # imaginary part, so the set is exactly closed under conjugation
-    out = _symmetrize_poles(np.array([3.0 + 2.0j, 5.0 + 0.0j, -4.0 + 1.0j, -4.0 - 1.0j]))
-    assert out.tolist() == [-4.0 - 1.0j, -4.0 + 1.0j, 3.0 + 0.0j, 5.0 + 0.0j]
-    real_idx, pairs = classify_conjugate_poles(out)
-    assert len(real_idx) == 2 and len(pairs) == 1
 
 
 # rectangles symmetric about the real axis, flat ones and nu_max = 0 (a real
@@ -260,6 +234,36 @@ def test_aaa_degree_is_pinned(rect, n_per_side, target, degree):
     assert aaa_poles(boundary_samples(rect, n_per_side), target).size == degree
 
 
+def _complex_arrowhead_poles(support, w):
+    """Finite eigenvalues of the complex arrowhead pencil, the construction
+    the real one replaced, kept as its reference."""
+    m = support.size
+    E = np.zeros((m + 1, m + 1), dtype=complex)
+    E[0, 1:] = w
+    E[1:, 0] = 1.0
+    E[1:, 1:] = np.diag(support)
+    B = np.eye(m + 1)
+    B[0, 0] = 0.0
+    eigs = scipy.linalg.eigvals(E, B)
+    return eigs[np.isfinite(eigs)]
+
+
+@pytest.mark.parametrize("rect, n_per_side, target, degree", DEGREE_TABLE)
+def test_barycentric_poles_are_exactly_conjugate_closed(rect, n_per_side, target, degree):
+    # the first fit aaa_poles makes on the row's samples
+    z = boundary_samples(rect, n_per_side).samples
+    _, support, _, w = _aaa_on_samples(z, np.exp(z), 0.5 * target, M_MAX, rect)
+    poles = _barycentric_poles(support, w)
+    assert np.array_equal(poles[_conjugate_permutation(poles)], np.conj(poles))
+    if rect in (GOLDEN_RECT, WIDE_RECT):
+        # not on the degree-37 rows, whose ill-conditioned poles differ by 3e-3
+        ref = _complex_arrowhead_poles(support, w)
+        assert ref.size == poles.size
+        dist = np.abs(poles[:, None] - ref[None, :])
+        assert np.all(dist.min(axis=1) <= 1e-7 * np.abs(poles))
+        assert np.all(dist.min(axis=0) <= 1e-7 * np.abs(ref))
+
+
 def test_aaa_memory_follows_the_degree_not_the_cap(monkeypatch):
     # the fit's arrays grow with its support points; columns for M_MAX of
     # them would take about 25 MB at this sample count
@@ -393,7 +397,7 @@ def test_aaa_exhausting_the_samples_reports_the_poles_it_reached():
     "nu_max, where",
     [
         (5e-324, "Loewner matrix"),  # top and bottom samples 1e-323 apart
-        (1e-300, "barycentric evaluation at the poles"),  # distances squared underflow
+        (1e-310, "Loewner matrix"),  # a subnormal height
     ],
 )
 def test_aaa_degenerate_rectangle_fails_typed_and_names_it(nu_max, where):
@@ -403,6 +407,28 @@ def test_aaa_degenerate_rectangle_fails_typed_and_names_it(nu_max, where):
         with pytest.raises(ValueError, match=f"{where} is not finite on BoundingRectangle") as info:
             aaa_poles(boundary_samples(rect, 20), 1e-2)
     assert repr(rect) in str(info.value)
+
+
+@pytest.mark.parametrize("nu_max", [1e-305, 1e-300, 1e-100])
+def test_aaa_tiny_height_gives_closed_poles_outside_the_rectangle(nu_max):
+    # normal heights down to 1e-305 fit; subnormal ones fail in the Loewner
+    # matrix (test above)
+    rect = BoundingRectangle(mu_min=-1.0, mu_max=0.0, nu_min=-nu_max, nu_max=nu_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        poles = aaa_poles(boundary_samples(rect, 20), 1e-2)
+    assert poles.size > 0 and np.isfinite(poles).all()
+    classify_conjugate_poles(poles)  # raises unless exactly closed
+    assert not np.any(rect.contains(poles))
+
+
+def test_filter_poles_names_the_rectangle_when_residues_underflow():
+    # a pole 1e-200 from the support point 0: the squared distance is 0
+    support = np.array([0.0, -1.0 + 0.5j, -1.0 - 0.5j])
+    w = np.array([1.0, 1.0 + 1.0j, 1.0 - 1.0j])
+    poles = np.array([1e-200 + 0.0j, 2.0 + 1.0j, 2.0 - 1.0j])
+    with pytest.raises(ValueError, match="at the poles is not finite on BoundingRectangle"):
+        _filter_poles(poles, support, w, np.exp(support), GOLDEN_RECT, 1.0)
 
 
 def test_filter_poles_drops_a_pole_on_a_support_point():

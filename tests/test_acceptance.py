@@ -25,7 +25,6 @@ from expmrect.bounds import (
     PencilAnalysis,
     analyze_pencil,
     bounding_rectangle,
-    cond_estimate,
     raw_extremes,
     split,
 )
@@ -40,19 +39,15 @@ from expmrect.rational import (
     PADE45_CORE,
     PADE45_DEN,
     PADE45_NUM,
-    CertifiedApproximant,
     boundary_samples,
     classify_conjugate_poles,
     eval_rational,
     pade45,
-    select_scaling,
-    sup_error_on_rectangle,
 )
 
 from conftest import random_nonsym_sparse, random_spd_sparse
-from theorem1 import theorem1_bound_check
+from theorem1 import certified_form, theorem1_bound_check
 
-CROUZEIX = 1.0 + math.sqrt(2.0)
 EPS_GRID = (1e-2, 1e-4, 1e-6, 1e-8)
 METHODS = ("sub-pade", "rat-interp")
 FAILURE_TYPES = (ScalingExhausted, DegreeExhausted, RefitFailed)
@@ -249,23 +244,6 @@ def test_criterion_4_left_half_plane_certification(runner):
     assert ok, bad
 
 
-def _certified_form(p: Pencil, eps: float, method: str) -> CertifiedApproximant:
-    rect = bounding_rectangle(p)
-    kappa_safe = cond_estimate(p.M).kappa_safe
-    target = eps / (CROUZEIX * math.sqrt(kappa_safe))
-    if method == "sub-pade":
-        s = select_scaling(rect, target)
-        return CertifiedApproximant(
-            form=PADE45_CORE,
-            sup_error_estimate=sup_error_on_rectangle(pade45(s), rect),
-            target=target,
-            method="sub-pade",
-            scaling=s,
-        )
-    poles = aaa_poles(boundary_samples(rect, 250), target)
-    return refit_partial_fractions(poles, boundary_samples(rect, 500), target)
-
-
 def test_criterion_5_spectral_set_inequality():
     """||r(A) - exp(A)||_2 <= (1+sqrt2) kappa(M)^(1/2) sup-estimate on 20
     random non-normal desk-scale pencils."""
@@ -279,7 +257,7 @@ def test_criterion_5_spectral_set_inequality():
         K = random_nonsym_sparse(n, rng)
         p = Pencil(float(rng.uniform(0.2, 1.5)), M, K)
         method = METHODS[trial % 2]
-        form = _certified_form(p, 1e-5, method)
+        form = certified_form(p, 1e-5, method)
         report = theorem1_bound_check(p, form)
         checked += 1
         margins.append(report.lhs / report.rhs if report.rhs > 0 else math.inf)

@@ -29,7 +29,7 @@ from expmrect.linalg import LuFactor, lu_factor
 from expmrect.rational import PADE45_CORE, boundary_samples, pade45
 
 from conftest import random_nonsym_sparse, random_spd_sparse
-from theorem1 import theorem1_bound_check
+from theorem1 import certified_form, theorem1_bound_check
 
 
 def _dense_A(p: Pencil) -> np.ndarray:
@@ -330,6 +330,20 @@ def test_driver_meets_eps(square_pencil_8, method, mode):
         assert cert.degree <= 18
 
 
+@pytest.mark.parametrize("tau_factor", [1, 10])
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_rat_interp_certifies_a_pencil_with_symmetric_k(tau_factor, eps):
+    # no advection: K is symmetric, nu_max = 0, and the rectangle is a
+    # segment inflated to a height of 1e-12
+    s = fem.assemble_p1(fem.mesh_square(16), d=0.1, c=(0.0, 0.0))
+    assert (s.K != s.K.T).nnz == 0
+    p = Pencil(tau_factor * s.mesh.h_bar, s.M, s.K)
+    x, cert = expmv_controlled(ExpmvRequest(pencil=p, b=s.b0, eps=eps, method="rat-interp"))
+    exact = expm_dense_oracle(_dense_A(p)) @ s.b0
+    err = np.linalg.norm(x - exact) / np.linalg.norm(s.b0)
+    assert err <= cert.operator_bound <= eps
+
+
 def test_driver_certificate_json(square_pencil_8):
     b = np.ones(square_pencil_8.n)
     _, cert = expmv_controlled(
@@ -428,35 +442,6 @@ def test_expmv_rejects_mismatched_analysis(square_pencil_8, square_sys_8):
 # --------------------------------------------------------------------------
 # operator-norm bound verification
 # --------------------------------------------------------------------------
-
-def certified_form(p: Pencil, eps: float, method: str):
-    """Build the certified scalar approximant for a pencil the same way the
-    driver does, returning it (the driver itself only keeps the summary)."""
-    from expmrect.aaa import aaa_poles, refit_partial_fractions
-    from expmrect.bounds import bounding_rectangle, cond_estimate
-    from expmrect.rational import (
-        CertifiedApproximant,
-        boundary_samples,
-        select_scaling,
-        sup_error_on_rectangle,
-    )
-
-    rect = bounding_rectangle(p)
-    kappa_safe = cond_estimate(p.M).kappa_safe
-    target = eps / ((1.0 + math.sqrt(2.0)) * math.sqrt(kappa_safe))
-    if method == "sub-pade":
-        s = select_scaling(rect, target)
-        achieved = sup_error_on_rectangle(pade45(s), rect)
-        return CertifiedApproximant(
-            form=PADE45_CORE,
-            sup_error_estimate=achieved,
-            target=target,
-            method="sub-pade",
-            scaling=s,
-        )
-    poles = aaa_poles(boundary_samples(rect, 250), target)
-    return refit_partial_fractions(poles, boundary_samples(rect, 500), target)
-
 
 def test_theorem_bound_holds_on_random_pencil(random_pencil_60):
     p = random_pencil_60

@@ -2,6 +2,7 @@
 
 Theorem 1 turns the scalar sup error of r - exp on the rectangle into the
 operator bound ||r(A) - exp(A)||_2 <= (1+sqrt 2) kappa(M)^(1/2) * sup-error.
+``certified_form`` builds the approximant the driver certifies, and
 ``theorem1_bound_check`` forms both sides densely, independently of the
 pipeline under test; the tests that use it assert the inequality.
 """
@@ -13,9 +14,22 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from expmrect.bounds import Pencil
-from expmrect.expmv import CROUZEIX_CONSTANT
-from expmrect.rational import CertifiedApproximant
+from expmrect.aaa import aaa_poles, refit_partial_fractions
+from expmrect.bounds import Pencil, analyze_pencil, rectangle_from_extremes
+from expmrect.expmv import (
+    AAA_SAMPLES_PER_SIDE,
+    CROUZEIX_CONSTANT,
+    KAPPA_POWER,
+    ExpmvRequest,
+)
+from expmrect.rational import (
+    PADE45_CORE,
+    CertifiedApproximant,
+    boundary_samples,
+    pade45,
+    select_scaling,
+    sup_error_on_rectangle,
+)
 
 
 @dataclass(frozen=True)
@@ -27,6 +41,27 @@ class BoundCheckReport:
     kappa: float
     sup_error_estimate: float
     passed: bool
+
+
+def certified_form(p: Pencil, eps: float, method: str) -> CertifiedApproximant:
+    """The certified scalar approximant that ``expmv_controlled`` builds for
+    the pencil at a request's default settings, with the driver's sampling
+    densities; the driver itself keeps only its summary."""
+    req = ExpmvRequest(pencil=p, b=np.zeros(p.n), eps=eps, method=method)
+    analysis = analyze_pencil(p.M, p.K, req.rel_resid_tol, req.seed, req.mode)
+    rect = rectangle_from_extremes(analysis.extremes, p.tau, req.rel_resid_tol)
+    target = eps / (CROUZEIX_CONSTANT * analysis.kappa_safe**KAPPA_POWER)
+    if method == "sub-pade":
+        s = select_scaling(rect, target)
+        return CertifiedApproximant(
+            form=PADE45_CORE,
+            sup_error_estimate=sup_error_on_rectangle(pade45(s), rect),
+            target=target,
+            method="sub-pade",
+            scaling=s,
+        )
+    poles = aaa_poles(boundary_samples(rect, AAA_SAMPLES_PER_SIDE), target)
+    return refit_partial_fractions(poles, boundary_samples(rect), target)
 
 
 def _rational_matrix(cert: CertifiedApproximant, A: np.ndarray) -> np.ndarray:
