@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DegreeExhausted, PoleInsideRegion, RefitFailed
+from .errors import DegreeExhausted, PoleEvaluation, PoleInsideRegion, RefitFailed
 from .rational import (
     CertifiedApproximant,
     PartialFractionRational,
@@ -406,7 +406,9 @@ def refit_partial_fractions(
     accumulated in double-double arithmetic recovers the digits the
     ill-conditioned basis loses. The result is certified by re-sampling the
     boundary at twice the density; if the certified sup error exceeds
-    ``target`` the fit is rejected with ``RefitFailed``.
+    ``target``, or a pole lies so near a boundary sample that the form
+    cannot be evaluated there (``PoleEvaluation``), the fit is rejected with
+    ``RefitFailed``.
     """
     poles = np.asarray(poles, dtype=complex)
     rect = boundary.rectangle
@@ -423,11 +425,17 @@ def refit_partial_fractions(
     t = _solve_refined(np.vstack([C.real, C.imag]), np.concatenate([rhs.real, rhs.imag]))
     gamma, weights = _weights_from_real_solution(t, poles.size, real_idx, pairs)
     pf = PartialFractionRational(gamma=gamma, poles=poles, weights=weights)
-    achieved = sup_error_on_rectangle(pf, rect, n_per_side=2 * boundary.n_per_side)
+    context = {"target": float(target), "degree": int(poles.size)}
+    try:
+        achieved = sup_error_on_rectangle(pf, rect, n_per_side=2 * boundary.n_per_side)
+    except PoleEvaluation as exc:
+        # a pole outside the rectangle, but within rounding of a boundary sample
+        raise RefitFailed(f"the refitted form cannot be certified: {exc}",
+                          context=context) from exc
     if achieved > target:
         raise RefitFailed(
             f"certified sup error {achieved:.3e} exceeds target {target:.3e}",
-            context={"achieved": achieved, "target": float(target), "degree": int(poles.size)},
+            context={"achieved": achieved, **context},
         )
     return CertifiedApproximant(
         form=pf,

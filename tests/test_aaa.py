@@ -363,6 +363,18 @@ def test_refit_fails_honestly_at_impossible_target():
     assert ei.value.context["target"] == 1e-30
 
 
+def test_refit_with_a_pole_at_rounding_distance_fails_typed():
+    # AAA places a real pole at 7.2e-19, just right of mu_max = 0: outside
+    # the rectangle, but on a certification sample to rounding. That
+    # PoleEvaluation used to escape, and run_sweep recorded no row.
+    rect = BoundingRectangle(mu_min=-1.0, mu_max=0.0, nu_min=-1e-300, nu_max=1e-300)
+    poles = aaa_poles(boundary_samples(rect, 20), 1e-2)
+    assert 0.0 < np.abs(poles).min() < 1e-15
+    with pytest.raises(RefitFailed, match="cannot be certified") as ei:
+        refit_partial_fractions(poles, boundary_samples(rect, 100), 1e-2)
+    assert ei.value.context == {"target": 1e-2, "degree": poles.size}
+
+
 def test_refit_rejects_pole_inside_rectangle():
     with pytest.raises(PoleInsideRegion):
         refit_partial_fractions(

@@ -183,12 +183,83 @@ def test_iterative_residual_above_tolerance_raises_no_convergence(square_sys_8, 
         raw_extremes(square_sys_8.M, square_sys_8.K, rel_resid_tol=1e-3)
 
 
+def _dense_min(B, M):
+    """Smallest eigenvalue of (B, M) by dense ``eigh``; M = None is I."""
+    return sla.eigh(B.toarray(), None if M is None else M.toarray(), eigvals_only=True)[0]
+
+
+def _recorded_minima(monkeypatch):
+    """Record (B, M, theta) of every minimum ``_sym_extreme`` returns, and
+    the keyword arguments of every ``_ritz_pair`` call."""
+    minima, ritz_calls = [], []
+    sym_extreme, ritz_pair = bounds._sym_extreme, bounds._ritz_pair
+
+    def recording_sym_extreme(B, M, M_solve, which, rel_resid_tol, seed):
+        theta, resid = sym_extreme(B, M, M_solve, which, rel_resid_tol, seed)
+        if which == "min":
+            minima.append((B, M, theta))
+        return theta, resid
+
+    def recording_ritz_pair(what, A, tol, seed, **kwargs):
+        ritz_calls.append(kwargs)
+        return ritz_pair(what, A, tol, seed, **kwargs)
+
+    monkeypatch.setattr(bounds, "_sym_extreme", recording_sym_extreme)
+    monkeypatch.setattr(bounds, "_ritz_pair", recording_ritz_pair)
+    return minima, ritz_calls
+
+
+@pytest.mark.parametrize("mode", ["ii", "i"])
+@pytest.mark.parametrize("domain", ["square", "star"])
+def test_every_minimum_agrees_with_dense_eigh(domain, mode, monkeypatch):
+    # square/8 and star/1. Mode "ii" takes the minima of (D, M) and, for
+    # kappa, of M; mode "i" that of (sym(K M), M M). On square/8 each loose
+    # regular-mode estimate is finished in shift-invert from its own vector;
+    # on star/1 (n=7) the estimate already meets ARPACK_TOL and is kept.
+    mesh = fem.mesh_square(8) if domain == "square" else fem.mesh_star(refine=1)
+    s = fem.assemble_p1(mesh, d=0.1, domain=domain)
+    minima, ritz_calls = _recorded_minima(monkeypatch)
+    analyze_pencil(s.M, s.K, mode=mode)
+    assert len(minima) == (2 if mode == "ii" else 1)
+    for B, M, theta in minima:
+        assert math.isclose(theta, _dense_min(B, M), rel_tol=1e-12)
+    finishes = [kw for kw in ritz_calls if "v0" in kw]
+    assert len(finishes) == (len(minima) if domain == "square" else 0)
+    assert all(kw["sigma"] < theta for kw, (_, _, theta) in zip(finishes, minima))
+
+
+@pytest.mark.parametrize("mass", ["M", "identity"])
+def test_unproved_bracket_falls_back_to_regular_mode(square_sys_8, mass, monkeypatch):
+    # a loose estimate above the minimum puts every shift, even the widest,
+    # above it too: no factor proves one below the spectrum, and the
+    # minimum comes from regular mode at the full tolerance
+    s = square_sys_8
+    B, M = (split(s.K).D, s.M) if mass == "M" else (s.M, None)
+    M_solve = None if M is None else bounds._mass_solve(M)
+    ritz_pair, factor = bounds._ritz_pair, bounds.definite_factor
+    brackets = []
+
+    def estimate_above(what, A, tol, seed, **kwargs):
+        theta, x = ritz_pair(what, A, tol, seed, **kwargs)
+        return (theta + 0.5 * abs(theta) if tol == bounds.BRACKET_TOL else theta), x
+
+    def recording_factor(A, sign):
+        brackets.append(factor(A, sign))
+        return brackets[-1]
+
+    monkeypatch.setattr(bounds, "_ritz_pair", estimate_above)
+    monkeypatch.setattr(bounds, "definite_factor", recording_factor)
+    theta, _ = bounds._sym_extreme(B, M, M_solve, "min", 1e-3, 0)
+    assert brackets == [None] * (bounds.BRACKET_WIDENINGS + 1)
+    assert math.isclose(theta, _dense_min(B, M), rel_tol=1e-12)
+
+
 def _raising(*args, **kwargs):
     raise AssertionError("the enclosure must not call a dense eigensolver")
 
 
 @pytest.mark.parametrize("domain", ["square", "star"])
-def test_dense_raw_extremes_computes_no_eigenvectors(domain, monkeypatch):
+def test_raw_extremes_calls_no_dense_eigensolver(domain, monkeypatch):
     # square/8 and star/1: desk-scale pencils take ARPACK too
     mesh = fem.mesh_square(8) if domain == "square" else fem.mesh_star(refine=1)
     s = fem.assemble_p1(mesh, d=0.1, domain=domain)
@@ -202,7 +273,7 @@ def test_dense_raw_extremes_computes_no_eigenvectors(domain, monkeypatch):
         assert math.isclose(got, want, rel_tol=1e-13)
 
 
-def test_dense_raw_extremes_of_symmetric_k_has_zero_height(square_sys_8):
+def test_raw_extremes_of_symmetric_k_has_zero_height(square_sys_8):
     K = split(square_sys_8.K).D
     assert split(K).S.nnz == 0
     assert raw_extremes(square_sys_8.M, K).nu_max == 0.0
@@ -347,7 +418,7 @@ def test_plain_range_rectangle_matches_dense_range_of_a(domain, size, d, tau_fac
 # condition estimate
 # --------------------------------------------------------------------------
 
-def test_cond_estimate_dense_matches_eigvalsh(square_sys_8):
+def test_cond_estimate_matches_dense_eigvalsh(square_sys_8):
     # ARPACK's estimate against the dense eigenvalues of M
     M = square_sys_8.M
     w = np.linalg.eigvalsh(M.toarray())

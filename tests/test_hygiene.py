@@ -7,8 +7,8 @@ Each module except ``__init__.py`` (which only re-exports) is parsed with
 module-level name must be referenced somewhere in the package outside its
 own definition. ``__init__.__all__`` lists exactly the names it imports,
 only ``linalg.py`` calls SuperLU, only ``bounds.py`` calls the eigensolver
-or decides an enclosure, and only ``bounds.py`` compares ``nu_min`` with
-``-nu_max``.
+(and only through ``_ritz_pair``) or decides an enclosure, and only
+``bounds.py`` compares ``nu_min`` with ``-nu_max``.
 """
 from __future__ import annotations
 
@@ -140,6 +140,23 @@ def test_only_bounds_calls_an_eigensolver(path):
     if path.name != "bounds.py":
         found = re.findall(r"\beig(?:sh|valsh)\b", path.read_text())
         assert not found, f"{path.name} calls {sorted(set(found))} outside bounds"
+
+
+def test_bounds_reaches_eigsh_only_through_ritz_pair():
+    # _ritz_pair seeds the start vector and turns ARPACK's failures into
+    # NoConvergence; an eigsh named anywhere else in bounds would bypass both
+    tree = ast.parse((PACKAGE / "bounds.py").read_text())
+    (ritz,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_ritz_pair"]
+    inside = {id(n) for n in ast.walk(ritz)}
+    outside = [
+        n.lineno for n in ast.walk(tree)
+        if (isinstance(n, ast.Attribute) and n.attr == "eigsh"
+            or isinstance(n, ast.Name) and n.id == "eigsh"
+            or isinstance(n, ast.alias) and n.name.split(".")[-1] == "eigsh")
+        and id(n) not in inside
+    ]
+    assert not outside, f"bounds.py names eigsh outside _ritz_pair on lines {outside}"
+    assert any(isinstance(n, ast.Attribute) and n.attr == "eigsh" for n in ast.walk(ritz))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
