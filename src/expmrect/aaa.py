@@ -302,9 +302,10 @@ def aaa_poles(
     """Pole set for a rational approximant of exp on the boundary's rectangle.
 
     Runs the greedy barycentric fit with stopping tolerance ``target / 2``
-    (the headroom is spent later by the refit), refining the boundary
-    sampling by doubling, at most ``MAX_DOUBLINGS`` times, until the
-    selected denominator degree stabilizes between consecutive densities.
+    (the headroom is spent later by the refit) on the boundary's samples,
+    then resamples the rectangle at doubled density, at most
+    ``MAX_DOUBLINGS`` times, until the selected denominator degree
+    stabilizes between consecutive densities.
     The poles come from a real pencil and so form an exactly conjugate-closed
     set; spurious ones are filtered in pairs, and the rest are returned
     sorted by real part, then imaginary part.
@@ -315,9 +316,8 @@ def aaa_poles(
     tol = 0.5 * target
     prev_degree = None
     poles = np.empty(0, dtype=complex)
-    n = boundary.n_per_side
+    b = boundary
     for _ in range(MAX_DOUBLINGS + 1):
-        b = boundary_samples(rect, n)
         Z = b.samples
         F = np.exp(Z)
         raw, support, fsupp, w = _aaa_on_samples(Z, F, tol, m_max, rect)
@@ -326,7 +326,7 @@ def aaa_poles(
         if prev_degree is not None and poles.size == prev_degree:
             break
         prev_degree = poles.size
-        n *= 2
+        b = boundary_samples(rect, 2 * b.n_per_side)
     return poles[np.lexsort((poles.imag, poles.real))]
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "RawExtremes",
     "split",
     "raw_extremes",
-    "inflated_rectangle",
     "rectangle_from_extremes",
     "bounding_rectangle",
     "cond_estimate",
@@ -48,7 +47,9 @@ __all__ = [
     "is_lhp_certified",
 ]
 
-DEFAULT_REL_RESID_TOL = 1e-3
+# the largest relative residual an extreme Ritz pair may have; each edge of
+# the rectangle is widened by twice it
+REL_RESID_TOL = 1e-3
 INFLATION_FLOOR = 1e-12
 
 
@@ -129,9 +130,8 @@ def split(K) -> SymSkewSplit:
 # extreme eigenvalues by ARPACK
 # --------------------------------------------------------------------------
 
-# ARPACK's relative Ritz-value tolerance, tightened to ``rel_resid_tol``
-# when that is smaller; the accepted residual is ``rel_resid_tol``, checked
-# on the returned pair.
+# ARPACK's relative Ritz-value tolerance; the accepted residual is
+# REL_RESID_TOL, checked on the returned pair.
 ARPACK_TOL = 1e-10
 # A minimum is first estimated in regular mode to this looser tolerance;
 # shift-invert about a shift proved to lie below the spectrum then reaches
@@ -173,12 +173,12 @@ def _residual(theta, Bx, Mx) -> float:
     return float(np.linalg.norm(Bx - theta * Mx) / denom) if denom > 0.0 else 0.0
 
 
-def _accepted(what, theta, Bx, Mx, rel_resid_tol) -> tuple[float, float]:
+def _accepted(what, theta, Bx, Mx) -> tuple[float, float]:
     """(theta, resid) with resid the ``_residual`` of the pair, if it is at
-    most ``rel_resid_tol``."""
+    most ``REL_RESID_TOL``."""
     resid = _residual(theta, Bx, Mx)
-    if not resid <= rel_resid_tol:
-        raise NoConvergence(f"{what}: residual {resid:.3e} above {rel_resid_tol:.1e}")
+    if not resid <= REL_RESID_TOL:
+        raise NoConvergence(f"{what}: residual {resid:.3e} above {REL_RESID_TOL:.1e}")
     return theta, resid
 
 
@@ -192,23 +192,23 @@ def _mass_solve(M):
     return fac.solve
 
 
-def _bracketed_min(what, B, M, regular, tol, seed):
+def _bracketed_min(what, B, M, regular, seed):
     """The minimum of (B, M) by a loose regular-mode estimate finished in
     shift-invert, as a Ritz pair (theta, x), or None when no shift could be
     proved to lie below the spectrum.
 
     ``regular`` holds the regular-mode arguments of ``eigsh``. The
     regular-mode pair at ``BRACKET_TOL`` is returned as it is when its
-    ``_residual`` already meets ``tol``. Otherwise sigma = theta -
+    ``_residual`` already meets ``ARPACK_TOL``. Otherwise sigma = theta -
     delta |theta| lies below the spectrum if the pivots of B - sigma M
     prove it positive definite (Sylvester's law of inertia,
     ``linalg.definite_factor``); then the eigenvalue nearest sigma is the
     minimum, and shift-invert with that factor, started from the
-    estimate's vector, finds it to ``tol``.
+    estimate's vector, finds it to ``ARPACK_TOL``.
     """
     theta, x = _ritz_pair(what, B, BRACKET_TOL, seed, **regular)
     Mx = x if M is None else M @ x
-    if _residual(theta, B @ x, Mx) <= tol:
+    if _residual(theta, B @ x, Mx) <= ARPACK_TOL:
         return theta, x
     mass = sp.eye_array(B.shape[0]) if M is None else M
     delta = BRACKET_DELTA
@@ -216,18 +216,18 @@ def _bracketed_min(what, B, M, regular, tol, seed):
         sigma = theta - delta * abs(theta)
         fac = definite_factor(B - sigma * mass, 1.0)
         if fac is not None:
-            return _ritz_pair(what, B, tol, seed, M=M, sigma=sigma,
+            return _ritz_pair(what, B, ARPACK_TOL, seed, M=M, sigma=sigma,
                               OPinv=_operator(B.shape[0], fac.solve), v0=x)
         delta *= 4.0
     return None
 
 
-def _sym_extreme(B, M, M_solve, which, rel_resid_tol, seed) -> tuple[float, float]:
+def _sym_extreme(B, M, M_solve, which, seed) -> tuple[float, float]:
     """Extreme eigenvalue of the symmetric pencil B x = theta M x, ``which``
     "min" or "max", as (theta, achieved_residual).
 
     ``M = None`` means the identity; any other M comes with ``M_solve``, a
-    solve with M. ARPACK's tolerance is ``min(ARPACK_TOL, rel_resid_tol)``.
+    solve with M. ARPACK's tolerance is ``ARPACK_TOL``.
     The maximum of a B whose pivots prove it negative definite
     (``linalg.definite_factor``) comes from shift-invert about 0, any other
     maximum from regular mode. The minimum is bracketed (``_bracketed_min``):
@@ -235,26 +235,25 @@ def _sym_extreme(B, M, M_solve, which, rel_resid_tol, seed) -> tuple[float, floa
     shift whose inertia proves it below the spectrum; only when no such
     shift is found does regular mode run to the full tolerance. ``seed``
     sets the start vector. The pair is accepted only if its relative
-    residual is at most ``rel_resid_tol``; otherwise, or when ARPACK fails,
+    residual is at most ``REL_RESID_TOL``; otherwise, or when ARPACK fails,
     ``NoConvergence`` is raised.
     """
     n = B.shape[0]
     what = f"the {which}imum of a symmetric pencil"
-    tol = min(ARPACK_TOL, rel_resid_tol)
     regular = {"M": M, "which": "SA" if which == "min" else "LA"}
     if M is not None:
         regular["Minv"] = _operator(n, M_solve)
     if which == "min":
-        pair = _bracketed_min(what, B, M, regular, tol, seed)
+        pair = _bracketed_min(what, B, M, regular, seed)
     else:
         fac = definite_factor(B, -1.0)
         pair = None if fac is None else _ritz_pair(
-            what, B, tol, seed, M=M, sigma=0.0, OPinv=_operator(n, fac.solve))
-    theta, x = pair or _ritz_pair(what, B, tol, seed, **regular)
-    return _accepted(what, theta, B @ x, x if M is None else M @ x, rel_resid_tol)
+            what, B, ARPACK_TOL, seed, M=M, sigma=0.0, OPinv=_operator(n, fac.solve))
+    theta, x = pair or _ritz_pair(what, B, ARPACK_TOL, seed, **regular)
+    return _accepted(what, theta, B @ x, x if M is None else M @ x)
 
 
-def _skew_extreme(S, M, M_solve, rel_resid_tol, seed) -> tuple[float, float]:
+def _skew_extreme(S, M, M_solve, seed) -> tuple[float, float]:
     """Largest eigenvalue of the Hermitian pencil C x = theta M x, C = S/i,
     given a solve with M, as (theta, achieved_residual).
 
@@ -263,21 +262,21 @@ def _skew_extreme(S, M, M_solve, rel_resid_tol, seed) -> tuple[float, float]:
     inv(L) S inv(L)^T. ARPACK's ``eigsh`` finds the largest eigenvalue of
     the real squared pencil (S^T inv(M) S, M). Its square root is accepted
     if the complex Ritz vector x - (i/sigma) inv(M) S x has relative
-    residual at most ``rel_resid_tol`` in the original pencil.
+    residual at most ``REL_RESID_TOL`` in the original pencil.
     """
     if S.nnz == 0:
         return 0.0, 0.0
     n = S.shape[0]
     squared = _operator(n, lambda v: -(S @ M_solve(S @ v)))
     theta_sq, x = _ritz_pair(
-        "the skew pencil", squared, min(ARPACK_TOL, rel_resid_tol), seed,
+        "the skew pencil", squared, ARPACK_TOL, seed,
         M=M, Minv=_operator(n, M_solve), which="LA",
     )
     sigma = float(np.sqrt(max(theta_sq, 0.0)))
     if sigma == 0.0:
         return 0.0, 0.0
     xc = x - (1j / sigma) * M_solve(S @ x)
-    return _accepted("the skew pencil", sigma, (S @ xc) / 1j, M @ xc, rel_resid_tol)
+    return _accepted("the skew pencil", sigma, (S @ xc) / 1j, M @ xc)
 
 
 # --------------------------------------------------------------------------
@@ -330,30 +329,6 @@ class BoundingRectangle:
         }
 
 
-def inflated_rectangle(
-    mu_min: float, mu_max: float, nu_max: float, rel_resid_tol: float
-) -> BoundingRectangle:
-    """The rectangle [mu_min, mu_max] x [-nu_max, nu_max], widened outward.
-
-    Each endpoint moves outward by max(2 * rel_resid_tol * |endpoint|,
-    ``INFLATION_FLOOR``), so that eigenvalue-solver tolerance cannot shave
-    the enclosure.
-    """
-    rel = 2.0 * rel_resid_tol
-
-    def margin(x):
-        return max(rel * abs(x), INFLATION_FLOOR)
-
-    nu_hi = nu_max + margin(nu_max)
-    return BoundingRectangle(
-        mu_min=mu_min - margin(mu_min),
-        mu_max=mu_max + margin(mu_max),
-        nu_min=-nu_hi,
-        nu_max=nu_hi,
-        inflation=rel,
-    )
-
-
 @dataclass(frozen=True)
 class RawExtremes:
     """tau-independent extreme eigenvalues of the pencils ((D, M), (C, M)):
@@ -364,12 +339,7 @@ class RawExtremes:
     nu_max: float
 
 
-def raw_extremes(
-    M,
-    K,
-    rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-    seed: int = 0,
-) -> RawExtremes:
+def raw_extremes(M, K, seed: int = 0) -> RawExtremes:
     """Extreme eigenvalues of (D, M) and (C, M) for the unit time step.
 
     ARPACK computes them at every size. One symmetric sparse factor of M
@@ -383,35 +353,45 @@ def raw_extremes(
     if M.shape != parts.D.shape:
         raise DimensionMismatch("K and M sizes differ")
     M_solve = _mass_solve(M)
-    mu_min, _ = _sym_extreme(parts.D, M, M_solve, "min", rel_resid_tol, seed)
-    mu_max, _ = _sym_extreme(parts.D, M, M_solve, "max", rel_resid_tol, seed)
-    nu_max, _ = _skew_extreme(parts.S, M, M_solve, rel_resid_tol, seed)
+    mu_min, _ = _sym_extreme(parts.D, M, M_solve, "min", seed)
+    mu_max, _ = _sym_extreme(parts.D, M, M_solve, "max", seed)
+    nu_max, _ = _skew_extreme(parts.S, M, M_solve, seed)
     return RawExtremes(mu_min=mu_min, mu_max=mu_max, nu_max=nu_max)
 
 
-def rectangle_from_extremes(
-    ext: RawExtremes,
-    tau: float,
-    rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-) -> BoundingRectangle:
-    """Scale unit-step extremes by tau and apply the safety inflation."""
-    return inflated_rectangle(tau * ext.mu_min, tau * ext.mu_max, tau * ext.nu_max, rel_resid_tol)
+def rectangle_from_extremes(ext: RawExtremes, tau: float) -> BoundingRectangle:
+    """The rectangle [mu_min, mu_max] x [-nu_max, nu_max] of the unit-step
+    extremes scaled by tau, widened outward.
+
+    Each endpoint moves outward by max(2 * REL_RESID_TOL * |endpoint|,
+    ``INFLATION_FLOOR``), so that eigenvalue-solver tolerance cannot shave
+    the enclosure.
+    """
+    rel = 2.0 * REL_RESID_TOL
+
+    def margin(x):
+        return max(rel * abs(x), INFLATION_FLOOR)
+
+    mu_min, mu_max, nu_max = tau * ext.mu_min, tau * ext.mu_max, tau * ext.nu_max
+    nu_hi = nu_max + margin(nu_max)
+    return BoundingRectangle(
+        mu_min=mu_min - margin(mu_min),
+        mu_max=mu_max + margin(mu_max),
+        nu_min=-nu_hi,
+        nu_max=nu_hi,
+        inflation=rel,
+    )
 
 
-def bounding_rectangle(
-    p: Pencil,
-    rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-    seed: int = 0,
-) -> BoundingRectangle:
+def bounding_rectangle(p: Pencil, seed: int = 0) -> BoundingRectangle:
     """Rectangle enclosing the numerical range of the mass-symmetrized pencil.
 
     The horizontal extent comes from the extreme eigenvalues of (tau D, M),
     the vertical extent from the Hermitian pencil (tau C, M); for real K the
     rectangle is symmetric about the real axis. Endpoints are widened by
-    ``inflated_rectangle``.
+    ``rectangle_from_extremes``.
     """
-    ext = raw_extremes(p.M, p.K, rel_resid_tol, seed=seed)
-    return rectangle_from_extremes(ext, p.tau, rel_resid_tol)
+    return rectangle_from_extremes(raw_extremes(p.M, p.K, seed=seed), p.tau)
 
 
 def is_lhp_certified(r: BoundingRectangle) -> bool:
@@ -449,11 +429,7 @@ class CondEstimate:
             raise ValueError("safety margin must not shrink the estimate")
 
 
-def cond_estimate(
-    M,
-    rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-    seed: int = 0,
-) -> CondEstimate:
+def cond_estimate(M, seed: int = 0) -> CondEstimate:
     """Estimate the spectral condition number of symmetric positive definite M.
 
     ARPACK computes both ends of the spectrum of the pencil (M, I)
@@ -465,8 +441,8 @@ def cond_estimate(
     fewer than 2 unknowns, ValueError.
     """
     _check_real_finite(M=M)
-    lo, _ = _sym_extreme(M, None, None, "min", rel_resid_tol, seed)
-    hi, _ = _sym_extreme(M, None, None, "max", rel_resid_tol, seed)
+    lo, _ = _sym_extreme(M, None, None, "min", seed)
+    hi, _ = _sym_extreme(M, None, None, "max", seed)
     if lo <= 0.0:
         raise NotSPD("eigsh found a nonpositive eigenvalue of M")
     kappa = max(float(hi / lo), 1.0)
@@ -490,14 +466,13 @@ class PencilAnalysis:
     ``extremes`` are the unit-step extreme eigenvalues of region ``mode``,
     which ``rectangle_from_extremes`` scales by tau, and ``cond`` is the
     condition estimate of M (None in mode "i"). All were computed with the
-    recorded settings, so one analysis serves every tau of the pencil.
+    recorded seed, so one analysis serves every tau of the pencil.
     """
 
     M: sp.csr_array
     K: sp.csr_array
     extremes: RawExtremes
     cond: CondEstimate | None
-    rel_resid_tol: float
     seed: int
     mode: str
 
@@ -506,45 +481,35 @@ class PencilAnalysis:
         """The certificate's kappa factor: 1.0 in mode "i"."""
         return 1.0 if self.cond is None else self.cond.kappa_safe
 
-    def check_fits(self, p: Pencil, rel_resid_tol: float, seed: int, mode: str) -> None:
+    def check_fits(self, p: Pencil, seed: int, mode: str) -> None:
         """Raise ValueError unless this analysis is of p's M and K, computed
-        with the given settings in the given mode."""
+        with the given seed in the given mode."""
         if not (_same_matrix(p.M, self.M) and _same_matrix(p.K, self.K)):
             raise ValueError("the pencil analysis was computed for a different pencil")
-        wanted = {"rel_resid_tol": rel_resid_tol, "seed": seed, "mode": mode}
+        wanted = {"seed": seed, "mode": mode}
         differ = {k: (getattr(self, k), v) for k, v in wanted.items() if getattr(self, k) != v}
         if differ:
             raise ValueError(f"pencil analysis settings differ (analysis, request): {differ}")
 
 
-def analyze_pencil(
-    M,
-    K,
-    rel_resid_tol: float = DEFAULT_REL_RESID_TOL,
-    seed: int = 0,
-    mode: str = "ii",
-) -> PencilAnalysis:
+def analyze_pencil(M, K, seed: int = 0, mode: str = "ii") -> PencilAnalysis:
     """Enclose the pencil (M, K) once: unit-step extremes and kappa(M) in
     mode "ii". Mode "i" encloses W(inv(M) K) itself and needs no kappa:
     with x = M y, x* inv(M) K x / x* x = y* (K M) y / y* (M M) y, so it is
     the numerical range of the sparse pencil (K M, M M), whose mass M M is
     symmetric positive definite with M.
 
-    ``rel_resid_tol`` outside (0, 1), an unknown mode, or a complex or
-    non-finite M or K (``raw_extremes`` checks them) raise ValueError
-    before any solver runs.
+    An unknown mode, or a complex or non-finite M or K (``raw_extremes``
+    checks them) raise ValueError before any solver runs.
     """
-    if not (0.0 < rel_resid_tol < 1.0):
-        raise ValueError(f"rel_resid_tol must lie in (0, 1), got {rel_resid_tol}")
     if mode not in ("i", "ii"):
         raise ValueError(f"unknown mode {mode!r}")
     mass, stiffness = (M @ M, K @ M) if mode == "i" else (M, K)
     return PencilAnalysis(
         M=sp.csr_array(M),
         K=sp.csr_array(K),
-        extremes=raw_extremes(mass, stiffness, rel_resid_tol, seed=seed),
-        cond=cond_estimate(M, rel_resid_tol, seed=seed) if mode == "ii" else None,
-        rel_resid_tol=rel_resid_tol,
+        extremes=raw_extremes(mass, stiffness, seed=seed),
+        cond=cond_estimate(M, seed=seed) if mode == "ii" else None,
         seed=seed,
         mode=mode,
     )

@@ -203,8 +203,8 @@ def cmd_bound(args) -> int:
     M, K, _, h_bar, _ = _load_system(args)
     tau = _resolve_tau(args, h_bar)
     p = Pencil(tau=tau, M=M, K=K)
-    analysis = analyze_pencil(p.M, p.K, args.rel_resid_tol, seed=args.seed)
-    rect = rectangle_from_extremes(analysis.extremes, tau, args.rel_resid_tol)
+    analysis = analyze_pencil(p.M, p.K, seed=args.seed)
+    rect = rectangle_from_extremes(analysis.extremes, tau)
     est = analysis.cond
     payload = {
         "schema": "expmrect/bound-v1",
@@ -233,7 +233,6 @@ def cmd_expmv(args) -> int:
         eps=args.eps,
         method=args.method,
         mode=args.mode,
-        rel_resid_tol=args.rel_resid_tol,
         seed=args.seed,
     )
     out = Path(args.out) if args.out else None
@@ -423,7 +422,6 @@ def _add_run_args(sub):
     sub.add_argument(
         "--tau-factor", type=float, default=1.0, help="time step as a multiple of h_bar"
     )
-    sub.add_argument("--rel-resid-tol", type=float, default=1e-3)
     sub.add_argument("--seed", type=int, default=0)
 
 

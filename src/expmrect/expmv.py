@@ -150,31 +150,43 @@ def _shift_factor(pattern: _ShiftPattern, beta: complex, tau: float):
         raise SingularShift(f"shift {beta} makes the pencil singular") from exc
 
 
-def _pf_apply(pf: PartialFractionRational, p: Pencil, b: np.ndarray, factor) -> np.ndarray:
-    """Evaluate gamma*b + sum_k w_k (beta_k M - tau K)^{-1} M b.
+def _apply(form: PartialFractionRational, scaling: int, p: Pencil, b: np.ndarray) -> np.ndarray:
+    """Apply r(tau inv(M) K / s)**s to b, s = ``scaling``, as s passes of
+    x <- gamma*x + sum_k w_k (beta_k M - (tau/s) K)^{-1} M x.
 
-    ``factor(beta)`` returns the LU factor of beta M - tau K. The form is
-    exactly conjugate-symmetric and M and K are real, so one solve per real
-    pole and one per conjugate pair suffice: a pair's contribution is twice
-    the real part of its upper member's, and the result is real for real b.
-    A complex b is applied by linearity, as f(b.real) + 1j f(b.imag): each
-    pole's factor solves both parts, and the two real sums run in the same
-    order as for a real b. This function holds each factor only for that
-    pole's solves; whether it outlives them is up to ``factor``.
+    The form is exactly conjugate-symmetric and M and K are real, so one
+    solve per real pole and one per conjugate pair suffice: a pair's
+    contribution is twice the real part of its upper member's, and the
+    result is real for real b. A complex b is applied by linearity, as
+    f(b.real) + 1j f(b.imag): each pole's factor solves both parts, and the
+    two real sums run in the same order as for a real b. A pole's factor is
+    taken in the first pass and released after its solves in the last, so
+    one pass holds at most one factor at any time.
     """
-    parts = (b.real, b.imag) if np.iscomplexobj(b) else (b,)
-    Mb = [p.M @ part for part in parts]
+    if b.shape[0] != p.n:
+        raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
+    pattern = _shift_pattern(p)
+    tau_step = p.tau / scaling
+    kept: dict = {}
 
-    def solves(i):
-        fac = factor(pf.poles[i])
-        return [fac.solve(rhs) for rhs in Mb]
+    def solves(i, rhs, last):
+        fac = kept.pop(i) if i in kept else _shift_factor(pattern, complex(form.poles[i]), tau_step)
+        if not last:
+            kept[i] = fac
+        return [fac.solve(v) for v in rhs]
 
-    xs = [pf.gamma * part.astype(float) for part in parts]
-    for i in pf.real_poles:
-        xs = [x + pf.weights[i].real * y.real for x, y in zip(xs, solves(i))]
-    for i, _ in pf.pairs:
-        xs = [x + 2.0 * (pf.weights[i] * y).real for x, y in zip(xs, solves(i))]
-    return xs[0] + 1j * xs[1] if len(xs) == 2 else xs[0]
+    x = np.asarray(b)
+    for k in range(scaling):
+        last = k == scaling - 1
+        parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+        Mx = [p.M @ part for part in parts]
+        xs = [form.gamma * part.astype(float) for part in parts]
+        for i in form.real_poles:
+            xs = [y + form.weights[i].real * z.real for y, z in zip(xs, solves(i, Mx, last))]
+        for i, _ in form.pairs:
+            xs = [y + 2.0 * (form.weights[i] * z).real for y, z in zip(xs, solves(i, Mx, last))]
+        x = xs[0] + 1j * xs[1] if len(xs) == 2 else xs[0]
+    return x
 
 
 def apply_partial_fraction(r: PartialFractionRational, p: Pencil, b: np.ndarray) -> np.ndarray:
@@ -182,14 +194,10 @@ def apply_partial_fraction(r: PartialFractionRational, p: Pencil, b: np.ndarray)
 
     Each real pole and each conjugate pair costs one factorization of
     (beta_k M - tau K) and one solve with M b (two for a complex b, one per
-    part). Poles are taken one at a time, and each factor is released as
-    soon as its solves return, so at most one factor is alive at any time
-    and peak memory does not grow with the degree.
+    part). Each factor is released as soon as its solves return, so peak
+    memory does not grow with the degree.
     """
-    if b.shape[0] != p.n:
-        raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
-    pattern = _shift_pattern(p)
-    return _pf_apply(r, p, np.asarray(b), lambda beta: _shift_factor(pattern, complex(beta), p.tau))
+    return _apply(r, 1, p, b)
 
 
 def apply_scaled_pade(pade: PadeRational, p: Pencil, b: np.ndarray) -> np.ndarray:
@@ -198,24 +206,9 @@ def apply_scaled_pade(pade: PadeRational, p: Pencil, b: np.ndarray) -> np.ndarra
 
     The shifts are the same in every pass, so the three factors of r45 (one
     real pole and two conjugate pairs) are taken once, in the first pass,
-    kept for all s passes and released when the call returns.
+    and kept until their solves in the last.
     """
-    if b.shape[0] != p.n:
-        raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
-    tau_step = p.tau / pade.scaling
-    pattern = _shift_pattern(p)
-    factors: dict = {}
-
-    def factor(beta):
-        key = complex(beta)
-        if key not in factors:
-            factors[key] = _shift_factor(pattern, key, tau_step)
-        return factors[key]
-
-    x = np.asarray(b)
-    for _ in range(pade.scaling):
-        x = _pf_apply(PADE45_CORE, p, x, factor)
-    return x
+    return _apply(PADE45_CORE, pade.scaling, p, b)
 
 
 # --------------------------------------------------------------------------
@@ -229,8 +222,8 @@ class ExpmvRequest:
     ``analysis`` optionally carries the pencil's tau-independent enclosure
     (see ``bounds.analyze_pencil``), in either mode; the driver then reuses
     it instead of enclosing again. It must be of this pencil's M and K and
-    computed with this request's ``rel_resid_tol``, ``seed`` and ``mode``,
-    or the request raises ValueError.
+    computed with this request's ``seed`` and ``mode``, or the request
+    raises ValueError.
 
     ``kappa_power``, ``n_per_side``, ``s_max`` and ``m_max`` are fixed, not
     arguments. They hold the driver's ``KAPPA_POWER``, its boundary sampling
@@ -244,7 +237,6 @@ class ExpmvRequest:
     method: str = "sub-pade"  # "sub-pade" | "rat-interp"
     mode: str = "ii"  # "ii": W of the symmetrized operator; "i": W(A) itself
     kappa_power: float = field(default=KAPPA_POWER, init=False)
-    rel_resid_tol: float = 1e-3
     n_per_side: int = field(default=DEFAULT_SAMPLES_PER_SIDE, init=False)
     s_max: int = field(default=S_MAX, init=False)
     m_max: int = field(default=M_MAX, init=False)
@@ -261,7 +253,7 @@ class ExpmvRequest:
         if not np.all(np.isfinite(self.b)):
             raise ValueError("b contains NaN or Inf entries")
         if self.analysis is not None:
-            self.analysis.check_fits(self.pencil, self.rel_resid_tol, self.seed, self.mode)
+            self.analysis.check_fits(self.pencil, self.seed, self.mode)
 
 
 @dataclass(frozen=True)
@@ -337,8 +329,8 @@ def expmv_controlled(req: ExpmvRequest) -> tuple[np.ndarray, ExpmvCertificate]:
     if b.shape[0] != p.n:
         raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
 
-    analysis = req.analysis or analyze_pencil(p.M, p.K, req.rel_resid_tol, req.seed, req.mode)
-    rect = rectangle_from_extremes(analysis.extremes, p.tau, req.rel_resid_tol)
+    analysis = req.analysis or analyze_pencil(p.M, p.K, req.seed, req.mode)
+    rect = rectangle_from_extremes(analysis.extremes, p.tau)
     kappa_safe = analysis.kappa_safe
     target = req.eps / (CROUZEIX_CONSTANT * kappa_safe**KAPPA_POWER)
 

@@ -76,16 +76,15 @@ def test_sym_pencil_dense_matches_oracle(random_pencil_60):
     assert math.isclose(ext.mu_max, hi, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("which,tol,agree", [("min", 1e-3, 1e-3), ("max", 1e-3, 1e-3),
-                                             ("min", 1e-6, 1e-6), ("max", 1e-6, 1e-6)])
-def test_sym_pencil_iterative_agrees_with_dense(which, tol, agree):
+@pytest.mark.parametrize("which", ["min", "max"])
+def test_sym_pencil_iterative_agrees_with_dense(which):
     rng = np.random.default_rng(3)
     M = random_spd_sparse(150, rng)
     D = split(random_nonsym_sparse(150, rng)).D
     dense = _dense_pencil_extremes(D, M)[0 if which == "min" else 1]
-    iterative, resid = bounds._sym_extreme(D, M, bounds._mass_solve(M), which, tol, 0)
-    assert resid <= tol
-    assert abs(iterative - dense) <= agree * abs(dense)
+    iterative, resid = bounds._sym_extreme(D, M, bounds._mass_solve(M), which, 0)
+    assert resid <= bounds.REL_RESID_TOL
+    assert abs(iterative - dense) <= 1e-6 * abs(dense)
 
 
 def test_skew_pencil_dense_matches_oracle(random_pencil_60):
@@ -100,7 +99,7 @@ def test_skew_pencil_iterative_agrees_with_dense():
     M = random_spd_sparse(150, rng)
     S = split(random_nonsym_sparse(150, rng)).S
     dense = _dense_skew_max(S, M)
-    iterative, resid = bounds._skew_extreme(S, M, bounds._mass_solve(M), 1e-3, 0)
+    iterative, resid = bounds._skew_extreme(S, M, bounds._mass_solve(M), 0)
     assert resid <= 1e-3
     assert abs(iterative - dense) <= 1e-3 * abs(dense)
 
@@ -148,25 +147,13 @@ def test_arpack_failure_raises_no_convergence(fail, square_sys_8, monkeypatch):
     M_solve = bounds._mass_solve(s.M)
     monkeypatch.setattr(spla, "eigsh", fail)
     with pytest.raises(NoConvergence, match=r"minimum of a symmetric pencil \(n=49\)"):
-        bounds._sym_extreme(split(s.K).D, s.M, M_solve, "min", 1e-3, 0)
+        bounds._sym_extreme(split(s.K).D, s.M, M_solve, "min", 0)
     with pytest.raises(NoConvergence, match=r"skew pencil \(n=49\)"):
-        bounds._skew_extreme(split(s.K).S, s.M, M_solve, 1e-3, 0)
+        bounds._skew_extreme(split(s.K).S, s.M, M_solve, 0)
     with pytest.raises(NoConvergence, match="n=49"):
         raw_extremes(s.M, s.K)
     with pytest.raises(NoConvergence, match="n=49"):
         cond_estimate(s.M)
-
-
-def test_iterative_enclosure_meets_a_tolerance_below_arpack_tol(square_sys_8):
-    # ARPACK's own tolerance tightens to the caller's residual tolerance
-    s = square_sys_8
-    parts = split(s.K)
-    dense = (*_dense_pencil_extremes(parts.D, s.M), _dense_skew_max(parts.S, s.M))
-    tol = 1e-3 * bounds.ARPACK_TOL
-    ext = raw_extremes(s.M, s.K, rel_resid_tol=tol)
-    for got, want in zip((ext.mu_min, ext.mu_max, ext.nu_max), dense):
-        assert math.isclose(got, want, rel_tol=1e-10)
-    assert cond_estimate(s.M, rel_resid_tol=tol).kappa_tilde > 1.0
 
 
 def test_iterative_residual_above_tolerance_raises_no_convergence(square_sys_8, monkeypatch):
@@ -180,7 +167,7 @@ def test_iterative_residual_above_tolerance_raises_no_convergence(square_sys_8, 
 
     monkeypatch.setattr(spla, "eigsh", off_by_one_percent)
     with pytest.raises(NoConvergence, match="minimum of a symmetric pencil: residual"):
-        raw_extremes(square_sys_8.M, square_sys_8.K, rel_resid_tol=1e-3)
+        raw_extremes(square_sys_8.M, square_sys_8.K)
 
 
 def _dense_min(B, M):
@@ -194,8 +181,8 @@ def _recorded_minima(monkeypatch):
     minima, ritz_calls = [], []
     sym_extreme, ritz_pair = bounds._sym_extreme, bounds._ritz_pair
 
-    def recording_sym_extreme(B, M, M_solve, which, rel_resid_tol, seed):
-        theta, resid = sym_extreme(B, M, M_solve, which, rel_resid_tol, seed)
+    def recording_sym_extreme(B, M, M_solve, which, seed):
+        theta, resid = sym_extreme(B, M, M_solve, which, seed)
         if which == "min":
             minima.append((B, M, theta))
         return theta, resid
@@ -249,7 +236,7 @@ def test_unproved_bracket_falls_back_to_regular_mode(square_sys_8, mass, monkeyp
 
     monkeypatch.setattr(bounds, "_ritz_pair", estimate_above)
     monkeypatch.setattr(bounds, "definite_factor", recording_factor)
-    theta, _ = bounds._sym_extreme(B, M, M_solve, "min", 1e-3, 0)
+    theta, _ = bounds._sym_extreme(B, M, M_solve, "min", 0)
     assert brackets == [None] * (bounds.BRACKET_WIDENINGS + 1)
     assert math.isclose(theta, _dense_min(B, M), rel_tol=1e-12)
 
@@ -500,12 +487,8 @@ def test_enclosure_entry_points_reject_non_finite_entries(square_sys_8, entry):
 
 
 @pytest.mark.parametrize("settings, message", [
-    ({"rel_resid_tol": 0.0}, "rel_resid_tol must lie in"),  # was NoConvergence
-    ({"rel_resid_tol": -1e-3}, "rel_resid_tol must lie in"),
-    ({"rel_resid_tol": np.nan}, "rel_resid_tol must lie in"),
-    ({"rel_resid_tol": 1.0}, "rel_resid_tol must lie in"),
     ({"mode": "iii"}, "unknown mode"),
-], ids=["tol-zero", "tol-negative", "tol-nan", "tol-one", "mode"])
+], ids=["mode"])
 def test_analyze_pencil_rejects_bad_settings(square_sys_8, monkeypatch, settings, message):
     # refused before any solver runs
     monkeypatch.setattr(bounds, "raw_extremes", None)

@@ -424,7 +424,6 @@ def test_expmv_rejects_mismatched_analysis(square_pencil_8, square_sys_8):
     assert ok.analysis is analysis
     mismatched = [
         {"seed": 1},
-        {"rel_resid_tol": 1e-4},
         {"mode": "i"},
     ]
     for settings in mismatched:

@@ -8,17 +8,22 @@ module-level name must be referenced somewhere in the package outside its
 own definition. ``__init__.__all__`` lists exactly the names it imports,
 only ``linalg.py`` calls SuperLU, only ``bounds.py`` calls the eigensolver
 (and only through ``_ritz_pair``) or decides an enclosure, and only
-``bounds.py`` compares ``nu_min`` with ``-nu_max``.
+``bounds.py`` compares ``nu_min`` with ``-nu_max``. The settings a caller can
+give a run are pinned, so that a new one changes a test on purpose.
 """
 from __future__ import annotations
 
+import argparse
 import ast
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import expmrect
+from expmrect import bounds, cli, expmv
 
 PACKAGE = Path(expmrect.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -188,3 +193,23 @@ def test_init_all_matches_its_imports():
         f"imported but not in __all__: {sorted(imported - exported)}; "
         f"in __all__ but not imported: {sorted(exported - imported)}"
     )
+
+
+SYSTEM_OPTIONS = {"-h", "--help", "--m", "--k", "--b", "--domain", "--divisions", "--refine",
+                  "--d", "--tau", "--tau-factor", "--seed", "--out"}
+
+
+def test_settable_surface_is_pinned():
+    # every value a caller can set doubles the configurations to test; the
+    # enclosure's residual tolerance, for one, is bounds.REL_RESID_TOL
+    init = {f.name for f in dataclasses.fields(expmv.ExpmvRequest) if f.init}
+    assert init == {"pencil", "b", "eps", "method", "mode", "seed", "analysis"}
+    assert list(inspect.signature(bounds.analyze_pencil).parameters) == ["M", "K", "seed", "mode"]
+    (subs,) = [a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+
+    def options(command):
+        return {s for a in subs.choices[command]._actions for s in a.option_strings}
+
+    assert options("bound") == SYSTEM_OPTIONS
+    assert options("expmv") == SYSTEM_OPTIONS | {"--eps", "--method", "--mode", "--verify"}

@@ -48,8 +48,8 @@ def certified_form(p: Pencil, eps: float, method: str) -> CertifiedApproximant:
     the pencil at a request's default settings, with the driver's sampling
     densities; the driver itself keeps only its summary."""
     req = ExpmvRequest(pencil=p, b=np.zeros(p.n), eps=eps, method=method)
-    analysis = analyze_pencil(p.M, p.K, req.rel_resid_tol, req.seed, req.mode)
-    rect = rectangle_from_extremes(analysis.extremes, p.tau, req.rel_resid_tol)
+    analysis = analyze_pencil(p.M, p.K, req.seed, req.mode)
+    rect = rectangle_from_extremes(analysis.extremes, p.tau)
     target = eps / (CROUZEIX_CONSTANT * analysis.kappa_safe**KAPPA_POWER)
     if method == "sub-pade":
         s = select_scaling(rect, target)
