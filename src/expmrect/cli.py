@@ -48,8 +48,12 @@ SWEEP_COLUMNS = [
 # a flag given next to file input can be refused
 GENERATOR_DEFAULTS = {"domain": "square", "divisions": 32, "refine": 4, "d": 1e-1}
 
-SWEEP_KEYS = {"systems", "tau_factors", "eps", "methods", "modes", "verify", "seed"}
-SYSTEM_KEYS = {"domain", "divisions", "refine", "d"}
+# the keys of a sweep config and of its systems, each with the (Python
+# types, JSON name) its value needs
+ARRAY, NUMBER = (list, "an array"), ((int, float), "a number")
+SWEEP_KEYS = {"systems": ARRAY, "tau_factors": ARRAY, "eps": ARRAY, "methods": ARRAY,
+              "modes": ARRAY, "verify": (bool, "a boolean"), "seed": (int, "an integer")}
+SYSTEM_KEYS = {"domain": (str, "a string"), "divisions": NUMBER, "refine": NUMBER, "d": NUMBER}
 REQUIRED_SYSTEM_KEYS = {"domain", "d"}
 
 
@@ -317,12 +321,25 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _check_type(where: str, value, kind) -> None:
+    """Refuse ``value`` unless it has ``kind``; a bool is only a boolean."""
+    types, name = kind
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+        raise ValueError(f"sweep config {where} must be {name}, not {value!r}")
+
+
 def _check_sweep_keys(config: dict) -> None:
-    unknown = sorted(set(config) - SWEEP_KEYS)
+    unknown = sorted(set(config) - set(SWEEP_KEYS))
     if unknown:
         raise ValueError(f"unknown sweep config key(s) {unknown}; known: {sorted(SWEEP_KEYS)}")
+    for key, value in config.items():
+        _check_type(f"key {key!r}", value, SWEEP_KEYS[key])
+    for key in ("tau_factors", "eps"):
+        for value in config.get(key, []):
+            _check_type(f"entry of {key!r}", value, NUMBER)
     for spec_sys in config.get("systems", []):
-        unknown = sorted(set(spec_sys) - SYSTEM_KEYS)
+        _check_type("entry of 'systems'", spec_sys, (dict, "an object"))
+        unknown = sorted(set(spec_sys) - set(SYSTEM_KEYS))
         if unknown:
             raise ValueError(
                 f"unknown sweep system key(s) {unknown} in {spec_sys}; known: {sorted(SYSTEM_KEYS)}"
@@ -330,6 +347,8 @@ def _check_sweep_keys(config: dict) -> None:
         missing = sorted(REQUIRED_SYSTEM_KEYS - set(spec_sys))
         if missing:
             raise ValueError(f"sweep system {spec_sys} lacks required key(s) {missing}")
+        for key, value in spec_sys.items():
+            _check_type(f"system key {key!r}", value, SYSTEM_KEYS[key])
 
 
 def run_sweep(config: dict) -> list[dict]:
@@ -341,26 +360,23 @@ def run_sweep(config: dict) -> list[dict]:
     is enclosed once per mode, and that analysis is shared by the mode's
     cells; the verifying reference is computed once per (system, tau). Raises ValueError on a key
     outside ``SWEEP_KEYS``, or on a system with a key outside ``SYSTEM_KEYS``
-    or without one of ``REQUIRED_SYSTEM_KEYS``, before any run.
+    or without one of ``REQUIRED_SYSTEM_KEYS``, or on a value of the wrong
+    type, before any run.
     """
     _check_sweep_keys(config)
     rows: list[dict] = []
-    seed = int(config.get("seed", 0))
-    verify = bool(config.get("verify", False))
+    seed = config.get("seed", 0)
+    verify = config.get("verify", False)
     modes = config.get("modes", ["ii"])
     for spec_sys in config.get("systems", []):
-        domain = spec_sys["domain"]
+        gen = {**GENERATOR_DEFAULTS, **spec_sys}
         system, mesh = _build_system(
-            domain,
-            int(spec_sys.get("divisions", 32)),
-            int(spec_sys.get("refine", 4)),
-            float(spec_sys["d"]),
-        )
+            gen["domain"], int(gen["divisions"]), int(gen["refine"]), float(gen["d"]))
         analyses = {mode: analyze_pencil(system.M, system.K, seed=seed, mode=mode)
                     for mode in modes}
         base = {
-            "shape": domain,
-            "d": _fmt(float(spec_sys["d"])),
+            "shape": gen["domain"],
+            "d": _fmt(float(gen["d"])),
             "n": system.n,
             "h_bar": _fmt(mesh.h_bar),
         }

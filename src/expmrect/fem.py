@@ -1,8 +1,9 @@
 """Triangular meshes and P1 finite element assembly for the test problems.
 
 Two domains are built: the unit square with a structured criss-cross
-triangulation, and a five-pointed star polygon triangulated by ear clipping,
-refined by uniform midpoint subdivision and relaxed by Laplacian smoothing.
+triangulation, and a five-pointed star polygon cut by a fixed table of
+triangles (its best ears tie five ways), refined by uniform midpoint
+subdivision and relaxed by Laplacian smoothing.
 On either mesh the advection-diffusion operator
 
     u_t = d * laplace(u) - c . grad(u)
@@ -17,7 +18,6 @@ c . grad(phi_i phi_j) over the domain, which is a pure boundary term.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,72 +156,22 @@ STAR_R_OUTER = 2.0
 STAR_R_INNER = 0.8
 STAR_SMOOTHING_SWEEPS = 8
 
+# The coarse triangulation of ``_star_outline()``: the five point triangles,
+# then the inner pentagon cut by the diagonals 3-7 and 7-1 (smallest angle
+# 36 degrees). The row order fixes the midpoint numbering of
+# ``_refine_once`` and the summation order of assembly.
+STAR_TRIANGLES = np.array([
+    [9, 0, 1], [3, 4, 5], [1, 2, 3], [5, 6, 7], [7, 8, 9],
+    [3, 5, 7], [7, 9, 1], [1, 3, 7],
+])
+STAR_TRIANGLES.flags.writeable = False
+
 
 def _star_outline() -> np.ndarray:
     k = np.arange(2 * STAR_POINTS)
     ang = np.pi / 2 + np.pi * k / STAR_POINTS
     rad = np.where(k % 2 == 0, STAR_R_OUTER, STAR_R_INNER)
     return np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-
-
-def _ear_clip(polygon: np.ndarray) -> np.ndarray:
-    """Triangulate a simple counterclockwise polygon by ear clipping.
-
-    Among the valid ears at each step the one with the largest minimal angle
-    is clipped. Clipping in index order instead tends to carve long slivers
-    out of spiky polygons, and uniform midpoint refinement would then copy
-    those slivers down to every level.
-    """
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def in_triangle(p, a, b, c):
-        d1 = cross(a, b, p)
-        d2 = cross(b, c, p)
-        d3 = cross(c, a, p)
-        return (d1 >= 0) and (d2 >= 0) and (d3 >= 0)
-
-    def min_angle(a, b, c):
-        la, lb, lc = (
-            math.hypot(*(c - b)),
-            math.hypot(*(a - c)),
-            math.hypot(*(b - a)),
-        )
-        angles = []
-        for opp, e1, e2 in ((la, lb, lc), (lb, lc, la), (lc, la, lb)):
-            arg = (e1 * e1 + e2 * e2 - opp * opp) / (2.0 * e1 * e2)
-            angles.append(math.acos(min(1.0, max(-1.0, arg))))
-        return min(angles)
-
-    idx = list(range(polygon.shape[0]))
-    tris = []
-    while len(idx) > 3:
-        n = len(idx)
-        best_k, best_quality = None, -1.0
-        for k in range(n):
-            i0, i1, i2 = idx[(k - 1) % n], idx[k], idx[(k + 1) % n]
-            a, b, c = polygon[i0], polygon[i1], polygon[i2]
-            if cross(a, b, c) <= 0.0:
-                continue  # reflex corner, not an ear
-            if any(
-                in_triangle(polygon[j], a, b, c)
-                for j in idx
-                if j not in (i0, i1, i2)
-            ):
-                continue
-            quality = min_angle(a, b, c)
-            if quality > best_quality:
-                best_k, best_quality = k, quality
-        if best_k is None:
-            raise DegenerateMesh("no ear found; polygon may be self-intersecting")
-        n = len(idx)
-        tris.append((idx[(best_k - 1) % n], idx[best_k], idx[(best_k + 1) % n]))
-        idx.pop(best_k)
-    if cross(*polygon[idx]) <= 0.0:
-        raise DegenerateMesh("final ear has nonpositive area")
-    tris.append(tuple(idx))
-    return np.array(tris, dtype=int)
 
 
 def _refine_once(vertices: np.ndarray, triangles: np.ndarray):
@@ -243,14 +193,14 @@ def _refine_once(vertices: np.ndarray, triangles: np.ndarray):
 
 
 def _smooth(vertices: np.ndarray, triangles: np.ndarray, edges: np.ndarray,
-            boundary: np.ndarray, sweeps: int):
+            boundary: np.ndarray):
     """Laplacian smoothing of interior vertices with per-sweep rollback.
 
-    Each sweep moves every interior vertex to the mean of its neighbors as
-    they were before the sweep (a Jacobi sweep), computed as ``A @ prev /
-    deg`` with ``A`` the adjacency matrix: its sorted column indices sum the
-    neighbors in ascending order. A sweep that would invert any triangle is
-    undone and smoothing stops.
+    Each of ``STAR_SMOOTHING_SWEEPS`` sweeps moves every interior vertex to
+    the mean of its neighbors as they were before the sweep (a Jacobi
+    sweep), computed as ``A @ prev / deg`` with ``A`` the adjacency matrix:
+    its sorted column indices sum the neighbors in ascending order. A sweep
+    that would invert any triangle is undone and smoothing stops.
     """
     nv = vertices.shape[0]
     ends = np.concatenate([edges, edges[:, ::-1]])
@@ -262,7 +212,7 @@ def _smooth(vertices: np.ndarray, triangles: np.ndarray, edges: np.ndarray,
     move = ~boundary & (deg > 0)
     A, deg = A[move], deg[move, None]
     pts = vertices.copy()
-    for _ in range(sweeps):
+    for _ in range(STAR_SMOOTHING_SWEEPS):
         prev = pts
         pts = prev.copy()
         pts[move] = (A @ prev) / deg
@@ -276,19 +226,19 @@ def mesh_star(refine: int = 0) -> TriMesh:
     """Triangulated five-pointed star polygon centered at the origin.
 
     The outline alternates ``STAR_POINTS`` outer and inner radii
-    (``STAR_R_OUTER`` and ``STAR_R_INNER``); ear clipping produces a coarse
-    triangulation which is refined ``refine`` times by midpoint subdivision
-    (each round quadruples the triangle count, new boundary vertices stay on
-    the polygon edges exactly) and then smoothed by at most
-    ``STAR_SMOOTHING_SWEEPS`` sweeps.
+    (``STAR_R_OUTER`` and ``STAR_R_INNER``). The coarse triangulation is the
+    fixed table ``STAR_TRIANGLES``, as the best ears of the outline tie five
+    ways in exact arithmetic and only rounding would choose among them. It
+    is refined ``refine`` times by midpoint subdivision (each round
+    quadruples the triangle count, new boundary vertices stay on the polygon
+    edges exactly) and then smoothed by at most ``STAR_SMOOTHING_SWEEPS``
+    sweeps.
     """
-    outline = _star_outline()
-    tris = _ear_clip(outline)
-    verts = outline.copy()
+    verts, tris = _star_outline(), STAR_TRIANGLES
     for _ in range(refine):
         verts, tris = _refine_once(verts, tris)
     edges, boundary = _edge_table(tris, verts.shape[0])
-    verts = _smooth(verts, tris, edges, boundary, STAR_SMOOTHING_SWEEPS)
+    verts = _smooth(verts, tris, edges, boundary)
     return _make_mesh(verts, tris, edges, boundary)
 
 

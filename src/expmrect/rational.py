@@ -240,17 +240,12 @@ def _effective_poles(r) -> np.ndarray:
     raise TypeError(f"not a rational form: {type(r)!r}")
 
 
-def _eval_pf(pf: PartialFractionRational, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if pf.poles.size:
-        diff = pf.poles[None, ...] - z[..., None]
-        small = np.abs(diff) < 1e-15 * (1.0 + np.abs(pf.poles)[None, ...])
-        if np.any(small):
-            raise PoleEvaluation("evaluation point coincides with a pole")
-        vals = pf.gamma + (pf.weights[None, ...] / diff).sum(axis=-1)
-    else:
-        vals = np.full(z.shape, pf.gamma, dtype=complex)
-    return vals
+def _pf_terms(pf: PartialFractionRational, z: np.ndarray) -> np.ndarray:
+    """The terms w_k / (p_k - z) of ``pf``, one row per point z."""
+    diff = pf.poles[None, ...] - z[..., None]
+    if np.any(np.abs(diff) < 1e-15 * (1.0 + np.abs(pf.poles)[None, ...])):
+        raise PoleEvaluation("evaluation point coincides with a pole")
+    return pf.weights[None, ...] / diff
 
 
 def eval_rational(r, z):
@@ -268,8 +263,10 @@ def eval_rational(r, z):
         if np.any(np.abs(den) == 0.0):
             raise PoleEvaluation("evaluation point coincides with a pole")
         vals = (npoly.polyval(w, PADE45_NUM) / den) ** r.scaling
+    elif isinstance(r, PartialFractionRational) and not r.poles.size:
+        vals = np.full(zz.shape, r.gamma, dtype=complex)
     elif isinstance(r, PartialFractionRational):
-        vals = _eval_pf(r, zz)
+        vals = r.gamma + _pf_terms(r, zz).sum(axis=-1)
     else:
         raise TypeError(f"not a rational form: {type(r)!r}")
     return vals[0] if scalar else vals
@@ -285,9 +282,9 @@ def sup_error_on_rectangle(
     Requires that no pole of ``r`` lies inside or on the rectangle, so the
     maximum principle applies and boundary sampling is sound; otherwise
     ``PoleInsideRegion`` is raised. The sampled maximum is multiplied by
-    ``SAMPLING_SAFETY`` to cover the gaps between samples, and
-    ``_rounding`` is added that many times for the sampled values plus once
-    for any evaluation between them.
+    ``SAMPLING_SAFETY`` to cover the gaps between samples, and the rounding
+    bound of ``_sup_on_samples`` is added that many times for the sampled
+    values plus once for any evaluation between them.
     """
     if np.any(rect.contains(_effective_poles(r))):
         raise PoleInsideRegion("a pole lies inside or on the rectangle")
@@ -296,21 +293,20 @@ def sup_error_on_rectangle(
 
 
 def _sup_on_samples(r, samples: np.ndarray) -> float:
+    """SAMPLING_SAFETY max |r - exp| over the samples, plus (1 +
+    SAMPLING_SAFETY) u max (|gamma| + sum_k |w_k / (p_k - z)|), the rounding
+    error of a partial fraction form, whose terms can exceed its value
+    (about |exp(z)|) by 10**9. The Pade ratio form sums no such terms."""
+    rounding = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        err = np.abs(eval_rational(r, samples) - np.exp(samples))
-    worst = float(np.max(err))
-    return SAMPLING_SAFETY * worst + (1.0 + SAMPLING_SAFETY) * _rounding(r, samples)
-
-
-def _rounding(r, samples: np.ndarray) -> float:
-    """u max_z (|gamma| + sum_k |w_k / (p_k - z)|) over the samples: the
-    rounding error of evaluating a partial fraction form, whose terms can
-    exceed its value (about |exp(z)|) by a factor of 10**9. The Pade ratio
-    form sums no such terms: 0."""
-    if not isinstance(r, PartialFractionRational) or not r.poles.size:
-        return 0.0
-    amp = abs(r.gamma) + np.abs(r.weights / (r.poles - samples[:, None])).sum(axis=1)
-    return UNIT_ROUNDOFF * float(np.max(amp))
+        if isinstance(r, PartialFractionRational) and r.poles.size:
+            terms = _pf_terms(r, samples)
+            vals = r.gamma + terms.sum(axis=-1)
+            rounding = UNIT_ROUNDOFF * float(np.max(abs(r.gamma) + np.abs(terms).sum(axis=-1)))
+        else:
+            vals = eval_rational(r, samples)
+        err = np.abs(vals - np.exp(samples))
+    return SAMPLING_SAFETY * float(np.max(err)) + (1.0 + SAMPLING_SAFETY) * rounding
 
 
 def select_scaling(

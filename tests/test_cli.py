@@ -419,6 +419,25 @@ def test_sweep_rejects_unknown_system_key(tmp_path, capsys):
     ([1], "must hold a JSON object, not list"),
     ({"systems": [{"domain": "square", "divisions": 4}]}, "lacks required key(s) ['d']"),
     ({"systems": [{"divisions": 4, "d": 0.1}]}, "lacks required key(s) ['domain']"),
+    # values of the wrong JSON type, refused before any run
+    ({"modes": "ii"}, "key 'modes' must be an array, not 'ii'"),
+    ({"tau_factors": 1}, "key 'tau_factors' must be an array, not 1"),
+    ({"systems": {"domain": "square", "d": 0.1}}, "key 'systems' must be an array"),
+    ({"eps": {}}, "key 'eps' must be an array"),
+    ({"methods": "sub-pade"}, "key 'methods' must be an array"),
+    ({"verify": "false"}, "key 'verify' must be a boolean, not 'false'"),
+    ({"verify": 1}, "key 'verify' must be a boolean, not 1"),
+    ({"seed": 1.0}, "key 'seed' must be an integer, not 1.0"),
+    ({"seed": True}, "key 'seed' must be an integer, not True"),
+    ({"tau_factors": [1, "10"]}, "entry of 'tau_factors' must be a number, not '10'"),
+    ({"eps": [True]}, "entry of 'eps' must be a number, not True"),
+    ({"systems": ["square"]}, "entry of 'systems' must be an object, not 'square'"),
+    ({"systems": [{"domain": "square", "divisions": "4", "d": 0.1}]},
+     "system key 'divisions' must be a number, not '4'"),
+    ({"systems": [{"domain": "star", "refine": False, "d": 0.1}]},
+     "system key 'refine' must be a number, not False"),
+    ({"systems": [{"domain": "square", "d": None}]}, "system key 'd' must be a number, not None"),
+    ({"systems": [{"domain": 1, "d": 0.1}]}, "system key 'domain' must be a string, not 1"),
 ])
 def test_sweep_rejects_malformed_config(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"

@@ -127,10 +127,23 @@ def test_star_argument_validation():
     assert np.allclose(np.hypot(*outline.T), [2.0, 0.8] * 5, rtol=1e-15, atol=0.0)
 
 
-def test_ear_clip_rejects_degenerate_polygon():
-    collinear = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(DegenerateMesh):
-        fem._ear_clip(collinear)
+def test_star_triangles_triangulate_the_outline():
+    outline = fem._star_outline()
+    tris = fem.STAR_TRIANGLES
+    assert tris.shape == (8, 3)
+    assert np.all(fem._signed_areas(outline, tris) > 0.0)  # counterclockwise
+    # the 10 outline edges lie in one triangle each, every other edge in two
+    ring = {(k, k + 1) for k in range(9)} | {(0, 9)}
+    edges, counts = _loop_edges(tris)
+    assert np.array_equal(fem._edge_table(tris, 10)[0], edges)
+    assert ring <= set(map(tuple, edges.tolist()))
+    for edge, count in zip(map(tuple, edges.tolist()), counts):
+        assert count == (1 if edge in ring else 2), edge
+    for p in outline[tris]:
+        for k in range(3):
+            u, v = p[(k + 1) % 3] - p[k], p[(k + 2) % 3] - p[k]
+            cos = float(u @ v) / (math.hypot(*u) * math.hypot(*v))
+            assert math.degrees(math.acos(cos)) >= 36.0 - 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -210,9 +223,7 @@ def _loop_smooth(vertices, triangles, boundary, sweeps):
 
 
 def _loop_star(refine):
-    outline = fem._star_outline()
-    tris = fem._ear_clip(outline)
-    verts = outline.copy()
+    verts, tris = fem._star_outline(), fem.STAR_TRIANGLES
     for _ in range(refine):
         verts, tris = _loop_refine_once(verts, tris)
     flags = _loop_make_mesh(verts, tris).boundary

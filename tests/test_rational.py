@@ -19,10 +19,10 @@ from expmrect.rational import (
     PADE45_DEN,
     PADE45_NUM,
     SAMPLING_SAFETY,
+    UNIT_ROUNDOFF,
     CertifiedApproximant,
     PadeRational,
     PartialFractionRational,
-    _rounding,
     _sup_on_samples,
     boundary_samples,
     classify_conjugate_poles,
@@ -225,11 +225,13 @@ def test_rounding_term_covers_evaluation_noise():
     zs = boundary_samples(UNIT_RECT, 50).samples
     noise = np.abs(eval_rational(pf, zs) - np.array([_exact_pf(pf, z) for z in zs]))
     assert noise.max() > 1e-10
-    assert noise.max() <= _rounding(pf, zs)
+    amp = abs(pf.gamma) + np.abs(pf.weights / (pf.poles - zs[:, None])).sum(axis=1)
+    rounding = UNIT_ROUNDOFF * float(amp.max())
+    assert noise.max() <= rounding
     with np.errstate(over="ignore", invalid="ignore"):
         sampled = np.abs(eval_rational(pf, zs) - np.exp(zs)).max()
-    assert _sup_on_samples(pf, zs) == SAMPLING_SAFETY * sampled + (1.0 + SAMPLING_SAFETY) * _rounding(pf, zs)
-    assert _rounding(pade45(4), zs) == 0.0
+    assert _sup_on_samples(pf, zs) == SAMPLING_SAFETY * sampled + (1.0 + SAMPLING_SAFETY) * rounding
+    # the Pade ratio form adds no rounding term
     assert _sup_on_samples(pade45(4), zs) == SAMPLING_SAFETY * np.abs(
         eval_rational(pade45(4), zs) - np.exp(zs)).max()
 
