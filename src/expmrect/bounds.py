@@ -45,7 +45,10 @@ __all__ = [
     "cond_estimate",
     "analyze_pencil",
     "is_lhp_certified",
+    "MODES",
 ]
+
+MODES = ("i", "ii")  # W(inv(M) K) itself; W of the mass-symmetrized operator
 
 # the largest relative residual an extreme Ritz pair may have; each edge of
 # the rectangle is widened by twice it
@@ -502,7 +505,7 @@ def analyze_pencil(M, K, seed: int = 0, mode: str = "ii") -> PencilAnalysis:
     An unknown mode, or a complex or non-finite M or K (``raw_extremes``
     checks them) raise ValueError before any solver runs.
     """
-    if mode not in ("i", "ii"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     mass, stiffness = (M @ M, K @ M) if mode == "i" else (M, K)
     return PencilAnalysis(

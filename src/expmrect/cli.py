@@ -20,10 +20,11 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import fem, mmio
-from .bounds import Pencil, analyze_pencil, is_lhp_certified, rectangle_from_extremes
+from .bounds import MODES, Pencil, analyze_pencil, is_lhp_certified, rectangle_from_extremes
 from .errors import ExpmrectError, ToleranceUnreachable
 from .expmv import ExpmvRequest, expmv_controlled
 from .linalg import lu_factor, norm2
+from .rational import METHODS
 
 FAILURE_MARK = "--"
 
@@ -56,6 +57,22 @@ SWEEP_KEYS = {"systems": ARRAY, "tau_factors": ARRAY, "eps": ARRAY, "methods": A
 SYSTEM_KEYS = {"domain": (str, "a string"), "divisions": NUMBER, "refine": NUMBER, "d": NUMBER}
 REQUIRED_SYSTEM_KEYS = {"domain", "d"}
 
+# the reference grid (32 runs); a sweep config overrides any of its keys
+SWEEP_DEFAULTS = {
+    "systems": [
+        {"domain": "square", "divisions": 32, "d": 1e-1},
+        {"domain": "square", "divisions": 32, "d": 1e-3},
+        {"domain": "star", "refine": 4, "d": 1e-1},
+        {"domain": "star", "refine": 4, "d": 1e-3},
+    ],
+    "tau_factors": [1.0],
+    "eps": [1e-2, 1e-4, 1e-6, 1e-8],
+    "methods": list(METHODS),
+    "modes": ["ii"],
+    "verify": False,
+    "seed": 0,
+}
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -68,12 +85,7 @@ def _fmt(x) -> str:
 # --------------------------------------------------------------------------
 
 def _build_system(domain: str, divisions: int, refine: int, d: float):
-    if domain == "square":
-        mesh = fem.mesh_square(divisions)
-    elif domain == "star":
-        mesh = fem.mesh_star(refine=refine)
-    else:
-        raise ValueError(f"unknown domain {domain!r}")
+    mesh = fem.mesh_square(divisions) if domain == "square" else fem.mesh_star(refine=refine)
     return fem.assemble_p1(mesh, d=d, c=(1.0, 1.0), domain=domain), mesh
 
 
@@ -283,20 +295,8 @@ def cmd_expmv(args) -> int:
 
 
 def _sweep_config(args) -> dict:
-    config = {
-        "systems": [
-            {"domain": "square", "divisions": 32, "d": 1e-1},
-            {"domain": "square", "divisions": 32, "d": 1e-3},
-            {"domain": "star", "refine": 4, "d": 1e-1},
-            {"domain": "star", "refine": 4, "d": 1e-3},
-        ],
-        "tau_factors": [1.0],
-        "eps": [1e-2, 1e-4, 1e-6, 1e-8],
-        "methods": ["sub-pade", "rat-interp"],
-        "modes": ["ii"],
-        "verify": bool(args.verify),
-        "seed": args.seed,
-    }
+    """--verify and --seed, overridden by the keys of the --config file."""
+    config = {"verify": bool(args.verify), "seed": args.seed}
     if args.config:
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
@@ -328,6 +328,11 @@ def _check_type(where: str, value, kind) -> None:
         raise ValueError(f"sweep config {where} must be {name}, not {value!r}")
 
 
+def _check_name(where: str, value, known) -> None:
+    if value not in known:
+        raise ValueError(f"sweep config {where} must be one of {list(known)}, not {value!r}")
+
+
 def _check_sweep_keys(config: dict) -> None:
     unknown = sorted(set(config) - set(SWEEP_KEYS))
     if unknown:
@@ -337,6 +342,9 @@ def _check_sweep_keys(config: dict) -> None:
     for key in ("tau_factors", "eps"):
         for value in config.get(key, []):
             _check_type(f"entry of {key!r}", value, NUMBER)
+    for key, known in (("methods", METHODS), ("modes", MODES)):
+        for value in config.get(key, []):
+            _check_name(f"entry of {key!r}", value, known)
     for spec_sys in config.get("systems", []):
         _check_type("entry of 'systems'", spec_sys, (dict, "an object"))
         unknown = sorted(set(spec_sys) - set(SYSTEM_KEYS))
@@ -349,26 +357,28 @@ def _check_sweep_keys(config: dict) -> None:
             raise ValueError(f"sweep system {spec_sys} lacks required key(s) {missing}")
         for key, value in spec_sys.items():
             _check_type(f"system key {key!r}", value, SYSTEM_KEYS[key])
+        _check_name("system key 'domain'", spec_sys["domain"], fem.DOMAINS)
 
 
 def run_sweep(config: dict) -> list[dict]:
     """Execute a sweep configuration, returning CSV-ready row dicts.
 
+    Keys that ``config`` omits take their values from ``SWEEP_DEFAULTS``.
     Rows appear in deterministic order (systems x tau x method x mode x
     eps). Failures are recorded with the ``--`` marker in the degree and
     bound columns and the exception class name in ``status``. Each system
     is enclosed once per mode, and that analysis is shared by the mode's
-    cells; the verifying reference is computed once per (system, tau). Raises ValueError on a key
-    outside ``SWEEP_KEYS``, or on a system with a key outside ``SYSTEM_KEYS``
-    or without one of ``REQUIRED_SYSTEM_KEYS``, or on a value of the wrong
-    type, before any run.
+    cells; the verifying reference is computed once per (system, tau).
+    Raises ValueError on a key outside ``SWEEP_KEYS``, or on a system with a
+    key outside ``SYSTEM_KEYS`` or without one of ``REQUIRED_SYSTEM_KEYS``,
+    or on a value of the wrong type, or on an unknown domain, method or
+    mode, before any run.
     """
     _check_sweep_keys(config)
+    config = {**SWEEP_DEFAULTS, **config}
     rows: list[dict] = []
-    seed = config.get("seed", 0)
-    verify = config.get("verify", False)
-    modes = config.get("modes", ["ii"])
-    for spec_sys in config.get("systems", []):
+    seed, modes = config["seed"], config["modes"]
+    for spec_sys in config["systems"]:
         gen = {**GENERATOR_DEFAULTS, **spec_sys}
         system, mesh = _build_system(
             gen["domain"], int(gen["divisions"]), int(gen["refine"]), float(gen["d"]))
@@ -380,29 +390,17 @@ def run_sweep(config: dict) -> list[dict]:
             "n": system.n,
             "h_bar": _fmt(mesh.h_bar),
         }
-        for tf in config.get("tau_factors", [1.0]):
+        for tf in config["tau_factors"]:
             tau = float(tf) * mesh.h_bar
             p = Pencil(tau=tau, M=system.M, K=system.K)
-            reference = _reference(p, system.b0, seed) if verify else None
-            for method in config.get("methods", ["sub-pade", "rat-interp"]):
+            reference = _reference(p, system.b0, seed) if config["verify"] else None
+            for method in config["methods"]:
                 for mode in modes:
-                    for eps in config.get("eps", [1e-6]):
-                        head = dict(
-                            base,
-                            tau_factor=_fmt(float(tf)),
-                            method=method,
-                            mode=mode,
-                            eps=_fmt(float(eps)),
-                        )
-                        req = ExpmvRequest(
-                            pencil=p,
-                            b=system.b0,
-                            eps=float(eps),
-                            method=method,
-                            mode=mode,
-                            seed=seed,
-                            analysis=analyses[mode],
-                        )
+                    for eps in config["eps"]:
+                        head = dict(base, tau_factor=_fmt(float(tf)), method=method,
+                                    mode=mode, eps=_fmt(float(eps)))
+                        req = ExpmvRequest(pencil=p, b=system.b0, eps=float(eps), method=method,
+                                           mode=mode, seed=seed, analysis=analyses[mode])
                         try:
                             x, cert = expmv_controlled(req)
                         except ToleranceUnreachable as exc:
@@ -424,7 +422,7 @@ def _add_system_args(sub):
 
 
 def _add_generator_args(sub, defaults=GENERATOR_DEFAULTS):
-    sub.add_argument("--domain", choices=["square", "star"], default=defaults["domain"])
+    sub.add_argument("--domain", choices=fem.DOMAINS, default=defaults["domain"])
     sub.add_argument("--divisions", type=int, default=defaults["divisions"],
                      help="square grid divisions")
     sub.add_argument("--refine", type=int, default=defaults["refine"],
@@ -464,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(e)
     _add_run_args(e)
     e.add_argument("--eps", type=float, default=1e-6)
-    e.add_argument("--method", choices=["sub-pade", "rat-interp"], default="sub-pade")
-    e.add_argument("--mode", choices=["i", "ii"], default="ii")
+    e.add_argument("--method", choices=METHODS, default="sub-pade")
+    e.add_argument("--mode", choices=MODES, default="ii")
     e.add_argument(
         "--verify", action="store_true", help="compare against an expm_multiply reference"
     )

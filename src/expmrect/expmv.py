@@ -35,6 +35,7 @@ import scipy.sparse as sp
 
 from .aaa import M_MAX, aaa_poles, refit_partial_fractions
 from .bounds import (
+    MODES,
     BoundingRectangle,
     Pencil,
     PencilAnalysis,
@@ -42,18 +43,12 @@ from .bounds import (
     bounding_rectangle,
     rectangle_from_extremes,
 )
-from .errors import (
-    DegreeExhausted,
-    DimensionMismatch,
-    RefitFailed,
-    ScalingExhausted,
-    SingularShift,
-    SingularMatrix,
-)
+from .errors import DimensionMismatch, SingularMatrix, SingularShift, ToleranceUnreachable
 from .linalg import lu_factor
 from .rational import (
     CertifiedApproximant,
     DEFAULT_SAMPLES_PER_SIDE,
+    METHODS,
     PADE45_CORE,
     S_MAX,
     PadeRational,
@@ -223,7 +218,8 @@ class ExpmvRequest:
     (see ``bounds.analyze_pencil``), in either mode; the driver then reuses
     it instead of enclosing again. It must be of this pencil's M and K and
     computed with this request's ``seed`` and ``mode``, or the request
-    raises ValueError.
+    raises ValueError. So does a non-finite ``b``; a ``b`` whose length is
+    not the pencil's n raises DimensionMismatch.
 
     ``kappa_power``, ``n_per_side``, ``s_max`` and ``m_max`` are fixed, not
     arguments. They hold the driver's ``KAPPA_POWER``, its boundary sampling
@@ -234,8 +230,8 @@ class ExpmvRequest:
     pencil: Pencil
     b: np.ndarray
     eps: float
-    method: str = "sub-pade"  # "sub-pade" | "rat-interp"
-    mode: str = "ii"  # "ii": W of the symmetrized operator; "i": W(A) itself
+    method: str = "sub-pade"  # one of rational.METHODS
+    mode: str = "ii"  # bounds.MODES: "ii", W of the symmetrized operator; "i", W(A) itself
     kappa_power: float = field(default=KAPPA_POWER, init=False)
     n_per_side: int = field(default=DEFAULT_SAMPLES_PER_SIDE, init=False)
     s_max: int = field(default=S_MAX, init=False)
@@ -246,11 +242,14 @@ class ExpmvRequest:
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise ValueError("eps must lie in (0, 1)")
-        if self.method not in ("sub-pade", "rat-interp"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.mode not in ("i", "ii"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not np.all(np.isfinite(self.b)):
+        b = np.asarray(self.b)
+        if b.shape[0] != self.pencil.n:
+            raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={self.pencil.n}")
+        if not np.all(np.isfinite(b)):
             raise ValueError("b contains NaN or Inf entries")
         if self.analysis is not None:
             self.analysis.check_fits(self.pencil, self.seed, self.mode)
@@ -260,20 +259,36 @@ class ExpmvRequest:
 class ExpmvCertificate:
     """The a priori accuracy certificate attached to a driver result.
 
-    ``achieved_bound`` is the boundary-certified sup of |r - exp| on the
-    rectangle; multiplying by (1 + sqrt(2)) * kappa_safe**kappa_power bounds
-    ||r(A) - exp(A)||_2, which is at most eps by construction.
+    ``approximant`` is the certified rational r that the driver applied to
+    b; ``scalar_target``, ``achieved_bound``, ``degree`` and ``method`` are
+    read from it. ``achieved_bound`` is the boundary-certified sup of
+    |r - exp| on the rectangle; multiplying by (1 + sqrt(2)) *
+    kappa_safe**kappa_power bounds ||r(A) - exp(A)||_2, which is at most eps
+    by construction. None of these depends on b.
     """
 
     rectangle: BoundingRectangle
     kappa_safe: float
-    kappa_power: float
-    scalar_target: float
-    achieved_bound: float
-    degree: int
-    method: str
+    approximant: CertifiedApproximant = field(hash=False)  # its arrays have no hash
     mode: str
     eps: float
+    kappa_power: float = field(default=KAPPA_POWER, init=False)
+
+    @property
+    def scalar_target(self) -> float:
+        return self.approximant.target
+
+    @property
+    def achieved_bound(self) -> float:
+        return self.approximant.sup_error_estimate
+
+    @property
+    def degree(self) -> int:
+        return self.approximant.degree
+
+    @property
+    def method(self) -> str:
+        return self.approximant.method
 
     @property
     def operator_bound(self) -> float:
@@ -302,72 +317,42 @@ class ExpmvCertificate:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _attach_context(exc, rect, kappa, target, req):
-    exc.context.update(
-        {
-            "rectangle": rect.as_dict(),
-            "kappa_safe": kappa,
-            "scalar_target": target,
-            "method": req.method,
-            "mode": req.mode,
-            "eps": req.eps,
-        }
-    )
-    return exc
-
-
 def expmv_controlled(req: ExpmvRequest) -> tuple[np.ndarray, ExpmvCertificate]:
     """Compute x ~= exp(tau inv(M) K) b with ||x - exact|| <= eps * ||b||.
 
-    Returns the vector and the accuracy certificate. Raises
-    ``ScalingExhausted``, ``DegreeExhausted`` or ``RefitFailed`` (with the
-    partial certificate attached as ``context``) when the requested
+    Returns the vector and the certificate, which holds the approximant
+    applied. Raises ``ScalingExhausted``, ``DegreeExhausted`` or
+    ``RefitFailed``, with the partial certificate as ``context``, when the
     tolerance is honestly unreachable within the method's caps.
     """
     p = req.pencil
-    b = np.asarray(req.b)
-    if b.shape[0] != p.n:
-        raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
-
     analysis = req.analysis or analyze_pencil(p.M, p.K, req.seed, req.mode)
     rect = rectangle_from_extremes(analysis.extremes, p.tau)
-    kappa_safe = analysis.kappa_safe
-    target = req.eps / (CROUZEIX_CONSTANT * kappa_safe**KAPPA_POWER)
-
-    if req.method == "sub-pade":
-        try:
+    target = req.eps / (CROUZEIX_CONSTANT * analysis.kappa_safe**KAPPA_POWER)
+    try:
+        if req.method == "sub-pade":
             s = select_scaling(rect, target)
-        except ScalingExhausted as exc:
-            raise _attach_context(exc, rect, kappa_safe, target, req)
-        pade = pade45(scaling=s)
-        achieved = sup_error_on_rectangle(pade, rect)
-        cert_form = CertifiedApproximant(
-            form=PADE45_CORE,
-            sup_error_estimate=achieved,
-            target=target,
-            method="sub-pade",
-            scaling=s,
-        )
-        x = apply_scaled_pade(pade, p, b)
-    else:
-        try:
+            approximant = CertifiedApproximant(
+                form=PADE45_CORE,
+                sup_error_estimate=sup_error_on_rectangle(pade45(scaling=s), rect),
+                target=target,
+                method="sub-pade",
+                scaling=s,
+            )
+        else:
             poles = aaa_poles(boundary_samples(rect, AAA_SAMPLES_PER_SIDE), target)
-            cert_form = refit_partial_fractions(poles, boundary_samples(rect), target)
-        except (DegreeExhausted, RefitFailed) as exc:
-            raise _attach_context(exc, rect, kappa_safe, target, req)
-        x = apply_partial_fraction(cert_form.form, p, b)
-    cert = ExpmvCertificate(
-        rectangle=rect,
-        kappa_safe=kappa_safe,
-        kappa_power=KAPPA_POWER,
-        scalar_target=target,
-        achieved_bound=cert_form.sup_error_estimate,
-        degree=cert_form.degree,
-        method=req.method,
-        mode=req.mode,
-        eps=req.eps,
-    )
-    return x, cert
+            approximant = refit_partial_fractions(poles, boundary_samples(rect), target)
+    except ToleranceUnreachable as exc:
+        exc.context.update({"rectangle": rect.as_dict(), "kappa_safe": analysis.kappa_safe,
+                            "scalar_target": target, "method": req.method,
+                            "mode": req.mode, "eps": req.eps})
+        raise
+    b = np.asarray(req.b)
+    if approximant.method == "sub-pade":
+        x = apply_scaled_pade(pade45(scaling=approximant.scaling), p, b)
+    else:
+        x = apply_partial_fraction(approximant.form, p, b)
+    return x, ExpmvCertificate(rect, analysis.kappa_safe, approximant, req.mode, req.eps)
 
 
 # --------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import scipy.sparse as sp
 from .errors import DegenerateMesh
 
 __all__ = [
+    "DOMAINS",
     "TriMesh",
     "AssembledSystem",
     "mesh_square",
@@ -36,6 +37,8 @@ __all__ = [
     "write_mesh",
     "read_mesh",
 ]
+
+DOMAINS = ("square", "star")  # meshed by mesh_square and mesh_star
 
 
 @dataclass(frozen=True)

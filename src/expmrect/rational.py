@@ -35,6 +35,7 @@ from .errors import (
 )
 
 __all__ = [
+    "METHODS",
     "PADE45_CORE",
     "PADE45_DEN",
     "PADE45_NUM",
@@ -49,6 +50,7 @@ __all__ = [
     "eval_rational",
 ]
 
+METHODS = ("sub-pade", "rat-interp")  # the scaled (4,5) Pade form; AAA with a refit
 DEFAULT_SAMPLES_PER_SIDE = 500
 S_MAX = 64  # largest scaling select_scaling tries
 SAMPLING_SAFETY = 1.1
@@ -131,6 +133,12 @@ class PartialFractionRational:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "real_poles", real_poles)
         object.__setattr__(self, "pairs", pairs)
+
+    def __eq__(self, other):  # the generated == takes the truth value of an array
+        if not isinstance(other, PartialFractionRational):
+            return NotImplemented
+        return (self.gamma == other.gamma and np.array_equal(self.poles, other.poles)
+                and np.array_equal(self.weights, other.weights))
 
     @property
     def degree(self) -> int:
@@ -365,7 +373,7 @@ class CertifiedApproximant:
             raise ValueError("certified sup error exceeds the stated target")
         if self.scaling < 1:
             raise ValueError("scaling must be a positive integer")
-        if self.method not in ("sub-pade", "rat-interp"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
 
     @property

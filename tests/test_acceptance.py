@@ -46,7 +46,7 @@ from expmrect.rational import (
 )
 
 from conftest import random_nonsym_sparse, random_spd_sparse
-from theorem1 import certified_form, theorem1_bound_check
+from theorem1 import theorem1_bound_check
 
 EPS_GRID = (1e-2, 1e-4, 1e-6, 1e-8)
 METHODS = ("sub-pade", "rat-interp")
@@ -257,8 +257,9 @@ def test_criterion_5_spectral_set_inequality():
         K = random_nonsym_sparse(n, rng)
         p = Pencil(float(rng.uniform(0.2, 1.5)), M, K)
         method = METHODS[trial % 2]
-        form = certified_form(p, 1e-5, method)
-        report = theorem1_bound_check(p, form)
+        _, cert = expmv_controlled(ExpmvRequest(pencil=p, b=np.zeros(n), eps=1e-5,
+                                                method=method))
+        report = theorem1_bound_check(p, cert.approximant)
         checked += 1
         margins.append(report.lhs / report.rhs if report.rhs > 0 else math.inf)
         if not report.passed:

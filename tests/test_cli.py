@@ -5,6 +5,7 @@ because the CSV/JSON outputs are the package's exchange format.
 """
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -447,6 +448,41 @@ def test_sweep_rejects_malformed_config(tmp_path, capsys, config, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ValueError: ") and message in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"systems": [{"domain": "star", "refine": 4, "d": 1e-3}, {"domain": "Star", "d": 0.1}]},
+     "system key 'domain' must be one of ['square', 'star'], not 'Star'"),
+    ({"methods": ["sub-pade", "Pade"]},
+     "entry of 'methods' must be one of ['sub-pade', 'rat-interp'], not 'Pade'"),
+    ({"modes": ["ii", "I"]}, "entry of 'modes' must be one of ['i', 'ii'], not 'I'"),
+], ids=["domain", "method", "mode"])
+def test_sweep_checks_names_before_any_run(tmp_path, capsys, monkeypatch, config, message):
+    built = []
+    monkeypatch.setattr(cli, "_build_system", lambda *args: built.append(args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"systems": [{"domain": "square", "divisions": 8, "d": 0.1}],
+                               **config}))
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError: ") and message in err[0]
+    assert built == [] and not out.exists()
+
+
+def test_sweep_api_and_cli_share_the_default_grid(tmp_path):
+    # keys a config omits take the documented grid's values either way
+    config = {"systems": [{"domain": "square", "divisions": 4, "d": 0.1}]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out, api = tmp_path / "cli.csv", tmp_path / "api.csv"
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 0
+    with open(api, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=cli.SWEEP_COLUMNS)
+        writer.writeheader()
+        writer.writerows(cli.run_sweep(config))
+    assert api.read_bytes() == out.read_bytes()
+    assert len(out.read_text().splitlines()) == 1 + 8  # 4 tolerances x 2 methods
 
 
 @pytest.mark.parametrize("mode", ["i", "ii"])

@@ -7,6 +7,7 @@ the code path being tested.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import weakref
 
@@ -29,7 +30,7 @@ from expmrect.linalg import LuFactor, lu_factor
 from expmrect.rational import PADE45_CORE, boundary_samples, pade45
 
 from conftest import random_nonsym_sparse, random_spd_sparse
-from theorem1 import certified_form, theorem1_bound_check
+from theorem1 import theorem1_bound_check
 
 
 def _dense_A(p: Pencil) -> np.ndarray:
@@ -390,6 +391,12 @@ def test_driver_request_validation(square_pencil_8):
         )
 
 
+def test_request_rejects_b_of_wrong_length(square_pencil_8):
+    # construction alone refuses it, before any enclosure runs
+    with pytest.raises(DimensionMismatch, match="does not fit n=49"):
+        ExpmvRequest(pencil=square_pencil_8, b=np.ones(48), eps=1e-6)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_driver_request_rejects_non_finite_b(square_pencil_8, bad):
     b = np.ones(square_pencil_8.n)
@@ -438,6 +445,30 @@ def test_expmv_rejects_mismatched_analysis(square_pencil_8, square_sys_8):
                                           eps=1e-6, analysis=analysis))
 
 
+@pytest.mark.parametrize("mode", ["ii", "i"])
+@pytest.mark.parametrize("method", ["sub-pade", "rat-interp"])
+def test_certificate_carries_the_applied_approximant(square_sys_8, square_pencil_8, method, mode):
+    p, b = square_pencil_8, square_sys_8.b0
+    x, cert = expmv_controlled(ExpmvRequest(pencil=p, b=b, eps=1e-6, method=method, mode=mode))
+    r = cert.approximant
+    if method == "sub-pade":
+        assert r.form is PADE45_CORE
+        applied = apply_scaled_pade(pade45(scaling=r.scaling), p, b)
+    else:
+        assert r.scaling == 1
+        applied = apply_partial_fraction(r.form, p, b)
+    assert x.dtype == applied.dtype and x.tobytes() == applied.tobytes()
+    assert (cert.degree, cert.achieved_bound, cert.scalar_target, cert.method) == (
+        r.degree, r.sup_error_estimate, r.target, r.method)
+    assert cert.method == method and cert.mode == mode
+    assert set(json.loads(cert.to_json())) == {
+        "schema", "rectangle", "kappa_safe", "kappa_power", "scalar_target", "achieved_bound",
+        "operator_bound", "degree", "method", "mode", "eps"}
+    # a second run builds its own approximant; the certificates compare and hash equal
+    _, again = expmv_controlled(ExpmvRequest(pencil=p, b=b, eps=1e-6, method=method, mode=mode))
+    assert again == cert and hash(again) == hash(cert)
+
+
 # --------------------------------------------------------------------------
 # operator-norm bound verification
 # --------------------------------------------------------------------------
@@ -445,7 +476,9 @@ def test_expmv_rejects_mismatched_analysis(square_pencil_8, square_sys_8):
 def test_theorem_bound_holds_on_random_pencil(random_pencil_60):
     p = random_pencil_60
     for method in ("sub-pade", "rat-interp"):
-        form = certified_form(p, 1e-5, method)
+        _, cert = expmv_controlled(ExpmvRequest(pencil=p, b=np.zeros(p.n), eps=1e-5,
+                                                method=method))
+        form = cert.approximant
         report = theorem1_bound_check(p, form)
         assert report.passed
         assert report.lhs <= report.rhs <= (1.0 + math.sqrt(2.0)) * math.sqrt(

@@ -204,6 +204,9 @@ def test_settable_surface_is_pinned():
     # enclosure's residual tolerance, for one, is bounds.REL_RESID_TOL
     init = {f.name for f in dataclasses.fields(expmv.ExpmvRequest) if f.init}
     assert init == {"pencil", "b", "eps", "method", "mode", "seed", "analysis"}
+    # the certificate holds the applied approximant, not copies of its numbers
+    init = {f.name for f in dataclasses.fields(expmv.ExpmvCertificate) if f.init}
+    assert init == {"rectangle", "kappa_safe", "approximant", "mode", "eps"}
     assert list(inspect.signature(bounds.analyze_pencil).parameters) == ["M", "K", "seed", "mode"]
     (subs,) = [a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction)]

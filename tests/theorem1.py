@@ -2,9 +2,10 @@
 
 Theorem 1 turns the scalar sup error of r - exp on the rectangle into the
 operator bound ||r(A) - exp(A)||_2 <= (1+sqrt 2) kappa(M)^(1/2) * sup-error.
-``certified_form`` builds the approximant the driver certifies, and
-``theorem1_bound_check`` forms both sides densely, independently of the
-pipeline under test; the tests that use it assert the inequality.
+``theorem1_bound_check`` takes the approximant a driver certificate holds
+(``ExpmvCertificate.approximant``) and forms both sides densely,
+independently of the pipeline under test; the tests that use it assert the
+inequality.
 """
 from __future__ import annotations
 
@@ -14,22 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from expmrect.aaa import aaa_poles, refit_partial_fractions
-from expmrect.bounds import Pencil, analyze_pencil, rectangle_from_extremes
-from expmrect.expmv import (
-    AAA_SAMPLES_PER_SIDE,
-    CROUZEIX_CONSTANT,
-    KAPPA_POWER,
-    ExpmvRequest,
-)
-from expmrect.rational import (
-    PADE45_CORE,
-    CertifiedApproximant,
-    boundary_samples,
-    pade45,
-    select_scaling,
-    sup_error_on_rectangle,
-)
+from expmrect.bounds import Pencil
+from expmrect.expmv import CROUZEIX_CONSTANT
+from expmrect.rational import CertifiedApproximant
 
 
 @dataclass(frozen=True)
@@ -41,27 +29,6 @@ class BoundCheckReport:
     kappa: float
     sup_error_estimate: float
     passed: bool
-
-
-def certified_form(p: Pencil, eps: float, method: str) -> CertifiedApproximant:
-    """The certified scalar approximant that ``expmv_controlled`` builds for
-    the pencil at a request's default settings, with the driver's sampling
-    densities; the driver itself keeps only its summary."""
-    req = ExpmvRequest(pencil=p, b=np.zeros(p.n), eps=eps, method=method)
-    analysis = analyze_pencil(p.M, p.K, req.seed, req.mode)
-    rect = rectangle_from_extremes(analysis.extremes, p.tau)
-    target = eps / (CROUZEIX_CONSTANT * analysis.kappa_safe**KAPPA_POWER)
-    if method == "sub-pade":
-        s = select_scaling(rect, target)
-        return CertifiedApproximant(
-            form=PADE45_CORE,
-            sup_error_estimate=sup_error_on_rectangle(pade45(s), rect),
-            target=target,
-            method="sub-pade",
-            scaling=s,
-        )
-    poles = aaa_poles(boundary_samples(rect, AAA_SAMPLES_PER_SIDE), target)
-    return refit_partial_fractions(poles, boundary_samples(rect), target)
 
 
 def _rational_matrix(cert: CertifiedApproximant, A: np.ndarray) -> np.ndarray:
