@@ -333,6 +333,11 @@ def _check_name(where: str, value, known) -> None:
         raise ValueError(f"sweep config {where} must be one of {list(known)}, not {value!r}")
 
 
+def _check_value(where: str, value, ok: bool, what: str) -> None:
+    if not ok:
+        raise ValueError(f"sweep config {where} must be {what}, not {value!r}")
+
+
 def _check_sweep_keys(config: dict) -> None:
     unknown = sorted(set(config) - set(SWEEP_KEYS))
     if unknown:
@@ -345,6 +350,10 @@ def _check_sweep_keys(config: dict) -> None:
     for key, known in (("methods", METHODS), ("modes", MODES)):
         for value in config.get(key, []):
             _check_name(f"entry of {key!r}", value, known)
+    for value in config.get("eps", []):
+        _check_value("entry of 'eps'", value, 0.0 < value < 1.0, "in (0, 1)")
+    for value in config.get("tau_factors", []):
+        _check_value("entry of 'tau_factors'", value, 0.0 < value < np.inf, "finite and positive")
     for spec_sys in config.get("systems", []):
         _check_type("entry of 'systems'", spec_sys, (dict, "an object"))
         unknown = sorted(set(spec_sys) - set(SYSTEM_KEYS))
@@ -358,6 +367,13 @@ def _check_sweep_keys(config: dict) -> None:
         for key, value in spec_sys.items():
             _check_type(f"system key {key!r}", value, SYSTEM_KEYS[key])
         _check_name("system key 'domain'", spec_sys["domain"], fem.DOMAINS)
+        d = spec_sys["d"]
+        _check_value("system key 'd'", d, 0.0 < d < np.inf, "finite and positive")
+        for key, least in (("divisions", 1), ("refine", 0)):
+            if key in spec_sys:
+                value = spec_sys[key]
+                _check_value(f"system key {key!r}", value, least <= value < np.inf,
+                             f"finite and at least {least}")
 
 
 def run_sweep(config: dict) -> list[dict]:
@@ -372,7 +388,9 @@ def run_sweep(config: dict) -> list[dict]:
     Raises ValueError on a key outside ``SWEEP_KEYS``, or on a system with a
     key outside ``SYSTEM_KEYS`` or without one of ``REQUIRED_SYSTEM_KEYS``,
     or on a value of the wrong type, or on an unknown domain, method or
-    mode, before any run.
+    mode, or on a value out of range (an ``eps`` outside (0, 1), a tau
+    factor or ``d`` that is not finite and positive, a ``divisions`` or
+    ``refine`` that is not finite or is below 1 or 0), before any run.
     """
     _check_sweep_keys(config)
     config = {**SWEEP_DEFAULTS, **config}

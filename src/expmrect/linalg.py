@@ -26,8 +26,10 @@ __all__ = [
     "norm2",
 ]
 
-# A pivot below PIVOT_RTOL * max|A| is treated as an exact zero: the factor
-# would amplify roundoff past any useful accuracy, so we refuse it outright.
+# A factor whose solve amplifies by more than 1/PIVOT_RTOL relative to max|A|
+# is treated as singular: it would amplify roundoff past any useful
+# accuracy, so we refuse it outright. A pivot of size delta * max|A| makes a
+# solve grow by about 1/delta, so this also refuses such a pivot.
 PIVOT_RTOL = 1e-14
 
 
@@ -36,9 +38,11 @@ class LuFactor:
     """SuperLU factorization P A Q = L U.
 
     ``lower``/``upper`` expose the triangular factors, whose product is A
-    with its rows and columns permuted. ``dtype`` is that of the factored
-    matrix, recorded when the factor is made: reading it from ``upper``
-    would make SciPy build and cache CSC copies of L and U.
+    with its rows and columns permuted. Reading either makes SciPy build
+    and cache CSC copies of both L and U, as large as the factor itself, so
+    only tests and perfbench's traced fill count read them; solving and the
+    singularity check do not. ``dtype`` is that of the factored matrix,
+    recorded when the factor is made for the same reason.
     """
 
     shape: tuple[int, int]
@@ -76,9 +80,14 @@ def lu_factor(A, symmetric: bool = False) -> LuFactor:
     symmetric order: rows and columns are ordered alike by minimum degree on
     A^T + A (SuperLU's symmetric mode), and a diagonal pivot is kept unless
     it is below 0.1 times its column's largest entry, so the ordering's low
-    fill survives; only such pivots fall back to row pivoting. Raises
-    ``SingularMatrix`` when the smallest pivot falls below
-    ``PIVOT_RTOL * max|A|``.
+    fill survives; only such pivots fall back to row pivoting.
+
+    Raises ``SingularMatrix`` when SuperLU meets an exactly zero pivot, or
+    when the factor amplifies too much: one solve of a fixed seeded
+    standard-normal probe z must keep max|A| * ||A^-1 z||_inf / ||z||_inf
+    finite and at most ``1 / PIVOT_RTOL``. That ratio is a lower bound on
+    max|A| * ||A^-1||_inf, the growth a solve can apply to roundoff. The
+    probe reads no entry of L or U, so no CSC copy of them is built.
     """
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
@@ -98,9 +107,10 @@ def lu_factor(A, symmetric: bool = False) -> LuFactor:
                 fac = spla.splu(A)
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise SingularMatrix(str(exc)) from exc
-    pivots = np.abs(fac.U.diagonal())
-    if pivots.size == 0 or pivots.min() < PIVOT_RTOL * scale:
-        raise SingularMatrix("sparse LU produced a negligible pivot")
+    z = np.random.default_rng(0).standard_normal(A.shape[0])
+    growth = scale * np.max(np.abs(fac.solve(z))) / np.max(np.abs(z))
+    if not growth <= 1.0 / PIVOT_RTOL:  # also refuses NaN
+        raise SingularMatrix(f"sparse LU amplifies a probe solve by {growth:.3g}")
     return LuFactor(shape=A.shape, dtype=A.dtype, _splu=fac)
 
 

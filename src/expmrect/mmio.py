@@ -8,7 +8,6 @@ only the lower triangle is written.
 from __future__ import annotations
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 __all__ = ["read_matrix_market", "write_matrix_market", "read_vector", "write_vector"]
@@ -16,6 +15,8 @@ __all__ = ["read_matrix_market", "write_matrix_market", "read_vector", "write_ve
 
 def read_matrix_market(path) -> sp.csr_array:
     """Read a Matrix Market file into CSR form (symmetry expanded)."""
+    import scipy.io  # on first use: no sweep or generated run reads a file
+
     A = scipy.io.mmread(path)
     return sp.csr_array(A)
 
@@ -26,6 +27,8 @@ def write_matrix_market(path, A, symmetric: bool = False) -> None:
     With ``symmetric=True`` the matrix is checked for exact symmetry of the
     stored values and written with the ``symmetric`` qualifier.
     """
+    import scipy.io  # on first use, as in read_matrix_market
+
     A = sp.coo_matrix(A)
     symmetry = None
     if symmetric:

@@ -458,6 +458,10 @@ def test_sweep_rejects_malformed_config(tmp_path, capsys, config, message):
     ({"modes": ["ii", "I"]}, "entry of 'modes' must be one of ['i', 'ii'], not 'I'"),
 ], ids=["domain", "method", "mode"])
 def test_sweep_checks_names_before_any_run(tmp_path, capsys, monkeypatch, config, message):
+    _assert_refused_before_any_run(tmp_path, capsys, monkeypatch, config, message)
+
+
+def _assert_refused_before_any_run(tmp_path, capsys, monkeypatch, config, message):
     built = []
     monkeypatch.setattr(cli, "_build_system", lambda *args: built.append(args))
     cfg = tmp_path / "cfg.json"
@@ -468,6 +472,24 @@ def test_sweep_checks_names_before_any_run(tmp_path, capsys, monkeypatch, config
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ValueError: ") and message in err[0]
     assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"eps": [1e-6, 2.0]}, "entry of 'eps' must be in (0, 1), not 2.0"),
+    ({"tau_factors": [1, -1]}, "entry of 'tau_factors' must be finite and positive, not -1"),
+    ({"systems": [{"domain": "square", "divisions": 8, "d": 0.1},
+                  {"domain": "square", "divisions": 0, "d": 0.1}]},
+     "system key 'divisions' must be finite and at least 1, not 0"),
+    ({"systems": [{"domain": "square", "divisions": float("inf"), "d": 0.1}]},
+     "system key 'divisions' must be finite and at least 1, not inf"),
+    ({"systems": [{"domain": "square", "divisions": 8, "d": 0.1},
+                  {"domain": "star", "d": -0.1}]},
+     "system key 'd' must be finite and positive, not -0.1"),
+    ({"systems": [{"domain": "star", "refine": -1, "d": 0.1}]},
+     "system key 'refine' must be finite and at least 0, not -1"),
+], ids=["eps", "tau_factor", "divisions", "divisions_inf", "d", "refine"])
+def test_sweep_checks_values_before_any_run(tmp_path, capsys, monkeypatch, config, message):
+    _assert_refused_before_any_run(tmp_path, capsys, monkeypatch, config, message)
 
 
 def test_sweep_api_and_cli_share_the_default_grid(tmp_path):

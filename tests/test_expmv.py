@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from expmrect import expmv, fem
 from expmrect.aaa import aaa_poles, refit_partial_fractions
 from expmrect.bounds import Pencil, analyze_pencil, bounding_rectangle
-from expmrect.errors import DimensionMismatch, ScalingExhausted
+from expmrect.errors import DimensionMismatch, ScalingExhausted, SingularShift
 from expmrect.expmv import (
     ExpmvRequest,
     apply_partial_fraction,
@@ -27,7 +27,7 @@ from expmrect.expmv import (
     expmv_controlled,
 )
 from expmrect.linalg import LuFactor, lu_factor
-from expmrect.rational import PADE45_CORE, boundary_samples, pade45
+from expmrect.rational import PADE45_CORE, PartialFractionRational, boundary_samples, pade45
 
 from conftest import random_nonsym_sparse, random_spd_sparse
 from theorem1 import theorem1_bound_check
@@ -296,6 +296,25 @@ def test_shift_factor_takes_the_union_of_the_patterns():
         assert np.array_equal(on_pattern.toarray(), want)
         x = expmv._shift_factor(pattern, complex(beta), p.tau).solve(b)
         assert np.linalg.norm(want @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def _diagonal_pencil():
+    # M = I and K = diag(-1, ..., -5), so beta M - tau K = diag(beta + 1, ..., beta + 5)
+    return Pencil(1.0, sp.eye_array(5, format="csr"), sp.diags_array(-np.arange(1.0, 6.0)))
+
+
+@pytest.mark.parametrize("beta", [-1.0, -1.0 + 1e-15], ids=["exact", "near"])
+def test_singular_shift_is_refused(beta):
+    # the near shift leaves 1.1e-15 on the diagonal, which SuperLU factors
+    r = PartialFractionRational(gamma=0.0, poles=[beta], weights=[1.0])
+    with pytest.raises(SingularShift, match="makes the pencil singular"):
+        apply_partial_fraction(r, _diagonal_pencil(), np.ones(5))
+
+
+def test_shift_clear_of_the_spectrum_applies():
+    r = PartialFractionRational(gamma=0.0, poles=[-1.5], weights=[1.0])
+    x = apply_partial_fraction(r, _diagonal_pencil(), np.ones(5))
+    assert np.allclose(x, 1.0 / (np.arange(1.0, 6.0) - 1.5), rtol=1e-15, atol=0.0)
 
 
 # --------------------------------------------------------------------------

@@ -6,9 +6,11 @@ Each module except ``__init__.py`` (which only re-exports) is parsed with
 ``__all__`` entry must be defined at module level, and every private
 module-level name must be referenced somewhere in the package outside its
 own definition. ``__init__.__all__`` lists exactly the names it imports,
-only ``linalg.py`` calls SuperLU, only ``bounds.py`` calls the eigensolver
-(and only through ``_ritz_pair``) or decides an enclosure, and only
-``bounds.py`` compares ``nu_min`` with ``-nu_max``. The settings a caller can
+only ``linalg.py`` calls SuperLU, only ``definite_factor`` and
+``LuFactor.lower``/``upper`` read a factor's triangles, only ``bounds.py``
+calls the eigensolver (and only through ``_ritz_pair``) or decides an
+enclosure, and only ``bounds.py`` compares ``nu_min`` with ``-nu_max``.
+Importing the CLI leaves ``scipy.io`` unloaded. The settings a caller can
 give a run are pinned, so that a new one changes a test on purpose.
 """
 from __future__ import annotations
@@ -17,7 +19,10 @@ import argparse
 import ast
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,6 +142,33 @@ def test_only_linalg_calls_superlu(path):
     # every factor, and so every proof of definiteness, goes through linalg
     if path.name != "linalg.py":
         assert "splu" not in path.read_text(), f"{path.name} calls SuperLU outside linalg"
+
+
+def test_only_the_inertia_proof_reads_a_factors_triangles():
+    # reading SuperLU's L or U makes SciPy build CSC copies of both, as large
+    # as the factor: definite_factor needs every pivot's sign, and
+    # LuFactor.lower/upper serve tests and the benchmark's fill count
+    allowed = {"definite_factor", "lower", "upper"}
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        inside = {id(n) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and path.name == "linalg.py"
+                  and f.name in allowed for n in ast.walk(f)}
+        found += [f"{path.name}:{n.lineno} .{n.attr}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in {"L", "U", "lower", "upper"}
+                  and id(n) not in inside]
+    assert not found, f"triangular factors read outside the inertia proof: {found}"
+
+
+def test_importing_the_cli_leaves_matrix_market_support_unloaded():
+    # scipy.io brings in 38 modules; mmio loads it when a file is read or written
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, expmrect.cli; print('scipy.io' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -55,6 +55,20 @@ def test_solve_never_reads_the_triangular_factors(dtype):
         assert np.allclose(A @ fac.solve(b), b, atol=1e-11)
 
 
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lu_factor_builds_no_triangular_copies(monkeypatch, symmetric, dtype):
+    # the singularity check probes the factor with a solve; reading its
+    # pivots from U would build CSC copies of L and U as large as the factor
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: _FactorWithoutLU(splu(*args, **kwargs)))
+    rng = np.random.default_rng(12)
+    A = sp.csc_array((rng.standard_normal((15, 15)) + 15 * np.eye(15)).astype(dtype))
+    fac = lu_factor(A, symmetric=symmetric)
+    b = rng.standard_normal(15)
+    assert np.allclose(A @ fac.solve(b), b, atol=1e-11)
+
+
 def test_complex_sparse_lu():
     rng = np.random.default_rng(2)
     base = rng.standard_normal((10, 10))
@@ -86,6 +100,17 @@ def test_lu_rejects_singular():
         lu_factor(singular)
     with pytest.raises(SingularMatrix):
         lu_factor(sp.csr_array(singular))
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_lu_rejects_near_singular_tridiagonal(symmetric):
+    # block lower triangular, so the 1e-16 on the diagonal is an eigenvalue
+    # that no pivoting can hide; SuperLU factors it without complaint
+    A = sp.csr_array(sp.diags_array(
+        [[1.0] * 4, [2.0, 2.0, 1e-16, 2.0, 2.0], [1.0, 0.0, 0.0, 1.0]], offsets=[-1, 0, 1]))
+    assert np.linalg.cond(A.toarray()) > 1e16
+    with pytest.raises(SingularMatrix):
+        lu_factor(A, symmetric=symmetric)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
