@@ -2,7 +2,7 @@
 
 Four subcommands: ``generate`` builds a finite element test system and
 writes it to disk, ``bound`` reports the numerical-range rectangle and
-condition estimate for a pencil, ``expmv`` runs the certified driver once,
+condition bound for a pencil, ``expmv`` runs the certified driver once,
 and ``sweep`` drives a grid of (system, method, mode, eps, tau) combinations
 into a CSV table. All randomness is seeded, and outputs carry no timestamps,
 so identical configurations reproduce byte-identical files.
@@ -221,14 +221,11 @@ def cmd_bound(args) -> int:
     p = Pencil(tau=tau, M=M, K=K)
     analysis = analyze_pencil(p.M, p.K, seed=args.seed)
     rect = rectangle_from_extremes(analysis.extremes, tau)
-    est = analysis.cond
     payload = {
-        "schema": "expmrect/bound-v1",
+        "schema": "expmrect/bound-v2",
         "rectangle": rect.as_dict(),
         "lhp_certified": is_lhp_certified(rect),
-        "kappa_tilde": est.kappa_tilde,
-        "kappa_safe": est.kappa_safe,
-        "delta": est.delta,
+        "kappa_safe": analysis.kappa_safe,
         "tau": tau,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -369,7 +366,7 @@ def _check_sweep_keys(config: dict) -> None:
         _check_name("system key 'domain'", spec_sys["domain"], fem.DOMAINS)
         d = spec_sys["d"]
         _check_value("system key 'd'", d, 0.0 < d < np.inf, "finite and positive")
-        for key, least in (("divisions", 1), ("refine", 0)):
+        for key, least in fem.SMALLEST_INTERIOR_SIZE.items():
             if key in spec_sys:
                 value = spec_sys[key]
                 _check_value(f"system key {key!r}", value, least <= value < np.inf,
@@ -390,7 +387,7 @@ def run_sweep(config: dict) -> list[dict]:
     or on a value of the wrong type, or on an unknown domain, method or
     mode, or on a value out of range (an ``eps`` outside (0, 1), a tau
     factor or ``d`` that is not finite and positive, a ``divisions`` or
-    ``refine`` that is not finite or is below 1 or 0), before any run.
+    ``refine`` not finite or below ``fem.SMALLEST_INTERIOR_SIZE``), before any run.
     """
     _check_sweep_keys(config)
     config = {**SWEEP_DEFAULTS, **config}
@@ -470,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output directory")
     g.set_defaults(func=cmd_generate)
 
-    b = subs.add_parser("bound", help="numerical-range rectangle and condition estimate")
+    b = subs.add_parser("bound", help="numerical-range rectangle and condition bound")
     _add_system_args(b)
     _add_run_args(b)
     b.add_argument("--out", default=None)

@@ -2,7 +2,7 @@
 
 The driver assembles the pieces from the other modules into the certified
 pipeline: bound the numerical range of the mass-symmetrized operator by a
-rectangle, estimate the condition number of M, derive the scalar
+rectangle, bound the condition number of M from above, derive the scalar
 approximation target
 
     target = eps / ((1 + sqrt(2)) * kappa_safe ** 0.5),
@@ -12,7 +12,10 @@ rectangle, and apply r through shifted pencil solves. Because the rectangle
 encloses the numerical range and that range is a (1 + sqrt(2))-spectral set,
 the result satisfies ||x - exp(tau inv(M) K) b|| <= eps * ||b|| whenever the
 certificate holds. The power 1/2 (``KAPPA_POWER``) is exact: the similarity
-A_hat = M^(1/2) A M^(-1/2) costs the factor kappa(M)^(1/2) and no more.
+A_hat = M^(1/2) A M^(-1/2) costs the factor kappa(M)^(1/2) and no more;
+``kappa_safe`` is a certified upper bound on kappa(M). The rectangle edges
+(2 * ``bounds.REL_RESID_TOL``) and the scalar sup
+(``rational.SAMPLING_SAFETY``) still rest on heuristic margins.
 
 Two region modes exist, and both enclose at any scale through one call,
 ``bounds.analyze_pencil``, whose tau-independent result a request may carry
@@ -294,9 +297,9 @@ class ExpmvCertificate:
     def operator_bound(self) -> float:
         """The certified two-norm bound on ||x - exp(A) b|| / ||b||.
 
-        By construction it never exceeds ``eps``, and it dominates the
-        measured error whenever the rectangle and condition estimate are
-        sound, which is what makes it the right column for result tables.
+        By construction it never exceeds ``eps``. Its kappa factor is
+        certified, so it dominates the measured error whenever the rectangle
+        and the sampled sup of |r - exp| are sound: the column for tables.
         """
         return CROUZEIX_CONSTANT * self.kappa_safe**self.kappa_power * self.achieved_bound
 

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 DOMAINS = ("square", "star")  # meshed by mesh_square and mesh_star
+# the smallest mesh_square divisions and mesh_star refine with an interior vertex
+SMALLEST_INTERIOR_SIZE = {"divisions": 2, "refine": 1}
 
 
 @dataclass(frozen=True)

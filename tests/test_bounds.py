@@ -1,4 +1,4 @@
-"""Pencil rectangles, generalized extreme eigenvalues, condition estimates.
+"""Pencil rectangles, generalized extreme eigenvalues, condition bounds.
 
 Dense eigendecompositions computed directly in the tests serve as oracles
 for the module's one eigensolver path, ARPACK.
@@ -124,13 +124,12 @@ def test_iterative_enclosure_agrees_with_dense_on_reference_systems(domain, d):
     # square/32 and star/4, the reference systems
     mesh = fem.mesh_square(32) if domain == "square" else fem.mesh_star(refine=4)
     s = fem.assemble_p1(mesh, d=d, domain=domain)
+    # (kappa(M) is checked in test_cond_estimate_matches_dense_eigvalsh)
     parts = split(s.K)
     dense = (*_dense_pencil_extremes(parts.D, s.M), _dense_skew_max(parts.S, s.M))
-    w = np.linalg.eigvalsh(s.M.toarray())
     ext = raw_extremes(s.M, s.K)
     for got, want in zip((ext.mu_min, ext.mu_max, ext.nu_max), dense):
         assert math.isclose(got, want, rel_tol=1e-10)
-    assert math.isclose(cond_estimate(s.M).kappa_tilde, w[-1] / w[0], rel_tol=1e-10)
 
 
 def _no_convergence(*args, **kwargs):
@@ -171,13 +170,13 @@ def test_iterative_residual_above_tolerance_raises_no_convergence(square_sys_8, 
 
 
 def _dense_min(B, M):
-    """Smallest eigenvalue of (B, M) by dense ``eigh``; M = None is I."""
-    return sla.eigh(B.toarray(), None if M is None else M.toarray(), eigvals_only=True)[0]
+    """Smallest eigenvalue of (B, M) by dense ``eigh``."""
+    return sla.eigh(B.toarray(), M.toarray(), eigvals_only=True)[0]
 
 
 def _recorded_minima(monkeypatch):
     """Record (B, M, theta) of every minimum ``_sym_extreme`` returns, and
-    the keyword arguments of every ``_ritz_pair`` call."""
+    the tolerance and keyword arguments of every ``_ritz_pair`` call."""
     minima, ritz_calls = [], []
     sym_extreme, ritz_pair = bounds._sym_extreme, bounds._ritz_pair
 
@@ -188,7 +187,7 @@ def _recorded_minima(monkeypatch):
         return theta, resid
 
     def recording_ritz_pair(what, A, tol, seed, **kwargs):
-        ritz_calls.append(kwargs)
+        ritz_calls.append(dict(kwargs, tol=tol))
         return ritz_pair(what, A, tol, seed, **kwargs)
 
     monkeypatch.setattr(bounds, "_sym_extreme", recording_sym_extreme)
@@ -199,30 +198,31 @@ def _recorded_minima(monkeypatch):
 @pytest.mark.parametrize("mode", ["ii", "i"])
 @pytest.mark.parametrize("domain", ["square", "star"])
 def test_every_minimum_agrees_with_dense_eigh(domain, mode, monkeypatch):
-    # square/8 and star/1. Mode "ii" takes the minima of (D, M) and, for
-    # kappa, of M; mode "i" that of (sym(K M), M M). On square/8 each loose
-    # regular-mode estimate is finished in shift-invert from its own vector;
-    # on star/1 (n=7) the estimate already meets ARPACK_TOL and is kept.
+    # square/8 and star/1. Mode "ii" takes the minimum of (D, M), mode "i"
+    # that of (sym(K M), M M). On square/8 the loose regular-mode estimate
+    # is finished in shift-invert from its own vector; on star/1 (n=7) it
+    # already meets ARPACK_TOL and is kept. kappa(M), in mode "ii" only,
+    # takes one loose estimate of M's minimum and no finish: the shift its
+    # inertia proves is the bound.
     mesh = fem.mesh_square(8) if domain == "square" else fem.mesh_star(refine=1)
     s = fem.assemble_p1(mesh, d=0.1, domain=domain)
     minima, ritz_calls = _recorded_minima(monkeypatch)
     analyze_pencil(s.M, s.K, mode=mode)
-    assert len(minima) == (2 if mode == "ii" else 1)
-    for B, M, theta in minima:
-        assert math.isclose(theta, _dense_min(B, M), rel_tol=1e-12)
+    ((B, M, theta),) = minima
+    assert math.isclose(theta, _dense_min(B, M), rel_tol=1e-12)
     finishes = [kw for kw in ritz_calls if "v0" in kw]
-    assert len(finishes) == (len(minima) if domain == "square" else 0)
-    assert all(kw["sigma"] < theta for kw, (_, _, theta) in zip(finishes, minima))
+    assert len(finishes) == (1 if domain == "square" else 0)
+    assert all(kw["sigma"] < theta for kw in finishes)
+    of_m_alone = [kw for kw in ritz_calls if "M" not in kw]
+    assert of_m_alone == ([{"which": "SA", "tol": bounds.BRACKET_TOL}] if mode == "ii" else [])
 
 
-@pytest.mark.parametrize("mass", ["M", "identity"])
-def test_unproved_bracket_falls_back_to_regular_mode(square_sys_8, mass, monkeypatch):
+def test_unproved_bracket_falls_back_to_regular_mode(square_sys_8, monkeypatch):
     # a loose estimate above the minimum puts every shift, even the widest,
     # above it too: no factor proves one below the spectrum, and the
     # minimum comes from regular mode at the full tolerance
     s = square_sys_8
-    B, M = (split(s.K).D, s.M) if mass == "M" else (s.M, None)
-    M_solve = None if M is None else bounds._mass_solve(M)
+    B, M, M_solve = split(s.K).D, s.M, bounds._mass_solve(s.M)
     ritz_pair, factor = bounds._ritz_pair, bounds.definite_factor
     brackets = []
 
@@ -315,6 +315,8 @@ def test_indefinite_mass_raises_not_spd(square_sys_8):
         raw_extremes(M, s.K)
     with pytest.raises(NotSPD):
         analyze_pencil(M, s.K)
+    with pytest.raises(NotSPD, match="lower bound .* not positive"):
+        cond_estimate(M)
     req = expmv.ExpmvRequest(pencil=Pencil(s.mesh.h_bar, M, s.K), b=s.b0, eps=1e-6)
     with pytest.raises(NotSPD):
         expmv.expmv_controlled(req)
@@ -402,22 +404,54 @@ def test_plain_range_rectangle_matches_dense_range_of_a(domain, size, d, tau_fac
 
 
 # --------------------------------------------------------------------------
-# condition estimate
+# condition bound
 # --------------------------------------------------------------------------
 
-def test_cond_estimate_matches_dense_eigvalsh(square_sys_8):
-    # ARPACK's estimate against the dense eigenvalues of M
-    M = square_sys_8.M
-    w = np.linalg.eigvalsh(M.toarray())
-    est = cond_estimate(M)
-    assert math.isclose(est.kappa_tilde, w[-1] / w[0], rel_tol=1e-12)
-    assert est.kappa_safe == est.kappa_tilde / (1.0 - est.delta)
+def _reference_mass(domain, size):
+    mesh = fem.mesh_square(size) if domain == "square" else fem.mesh_star(refine=size)
+    return fem.assemble_p1(mesh, d=0.1, domain=domain).M
 
 
-def test_cond_estimate_iterative_margin(square_sys_8):
-    est = cond_estimate(square_sys_8.M)
-    assert est.delta == bounds.COND_DELTA == 0.05
-    assert est.kappa_safe == est.kappa_tilde / 0.95
+# Gershgorin's row sum exceeds lambda_max(M) by 5.0% on square/8 and by 19.5%
+# on star/1, and by at most 3.4% on the reference systems; the proved shift
+# adds BRACKET_DELTA = 0.1%
+KAPPA_CEILINGS = {("square", 8): 1.06, ("star", 1): 1.2, ("square", 32): 1.05, ("star", 4): 1.05}
+
+
+def test_cond_estimate_matches_dense_eigvalsh():
+    # the certified bound against the dense eigenvalues of M and Wathen's a
+    # priori bound 4 max(diag M) / min(diag M) for P1 mass matrices
+    for (domain, size), ceiling in KAPPA_CEILINGS.items():
+        M = _reference_mass(domain, size)
+        w = np.linalg.eigvalsh(M.toarray())
+        exact, kappa = w[-1] / w[0], cond_estimate(M).kappa_safe
+        assert type(kappa) is float  # CSV and JSON print it with repr
+        assert exact <= kappa <= ceiling * exact, (domain, size, kappa / exact)
+        rowsum = np.max(abs(M).sum(axis=1))
+        assert kappa <= (1.0 + 2.0 * bounds.BRACKET_DELTA) * rowsum / w[0]
+        assert kappa <= 4.0 * M.diagonal().max() / M.diagonal().min()
+
+
+def test_cond_estimate_iterative_margin(square_sys_8, monkeypatch):
+    # kappa_safe is the row sum over the proved shift less the stated
+    # backward-error margin 2 gamma_{n+1} trace(M - sigma I)
+    M, shifts = square_sys_8.M, []
+    proved_shift = bounds._proved_shift
+
+    def recording(*args):
+        shifts.append(proved_shift(*args))
+        return shifts[-1]
+
+    monkeypatch.setattr(bounds, "_proved_shift", recording)
+    kappa = cond_estimate(M).kappa_safe
+    ((sigma, fac),) = shifts
+    n, u = M.shape[0], np.finfo(float).eps / 2.0
+    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+    margin = 2.0 * gamma * np.sum(M.diagonal() - sigma)
+    assert fac is not None and 0.0 < margin < 1e-12 * sigma
+    assert sigma < np.linalg.eigvalsh(M.toarray())[0]
+    rowsum = np.max(abs(M).sum(axis=1))
+    assert kappa == rowsum * (1.0 + 9 * u) / (sigma - margin)  # 7 entries in a row
 
 
 def test_cond_estimate_rejects_indefinite():
@@ -426,11 +460,19 @@ def test_cond_estimate_rejects_indefinite():
         cond_estimate(bad)
 
 
+def test_cond_estimate_unproved_ladder_raises_no_convergence(square_sys_8, monkeypatch):
+    # every shift of the ladder left unproved: a typed failure naming M
+    factors = []
+    monkeypatch.setattr(bounds, "definite_factor", lambda A, sign: factors.append(A))
+    with pytest.raises(NoConvergence, match=r"M's minimum .*\(n=49\)"):
+        cond_estimate(square_sys_8.M)
+    assert len(factors) == bounds.BRACKET_WIDENINGS + 1
+
+
 def test_cond_estimate_validation():
-    with pytest.raises(ValueError):
-        CondEstimate(kappa_tilde=0.5, delta=0.0, kappa_safe=0.5)
-    with pytest.raises(ValueError):
-        CondEstimate(kappa_tilde=2.0, delta=0.0, kappa_safe=1.5)
+    for bad in (0.5, np.nan):
+        with pytest.raises(ValueError, match="condition number bound below 1"):
+            CondEstimate(kappa_safe=bad)
 
 
 # --------------------------------------------------------------------------

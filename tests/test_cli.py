@@ -63,10 +63,11 @@ def test_bound_reports_lhp_rectangle(tmp_path, capsys):
                  "--out", str(tmp_path))
     assert rc == 0
     payload = json.loads((tmp_path / "rectangle.json").read_text())
-    assert payload["schema"] == "expmrect/bound-v1"
+    assert payload["schema"] == "expmrect/bound-v2"
+    assert set(payload) == {"schema", "rectangle", "lhp_certified", "kappa_safe", "tau"}
     assert payload["lhp_certified"] is True
     assert payload["rectangle"]["mu_max"] < 0.0
-    assert payload["kappa_safe"] >= payload["kappa_tilde"] > 1.0
+    assert payload["kappa_safe"] > 1.0
     printed = json.loads(capsys.readouterr().out)
     assert printed == payload
 
@@ -249,8 +250,8 @@ def test_sweep_encloses_each_system_once(monkeypatch):
 
 
 def test_sweep_kappa_column_is_kappa_safe_beyond_dense_cutoff(monkeypatch):
-    # kappa_safe and kappa_tilde differ by the 1 / (1 - delta) margin at
-    # every size, so the column must carry kappa_safe
+    # the column carries the certified kappa_safe that the analysis
+    # computed and the certificate used
     runs = []
     original = cli.expmv_controlled
 
@@ -270,7 +271,7 @@ def test_sweep_kappa_column_is_kappa_safe_beyond_dense_cutoff(monkeypatch):
     (row,), ((req, cert),) = rows, runs
     assert row["n"] == 49 and row["status"] == "ok"
     assert row["kappa"] == repr(cert.kappa_safe)
-    assert cert.kappa_safe != req.analysis.cond.kappa_tilde
+    assert cert.kappa_safe == req.analysis.cond.kappa_safe > 1.0
 
 
 def test_expmv_certifies_square_128(tmp_path):
@@ -479,15 +480,21 @@ def _assert_refused_before_any_run(tmp_path, capsys, monkeypatch, config, messag
     ({"tau_factors": [1, -1]}, "entry of 'tau_factors' must be finite and positive, not -1"),
     ({"systems": [{"domain": "square", "divisions": 8, "d": 0.1},
                   {"domain": "square", "divisions": 0, "d": 0.1}]},
-     "system key 'divisions' must be finite and at least 1, not 0"),
+     "system key 'divisions' must be finite and at least 2, not 0"),
     ({"systems": [{"domain": "square", "divisions": float("inf"), "d": 0.1}]},
-     "system key 'divisions' must be finite and at least 1, not inf"),
+     "system key 'divisions' must be finite and at least 2, not inf"),
     ({"systems": [{"domain": "square", "divisions": 8, "d": 0.1},
                   {"domain": "star", "d": -0.1}]},
      "system key 'd' must be finite and positive, not -0.1"),
     ({"systems": [{"domain": "star", "refine": -1, "d": 0.1}]},
-     "system key 'refine' must be finite and at least 0, not -1"),
-], ids=["eps", "tau_factor", "divisions", "divisions_inf", "d", "refine"])
+     "system key 'refine' must be finite and at least 1, not -1"),
+    # meshes without an interior vertex, which used to end in DegenerateMesh
+    ({"systems": [{"domain": "square", "divisions": 1, "d": 0.1}]},
+     "system key 'divisions' must be finite and at least 2, not 1"),
+    ({"systems": [{"domain": "star", "refine": 0, "d": 0.1}]},
+     "system key 'refine' must be finite and at least 1, not 0"),
+], ids=["eps", "tau_factor", "divisions", "divisions_inf", "d", "refine", "divisions_1",
+        "refine_0"])
 def test_sweep_checks_values_before_any_run(tmp_path, capsys, monkeypatch, config, message):
     _assert_refused_before_any_run(tmp_path, capsys, monkeypatch, config, message)
 

@@ -239,6 +239,8 @@ def test_settable_surface_is_pinned():
     # the certificate holds the applied approximant, not copies of its numbers
     init = {f.name for f in dataclasses.fields(expmv.ExpmvCertificate) if f.init}
     assert init == {"rectangle", "kappa_safe", "approximant", "mode", "eps"}
+    # kappa(M) is one certified number, with no margin to set beside it
+    assert tuple(f.name for f in dataclasses.fields(bounds.CondEstimate)) == ("kappa_safe",)
     assert list(inspect.signature(bounds.analyze_pencil).parameters) == ["M", "K", "seed", "mode"]
     (subs,) = [a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction)]
