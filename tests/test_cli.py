@@ -11,9 +11,11 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from expmrect import bounds, cli, expmv, mmio
 from expmrect.bounds import Pencil
+from expmrect.errors import NoConvergence, ToleranceUnreachable
 from expmrect.expmv import expm_dense_oracle
 from expmrect.linalg import lu_factor, norm2
 
@@ -339,7 +341,7 @@ def test_reference_matches_dense_expm(domain, size, tau_factor):
     p = Pencil(tau=tau_factor * mesh.h_bar, M=system.M, K=system.K)
     A = p.tau * np.linalg.solve(p.M.toarray(), p.K.toarray())
     want = scipy.linalg.expm(A) @ system.b0
-    got = cli._reference(p, system.b0, seed=0)
+    got = cli._reference(p, system.b0)
     assert norm2(got - want) <= 1e-12 * norm2(want)
 
 
@@ -347,10 +349,174 @@ def test_reference_is_reproducible_and_leaves_numpy_state_alone():
     system, mesh = cli._build_system("square", 8, 8, 1e-1)
     p = Pencil(tau=mesh.h_bar, M=system.M, K=system.K)
     state = np.random.get_state()
-    first = cli._reference(p, system.b0, seed=0)
-    assert np.array_equal(cli._reference(p, system.b0, seed=0), first)
+    first = cli._reference(p, system.b0)
+    assert np.array_equal(cli._reference(p, system.b0), first)
     after = np.random.get_state()
     assert all(np.array_equal(a, b) for a, b in zip(state, after))
+
+
+# the (system, tau) references of the 72-cell sweep --verify grid: the four
+# reference systems at tau = h, 10h and 30h
+GRID_REFERENCES = [
+    (domain, size, d, tau_factor)
+    for domain, size in (("square", 32), ("star", 4))
+    for d in (1e-1, 1e-3)
+    for tau_factor in (1.0, 10.0, 30.0)
+]
+
+
+@pytest.mark.parametrize("domain, size, d, tau_factor", GRID_REFERENCES)
+def test_reference_matches_expm_multiply_on_the_sweep_grid(domain, size, d, tau_factor):
+    system, mesh = cli._build_system(domain, size, size, d)
+    p = Pencil(tau=tau_factor * mesh.h_bar, M=system.M, K=system.K)
+    A = p.tau * np.linalg.solve(p.M.toarray(), p.K.toarray())
+    want = spla.expm_multiply(A, system.b0)
+    assert norm2(cli._reference(p, system.b0) - want) <= 1e-12 * norm2(want)
+
+
+def test_reference_factors_once(monkeypatch):
+    factored = []
+
+    def counted(A, **kwargs):
+        factored.append(A.shape)
+        return lu_factor(A, **kwargs)
+
+    monkeypatch.setattr(cli, "lu_factor", counted)
+    system, mesh = cli._build_system("star", 2, 2, 1e-1)
+    p = Pencil(tau=10 * mesh.h_bar, M=system.M, K=system.K)
+    cli._reference(p, system.b0)
+    assert factored == [(p.n, p.n)]
+
+
+def test_reference_step_cap_raises_no_convergence(monkeypatch):
+    monkeypatch.setattr(cli, "REFERENCE_MAX_STEPS", 3)
+    system, mesh = cli._build_system("square", 8, 8, 1e-1)
+    p = Pencil(tau=mesh.h_bar, M=system.M, K=system.K)
+    # nu_hat is about 3 on square/8 at tau = h, so gamma is REFERENCE_GAMMA
+    with pytest.raises(NoConvergence, match=r"3 shift-and-invert Krylov steps did not converge "
+                                             r"for tau / 2\*\*10 \(n=49, gamma=0\.05, "
+                                             r"last difference \d"):
+        cli._reference(p, system.b0)
+
+
+def _count_runs(monkeypatch):
+    """The substep of tau that each Krylov run of ``_reference`` covered."""
+    steps, run = [], cli._si_krylov_run
+
+    def counted(*args):
+        x, step = run(*args)
+        steps.append(step)
+        return x, step
+
+    monkeypatch.setattr(cli, "_si_krylov_run", counted)
+    return steps
+
+
+def test_reference_takes_substeps_past_the_step_cap(monkeypatch):
+    # convection-dominated at large tau: one run would need more than 60 steps
+    monkeypatch.setattr(cli, "REFERENCE_MAX_STEPS", 60)
+    steps = _count_runs(monkeypatch)
+    system, mesh = cli._build_system("square", 16, 16, 1e-3)
+    p = Pencil(tau=100 * mesh.h_bar, M=system.M, K=system.K)
+    want = scipy.linalg.expm(p.tau * np.linalg.solve(p.M.toarray(), p.K.toarray())) @ system.b0
+    got = cli._reference(p, system.b0)
+    assert len(steps) > 1 and sum(steps) == 1.0
+    assert norm2(got - want) <= 1e-12 * norm2(want)
+
+
+def test_reference_of_zero_is_zero():
+    system, mesh = cli._build_system("square", 8, 8, 1e-1)
+    p = Pencil(tau=mesh.h_bar, M=system.M, K=system.K)
+    assert not cli._reference(p, 0.0 * system.b0).any()
+
+
+def test_sweep_verifies_a_convection_dominated_cell_past_the_step_cap(monkeypatch):
+    monkeypatch.setattr(cli, "REFERENCE_MAX_STEPS", 60)
+    steps = _count_runs(monkeypatch)
+    rows = cli.run_sweep({
+        "systems": [{"domain": "square", "divisions": 16, "d": 1e-3}],
+        "tau_factors": [100.0],
+        "methods": ["rat-interp"],
+        "eps": [1e-2, 1e-6],
+        "verify": True,
+    })
+    assert len(steps) > 1
+    assert [row["status"] for row in rows] == ["ok", "ok"]
+    for row in rows:
+        assert float(row["measured_error"]) <= float(row["certified_bound"])
+
+
+def test_sweep_verifies_square_64_convection_dominated_at_tau_100h():
+    # one Krylov run would take 1168 steps here; the reference takes substeps
+    rows = cli.run_sweep({
+        "systems": [{"domain": "square", "divisions": 64, "d": 1e-3}],
+        "tau_factors": [100.0],
+        "methods": ["rat-interp"],
+        "eps": [1e-6],
+        "verify": True,
+    })
+    (row,) = rows
+    assert row["status"] == "ok"
+    assert float(row["measured_error"]) <= float(row["certified_bound"]) <= 1e-6
+
+
+def test_expmv_writes_its_result_before_a_failing_reference(tmp_path, monkeypatch):
+    def fail(p, b):
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(cli, "_reference", fail)
+    out = tmp_path / "run"
+    assert run_cli("expmv", "--divisions", "8", "--verify", "--out", str(out)) == 1
+    assert mmio.read_vector(out / "result.txt").shape == (49,)
+    assert json.loads((out / "certificate.json").read_text())["schema"] == "expmrect/certificate-v1"
+    assert not (out / "run.csv").exists()
+
+
+def test_fmt_writes_numpy_floats_as_python_floats():
+    assert cli._fmt(np.float64(0.1)) == "0.1" == cli._fmt(0.1)
+    assert cli._fmt(np.int64(3)) == "3"
+
+
+def test_sweep_computes_the_reference_only_for_an_ok_row(monkeypatch):
+    # every cell at tau = h fails, so only tau = 10h needs a reference
+    _, mesh = cli._build_system("square", 8, 8, 1e-1)
+    references, run, reference = [], cli.expmv_controlled, cli._reference
+
+    def fail_at_h(req):
+        if req.pencil.tau < 2 * mesh.h_bar:
+            raise ToleranceUnreachable("forced", context={"kappa_safe": 1.0})
+        return run(req)
+
+    def counted(p, b):
+        references.append(p.tau)
+        return reference(p, b)
+
+    monkeypatch.setattr(cli, "expmv_controlled", fail_at_h)
+    monkeypatch.setattr(cli, "_reference", counted)
+    rows = cli.run_sweep({
+        "systems": [{"domain": "square", "divisions": 8, "d": 1e-1}],
+        "tau_factors": [1.0, 10.0],
+        "eps": [1e-2, 1e-6],
+        "verify": True,
+    })
+    assert [row["status"] for row in rows] == ["ToleranceUnreachable"] * 4 + ["ok"] * 4
+    assert all(row["measured_error"] for row in rows[4:])
+    assert references == [10 * mesh.h_bar]
+
+
+def test_sweep_verifies_the_scale_point():
+    # square/128, n = 16129: the expm_multiply reference took 23-32 s at tau = 10h
+    rows = cli.run_sweep({
+        "systems": [{"domain": "square", "divisions": 128, "d": 1e-1}],
+        "tau_factors": [1.0, 10.0],
+        "methods": ["sub-pade"],
+        "eps": [1e-6],
+        "verify": True,
+    })
+    assert len(rows) == 2
+    for row in rows:
+        assert row["status"] == "ok"
+        assert float(row["measured_error"]) <= float(row["certified_bound"]) <= 1e-6
 
 
 def test_sweep_empty_systems_header_only(tmp_path):
