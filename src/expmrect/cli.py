@@ -76,13 +76,15 @@ SWEEP_DEFAULTS = {
 
 
 # the verifying reference (see _reference): largest pole, the bound on
-# gamma * nu_hat, stopping tolerance, the step cap of one Krylov run, and
-# how often a run's substep of tau may be halved. The hardest grid case took
-# 175 steps in one run (star/5, d = 1e-3, tau = 30 h_bar); a full basis costs
+# gamma * nu_hat, stopping tolerance, the floor of its scale relative to
+# ||b||, the step cap of one Krylov run, and how often a run's substep of
+# tau may be halved. The hardest grid case took 175 steps in one run
+# (star/5, d = 1e-3, tau = 30 h_bar); a full basis costs
 # 16 * REFERENCE_MAX_STEPS * n bytes, 52 MB on square/128.
 REFERENCE_GAMMA = 0.05
 REFERENCE_GAMMA_NU = 0.36
 REFERENCE_RTOL = 1e-13
+REFERENCE_FLOOR = 1e-6
 REFERENCE_MAX_STEPS = 200
 REFERENCE_MAX_HALVINGS = 10
 
@@ -143,7 +145,11 @@ def _reference(p: Pencil, b):
     read from the pencil alone; S = 0 gives ``REFERENCE_GAMMA``. Every
     ceil(m / 8) steps x_m is formed with ``scipy.linalg.expm(Hhat_m)``; the
     iteration stops when two successive x_m differ by at most
-    ``REFERENCE_RTOL`` ||x_m||, or when m = n, or when h_{m+1,m} = 0.
+    ``REFERENCE_RTOL`` max(||x_m||, ``REFERENCE_FLOOR`` ||b||), or when
+    m = n, or when h_{m+1,m} = 0. ``measured_error`` is relative to ||b||,
+    so once x has decayed below ``REFERENCE_FLOOR`` ||b|| two iterates need
+    only agree to 1e-19 ||b||; with ||x_m|| alone as the scale, square/32
+    d = 0.1, tau = 1000 h_bar (x = 4e-107 ||b||) took 175 steps, not 2.
 
     A run that reaches ``REFERENCE_MAX_STEPS`` steps covers a substep
     instead: exp(tau A) b = exp(tau A / 2) exp(tau A / 2) b, and the same
@@ -170,17 +176,19 @@ def _reference(p: Pencil, b):
     nu_hat = p.tau * float(np.max(np.asarray(skew.sum(axis=1)).ravel() / M.diagonal()))
     gamma = min(REFERENCE_GAMMA, REFERENCE_GAMMA_NU / nu_hat) if nu_hat > 0.0 else REFERENCE_GAMMA
     lu = lu_factor(M - gamma * p.tau * p.K, symmetric=True)
+    floor = REFERENCE_FLOOR * norm2(b)
     x, left, step = b, 1.0, 1.0
     while left > 0.0:
         # fractions of tau are powers of two, so left stays a multiple of step
-        x, step = _si_krylov_run(M, lu, gamma, x, step)
+        x, step = _si_krylov_run(M, lu, gamma, x, step, floor)
         left -= step
     return x
 
 
-def _si_krylov_run(M, lu, gamma, b, step):
+def _si_krylov_run(M, lu, gamma, b, step, floor):
     """One Arnoldi run of ``_reference`` from b: (exp(s A) b, s) for the
-    largest s in step, step / 2, ... that meets the stopping rule."""
+    largest s in step, step / 2, ... that meets the stopping rule, whose
+    scale is max(||x_m||, ``floor``)."""
     n = M.shape[0]
     Mb = M @ b
     beta = math.sqrt(b @ Mb)
@@ -198,7 +206,7 @@ def _si_krylov_run(M, lu, gamma, b, step):
         return krylov_x(m, s, lambda A: scipy.linalg.expm(A)[:, 0])
 
     def difference(x, x_last):
-        return norm2(x - x_last) / max(norm2(x), np.finfo(float).tiny)
+        return norm2(x - x_last) / max(norm2(x), floor, np.finfo(float).tiny)
 
     checks, x_last, diff = [], None, np.inf
     last = min(n, REFERENCE_MAX_STEPS)
@@ -232,7 +240,8 @@ def _si_krylov_run(M, lu, gamma, b, step):
                 raise NoConvergence(
                     f"verifying reference: {REFERENCE_MAX_STEPS} shift-and-invert Krylov steps "
                     f"did not converge for tau / 2**{REFERENCE_MAX_HALVINGS} (n={n}, "
-                    f"gamma={gamma:.6g}, last difference {diff:.3g} of ||x||, "
+                    f"gamma={gamma:.6g}, last difference {diff:.3g} of max(||x||, "
+                    f"{REFERENCE_FLOOR:g} ||b||), "
                     f"target {REFERENCE_RTOL:g})"
                 )
             step /= 2

@@ -129,9 +129,10 @@ def _shift_factor(pattern: _ShiftPattern, beta: complex, tau: float):
     by entry, the arithmetic of the sparse sum, so it is bitwise that sum
     wherever no entry cancels exactly; the sum would drop such an entry,
     this matrix keeps it as an explicit zero. The matrix is factored in
-    ``lu_factor``'s symmetric mode: minimum degree on A^T + A with diagonal pivots. Those
-    pivots exist because beta lies outside the rectangle R, which contains
-    the numerical range of A_hat = tau M^(-1/2) K M^(-1/2). R is convex, so
+    ``lu_factor``'s symmetric mode: minimum degree on A^T + A with diagonal
+    pivots, one column at a time (SuperLU panel size 1). Those pivots exist
+    because beta lies outside the rectangle R, which contains the numerical
+    range of A_hat = tau M^(-1/2) K M^(-1/2). R is convex, so
     some unimodular c has Re(c (beta - z)) > 0 on R, and c (beta M - tau K),
     congruent to c (beta I - A_hat) through M^(1/2), has a positive definite
     Hermitian part. So has every principal submatrix and every Schur

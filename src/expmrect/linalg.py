@@ -80,7 +80,12 @@ def lu_factor(A, symmetric: bool = False) -> LuFactor:
     symmetric order: rows and columns are ordered alike by minimum degree on
     A^T + A (SuperLU's symmetric mode), and a diagonal pivot is kept unless
     it is below 0.1 times its column's largest entry, so the ordering's low
-    fill survives; only such pivots fall back to row pivoting.
+    fill survives; only such pivots fall back to row pivoting. This mode
+    factors one column at a time (``panel_size=1``): on FEM pencils the
+    supernodes are small, and the default 10-column panels cost more than
+    they save. The ordering, the pivots and the fill of L and U are the
+    same; only the order of the numeric updates changes, and with it the
+    rounding of their entries.
 
     Raises ``SingularMatrix`` when SuperLU meets an exactly zero pivot, or
     when the factor amplifies too much: one solve of a fixed seeded
@@ -102,7 +107,7 @@ def lu_factor(A, symmetric: bool = False) -> LuFactor:
             warnings.simplefilter("ignore")
             if symmetric:
                 fac = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                                options={"SymmetricMode": True})
+                                panel_size=1, options={"SymmetricMode": True})
             else:
                 fac = spla.splu(A)
     except RuntimeError as exc:  # "Factor is exactly singular"

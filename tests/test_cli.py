@@ -17,7 +17,7 @@ from expmrect import bounds, cli, expmv, mmio
 from expmrect.bounds import Pencil
 from expmrect.errors import NoConvergence, ToleranceUnreachable
 from expmrect.expmv import expm_dense_oracle
-from expmrect.linalg import lu_factor, norm2
+from expmrect.linalg import LuFactor, lu_factor, norm2
 
 
 def run_cli(*argv):
@@ -422,6 +422,20 @@ def test_reference_takes_substeps_past_the_step_cap(monkeypatch):
     got = cli._reference(p, system.b0)
     assert len(steps) > 1 and sum(steps) == 1.0
     assert norm2(got - want) <= 1e-12 * norm2(want)
+
+
+def test_reference_stops_on_a_decayed_solution_at_its_floor(monkeypatch):
+    # x has decayed to 1e-16 ||b||; measured_error is relative to ||b||, so
+    # the stopping rule's scale is REFERENCE_FLOOR ||b||, not ||x_m|| alone
+    solves, solve = [], LuFactor.solve
+    monkeypatch.setattr(LuFactor, "solve", lambda self, b: solves.append(b) or solve(self, b))
+    system, mesh = cli._build_system("square", 8, 8, 1e-1)
+    p = Pencil(tau=40 * mesh.h_bar, M=system.M, K=system.K)
+    want = scipy.linalg.expm(p.tau * np.linalg.solve(p.M.toarray(), p.K.toarray())) @ system.b0
+    got = cli._reference(p, system.b0)
+    assert norm2(want) < 1e-8 * norm2(system.b0)
+    assert norm2(got - want) <= 1e-13 * 1e-6 * norm2(system.b0)
+    assert len(solves) == 20  # 34 with the scale ||x_m||
 
 
 def test_reference_of_zero_is_zero():

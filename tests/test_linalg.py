@@ -69,6 +69,33 @@ def test_lu_factor_builds_no_triangular_copies(monkeypatch, symmetric, dtype):
     assert np.allclose(A @ fac.solve(b), b, atol=1e-11)
 
 
+def test_superlu_panel_size_is_one_only_for_symmetric_mode_lu(monkeypatch, square_sys_8):
+    # Symmetric mode takes every shifted factor of the apply stage and the
+    # verifying reference's one factor. On these FEM pencils SuperLU's
+    # supernodes are small, and one-column panels keep the ordering, the
+    # pivots and the fill while factoring faster than the default 10.
+    # definite_factor keeps the default: its solves feed ARPACK, whose
+    # extremes, and the certificates with them, move by up to 2.7e-12 with
+    # one-column panels, for no measurable gain in the enclosure. The COLAMD
+    # branch keeps it too: the tests and the benchmark's dense oracle check
+    # factor there, and no apply path does.
+    calls, splu = [], spla.splu  # the keyword arguments of each splu call
+
+    def recorded(A, **kwargs):
+        calls.append(kwargs)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    A = sp.csc_array(square_sys_8.M - 0.1 * square_sys_8.K)
+    lu_factor(A, symmetric=True)
+    assert calls[-1]["panel_size"] == 1
+    lu_factor(A)
+    assert "panel_size" not in calls[-1]
+    assert definite_factor(square_sys_8.M, 1.0) is not None
+    assert "panel_size" not in calls[-1]
+    assert len(calls) == 3
+
+
 def test_complex_sparse_lu():
     rng = np.random.default_rng(2)
     base = rng.standard_normal((10, 10))
