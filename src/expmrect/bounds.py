@@ -461,35 +461,25 @@ def _same_matrix(A, B) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class PencilAnalysis:
-    """Enclosure data of the pencil (M, K) that no time step changes.
+    """Enclosure data of the pencil (M, K) that no time step changes, and
+    the one record of how it was enclosed.
 
     ``extremes`` are the unit-step extreme eigenvalues of region ``mode``,
-    which ``rectangle_from_extremes`` scales by tau, and ``cond`` is the
-    certified condition bound of M (None in mode "i"). All were computed
-    with the recorded seed, so one analysis serves every tau of the pencil.
+    which ``rectangle_from_extremes`` scales by tau, and ``kappa_safe`` is
+    the certificate's kappa factor: the certified condition bound of M in
+    mode "ii", 1.0 in mode "i". One analysis serves every tau of the pencil.
     """
 
     M: sp.csr_array
     K: sp.csr_array
     extremes: RawExtremes
-    cond: CondEstimate | None
-    seed: int
+    kappa_safe: float
     mode: str
 
-    @property
-    def kappa_safe(self) -> float:
-        """The certificate's kappa factor: 1.0 in mode "i"."""
-        return 1.0 if self.cond is None else self.cond.kappa_safe
-
-    def check_fits(self, p: Pencil, seed: int, mode: str) -> None:
-        """Raise ValueError unless this analysis is of p's M and K, computed
-        with the given seed in the given mode."""
+    def check_fits(self, p: Pencil) -> None:
+        """Raise ValueError unless this analysis is of p's M and K."""
         if not (_same_matrix(p.M, self.M) and _same_matrix(p.K, self.K)):
             raise ValueError("the pencil analysis was computed for a different pencil")
-        wanted = {"seed": seed, "mode": mode}
-        differ = {k: (getattr(self, k), v) for k, v in wanted.items() if getattr(self, k) != v}
-        if differ:
-            raise ValueError(f"pencil analysis settings differ (analysis, request): {differ}")
 
 
 def analyze_pencil(M, K, seed: int = 0, mode: str = "ii") -> PencilAnalysis:
@@ -509,7 +499,6 @@ def analyze_pencil(M, K, seed: int = 0, mode: str = "ii") -> PencilAnalysis:
         M=sp.csr_array(M),
         K=sp.csr_array(K),
         extremes=raw_extremes(mass, stiffness, seed=seed),
-        cond=cond_estimate(M, seed=seed) if mode == "ii" else None,
-        seed=seed,
+        kappa_safe=cond_estimate(M, seed=seed).kappa_safe if mode == "ii" else 1.0,
         mode=mode,
     )

@@ -263,7 +263,8 @@ def _row(head: dict, outcome, x=None, reference=None, b=None) -> dict:
     tau_factor, method, mode and eps. ``outcome`` is the run's certificate
     or its ``ToleranceUnreachable`` failure; ``kappa`` is the certificate's
     ``kappa_safe``, taken from the failure's context on a failure row.
-    ``measured_error`` is ||x - reference|| / ||b|| when a reference is given.
+    ``measured_error`` is ||x - reference|| / ||b|| when a reference is
+    given, and ||x - reference|| when b = 0.
     """
     head = dict(head, element="P1")
     if isinstance(outcome, ToleranceUnreachable):
@@ -275,7 +276,11 @@ def _row(head: dict, outcome, x=None, reference=None, b=None) -> dict:
             measured_error="",
             status=type(outcome).__name__,
         )
-    measured = "" if reference is None else _fmt(norm2(x - reference) / norm2(b))
+    if reference is None:
+        measured = ""
+    else:
+        diff, scale = norm2(x - reference), norm2(b)
+        measured = _fmt(diff / scale if scale > 0.0 else diff)
     return dict(
         head,
         kappa=_fmt(outcome.kappa_safe),
@@ -361,8 +366,7 @@ def cmd_expmv(args) -> int:
         b=b,
         eps=args.eps,
         method=args.method,
-        mode=args.mode,
-        seed=args.seed,
+        analysis=analyze_pencil(p.M, p.K, seed=args.seed, mode=args.mode),
     )
     out = Path(args.out) if args.out else None
     if out:
@@ -534,7 +538,7 @@ def run_sweep(config: dict) -> list[dict]:
                         head = dict(base, tau_factor=_fmt(float(tf)), method=method,
                                     mode=mode, eps=_fmt(float(eps)))
                         req = ExpmvRequest(pencil=p, b=system.b0, eps=float(eps), method=method,
-                                           mode=mode, seed=seed, analysis=analyses[mode])
+                                           analysis=analyses[mode])
                         try:
                             x, cert = expmv_controlled(req)
                         except ToleranceUnreachable as exc:

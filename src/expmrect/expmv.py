@@ -38,7 +38,6 @@ import scipy.sparse as sp
 
 from .aaa import M_MAX, aaa_poles, refit_partial_fractions
 from .bounds import (
-    MODES,
     BoundingRectangle,
     Pencil,
     PencilAnalysis,
@@ -218,12 +217,12 @@ def apply_scaled_pade(pade: PadeRational, p: Pencil, b: np.ndarray) -> np.ndarra
 class ExpmvRequest:
     """Everything needed to run the controlled-accuracy driver once.
 
-    ``analysis`` optionally carries the pencil's tau-independent enclosure
-    (see ``bounds.analyze_pencil``), in either mode; the driver then reuses
-    it instead of enclosing again. It must be of this pencil's M and K and
-    computed with this request's ``seed`` and ``mode``, or the request
-    raises ValueError. So does a non-finite ``b``; a ``b`` whose length is
-    not the pencil's n raises DimensionMismatch.
+    ``analysis`` carries the pencil's tau-independent enclosure (see
+    ``bounds.analyze_pencil``), and with it the region mode and the seed it
+    was enclosed with; the driver reuses it instead of enclosing again.
+    Without one the driver encloses in mode "ii" with seed 0. An analysis
+    of another M or K raises ValueError, and so does a non-finite ``b``; a
+    ``b`` whose length is not the pencil's n raises DimensionMismatch.
 
     ``kappa_power``, ``n_per_side``, ``s_max`` and ``m_max`` are fixed, not
     arguments. They hold the driver's ``KAPPA_POWER``, its boundary sampling
@@ -235,12 +234,10 @@ class ExpmvRequest:
     b: np.ndarray
     eps: float
     method: str = "sub-pade"  # one of rational.METHODS
-    mode: str = "ii"  # bounds.MODES: "ii", W of the symmetrized operator; "i", W(A) itself
     kappa_power: float = field(default=KAPPA_POWER, init=False)
     n_per_side: int = field(default=DEFAULT_SAMPLES_PER_SIDE, init=False)
     s_max: int = field(default=S_MAX, init=False)
     m_max: int = field(default=M_MAX, init=False)
-    seed: int = 0
     analysis: PencilAnalysis | None = None
 
     def __post_init__(self):
@@ -248,15 +245,13 @@ class ExpmvRequest:
             raise ValueError("eps must lie in (0, 1)")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         b = np.asarray(self.b)
         if b.shape[0] != self.pencil.n:
             raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={self.pencil.n}")
         if not np.all(np.isfinite(b)):
             raise ValueError("b contains NaN or Inf entries")
         if self.analysis is not None:
-            self.analysis.check_fits(self.pencil, self.seed, self.mode)
+            self.analysis.check_fits(self.pencil)
 
 
 @dataclass(frozen=True)
@@ -330,7 +325,7 @@ def expmv_controlled(req: ExpmvRequest) -> tuple[np.ndarray, ExpmvCertificate]:
     tolerance is honestly unreachable within the method's caps.
     """
     p = req.pencil
-    analysis = req.analysis or analyze_pencil(p.M, p.K, req.seed, req.mode)
+    analysis = req.analysis or analyze_pencil(p.M, p.K)
     rect = rectangle_from_extremes(analysis.extremes, p.tau)
     target = req.eps / (CROUZEIX_CONSTANT * analysis.kappa_safe**KAPPA_POWER)
     try:
@@ -349,14 +344,14 @@ def expmv_controlled(req: ExpmvRequest) -> tuple[np.ndarray, ExpmvCertificate]:
     except ToleranceUnreachable as exc:
         exc.context.update({"rectangle": rect.as_dict(), "kappa_safe": analysis.kappa_safe,
                             "scalar_target": target, "method": req.method,
-                            "mode": req.mode, "eps": req.eps})
+                            "mode": analysis.mode, "eps": req.eps})
         raise
     b = np.asarray(req.b)
     if approximant.method == "sub-pade":
         x = apply_scaled_pade(pade45(scaling=approximant.scaling), p, b)
     else:
         x = apply_partial_fraction(approximant.form, p, b)
-    return x, ExpmvCertificate(rect, analysis.kappa_safe, approximant, req.mode, req.eps)
+    return x, ExpmvCertificate(rect, analysis.kappa_safe, approximant, analysis.mode, req.eps)
 
 
 # --------------------------------------------------------------------------

@@ -303,10 +303,11 @@ def assemble_p1(mesh: TriMesh, d: float, c=(1.0, 1.0), domain: str = "square") -
 
     The returned system couples only interior vertices; boundary rows and
     columns are removed (homogeneous Dirichlet data). ``b0`` interpolates
-    the bump initial condition for ``domain`` at the interior vertices.
+    the bump initial condition for ``domain`` at the interior vertices. A
+    ``d`` that is not finite and positive raises ValueError.
     """
-    if d <= 0.0:
-        raise ValueError("diffusion coefficient must be positive")
+    if not 0.0 < d < np.inf:
+        raise ValueError(f"diffusion coefficient must be finite and positive, got {d}")
     M_full, K_full = assemble_p1_full(mesh, d, c)
     interior = np.flatnonzero(~mesh.boundary)
     if interior.size == 0:

@@ -125,7 +125,7 @@ class AcceptanceRunner:
             return self._runs[key]
         req = ExpmvRequest(
             pencil=fx.pencil(tau_factor), b=fx.system.b0, eps=eps,
-            method=method, mode=mode, analysis=fx.analysis(mode),
+            method=method, analysis=fx.analysis(mode),
         )
         try:
             x, cert = expmv_controlled(req)

@@ -400,7 +400,7 @@ def test_plain_range_rectangle_matches_dense_range_of_a(domain, size, d, tau_fac
         assert math.isclose(g, want, rel_tol=1e-10)
     assert (got[1] > 0.0) == (d == 1e-3)
     assert ext == raw_extremes(p.M @ p.M, p.K @ p.M)
-    assert analysis.cond is None and analysis.kappa_safe == 1.0
+    assert analysis.kappa_safe == 1.0
 
 
 # --------------------------------------------------------------------------

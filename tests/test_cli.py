@@ -48,6 +48,16 @@ def test_generate_star_params(tmp_path):
     assert params["n_triangles"] == 128
 
 
+@pytest.mark.parametrize("d", ["nan", "inf"])
+def test_generate_refuses_a_non_finite_d(tmp_path, capsys, d):
+    # such a d would give a K of NaN or Inf entries and a params.json that
+    # strict JSON parsers reject
+    out = tmp_path / "sys"
+    assert run_cli("generate", "--divisions", "8", "--d", d, "--out", str(out)) == 1
+    assert "finite and positive" in capsys.readouterr().err
+    assert not (out / "K.mtx").exists() and not (out / "params.json").exists()
+
+
 @pytest.mark.parametrize("flag", ["--m", "--k", "--b"])
 def test_generate_rejects_file_flags(tmp_path, flag):
     # generate builds its system from the generator flags alone, so a file
@@ -136,6 +146,22 @@ def test_expmv_rejects_non_finite_file_input(operand, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: ValueError: {operand} contains NaN or Inf entries"]
     assert not (out / "result.txt").exists()
+
+
+def test_expmv_verifies_a_zero_b(tmp_path, capsys):
+    # ||b|| = 0: the measured error is the absolute difference, not 0 / 0
+    gen = tmp_path / "sys"
+    run_cli("generate", "--domain", "square", "--divisions", "8", "--out", str(gen))
+    mmio.write_vector(gen / "zero.txt", np.zeros(49))
+    out = tmp_path / "run"
+    rc = run_cli("expmv", "--m", str(gen / "M.mtx"), "--k", str(gen / "K.mtx"),
+                 "--b", str(gen / "zero.txt"), "--verify", "--out", str(out))
+    assert rc == 0
+    assert not mmio.read_vector(out / "result.txt").any()
+    with open(out / "run.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "ok" and float(row["measured_error"]) == 0.0
+    assert "measured relative error: 0.000e+00" in capsys.readouterr().out
 
 
 def test_expmv_requires_all_three_files(tmp_path):
@@ -273,7 +299,7 @@ def test_sweep_kappa_column_is_kappa_safe_beyond_dense_cutoff(monkeypatch):
     (row,), ((req, cert),) = rows, runs
     assert row["n"] == 49 and row["status"] == "ok"
     assert row["kappa"] == repr(cert.kappa_safe)
-    assert cert.kappa_safe == req.analysis.cond.kappa_safe > 1.0
+    assert cert.kappa_safe == req.analysis.kappa_safe > 1.0
 
 
 def test_expmv_certifies_square_128(tmp_path):

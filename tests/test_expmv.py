@@ -335,7 +335,8 @@ def test_driver_meets_eps(square_pencil_8, method, mode):
         ~fem.mesh_square(8).boundary
     ]
     x, cert = expmv_controlled(
-        ExpmvRequest(pencil=p, b=b, eps=1e-6, method=method, mode=mode)
+        ExpmvRequest(pencil=p, b=b, eps=1e-6, method=method,
+                     analysis=analyze_pencil(p.M, p.K, mode=mode))
     )
     assert x.dtype == np.float64
     exact = expm_dense_oracle(_dense_A(p)) @ b
@@ -393,6 +394,8 @@ def test_driver_scaling_exhausted_carries_context(square_sys_8):
     assert ei.value.context["s_max"] == 64
     assert "rectangle" in ei.value.context
     assert ei.value.context["scalar_target"] < 1e-8
+    # without an analysis the driver encloses in mode "ii"
+    assert ei.value.context["mode"] == "ii"
 
 
 def test_driver_request_validation(square_pencil_8):
@@ -400,10 +403,10 @@ def test_driver_request_validation(square_pencil_8):
         ExpmvRequest(pencil=square_pencil_8, b=np.ones(3), eps=2.0)
     with pytest.raises(ValueError):
         ExpmvRequest(pencil=square_pencil_8, b=np.ones(3), eps=1e-6, method="cf")
-    with pytest.raises(ValueError):
-        ExpmvRequest(pencil=square_pencil_8, b=np.ones(3), eps=1e-6, mode="iii")
-    # the driver's fixed settings are fields, not arguments
-    for retired in ({"kappa_power": 0.5}, {"n_per_side": 500}, {"s_max": 64}, {"m_max": 128}):
+    # the driver's fixed settings are fields, not arguments, and the
+    # enclosure's mode and seed are the analysis's alone
+    for retired in ({"kappa_power": 0.5}, {"n_per_side": 500}, {"s_max": 64}, {"m_max": 128},
+                    {"mode": "i"}, {"seed": 1}):
         with pytest.raises(TypeError):
             ExpmvRequest(pencil=square_pencil_8, b=np.ones(3), eps=1e-6, **retired)
     defaults = {f.name: f.default for f in dataclasses.fields(ExpmvRequest)}
@@ -434,17 +437,22 @@ def test_driver_request_rejects_non_finite_b(square_pencil_8, bad):
 def test_expmv_with_analysis_is_bit_identical(square_pencil_8, method):
     p = square_pencil_8
     b = np.ones(p.n)
-    # one analysis per mode serves every time step of the pencil
+    # one analysis per mode serves every time step of the pencil, and the
+    # certificate's mode is the analysis's
     for mode in ("ii", "i"):
         analysis = analyze_pencil(p.M, p.K, mode=mode)
         for tau in (p.tau, 10.0 * p.tau):
             q = Pencil(tau, p.M, p.K)
             x1, c1 = expmv_controlled(ExpmvRequest(pencil=q, b=b, eps=1e-6, method=method,
-                                                   mode=mode, analysis=analysis))
+                                                   analysis=analysis))
             x2, c2 = expmv_controlled(ExpmvRequest(pencil=q, b=b, eps=1e-6, method=method,
-                                                   mode=mode))
+                                                   analysis=analyze_pencil(q.M, q.K, mode=mode)))
             assert np.array_equal(x1, x2)
             assert c1.to_json() == c2.to_json()
+            assert c1.mode == analysis.mode == mode
+            if mode == "ii":  # the driver's own enclosure is the default analysis
+                x3, c3 = expmv_controlled(ExpmvRequest(pencil=q, b=b, eps=1e-6, method=method))
+                assert np.array_equal(x1, x3) and c1.to_json() == c3.to_json()
 
 
 def test_expmv_rejects_mismatched_analysis(square_pencil_8, square_sys_8):
@@ -454,14 +462,6 @@ def test_expmv_rejects_mismatched_analysis(square_pencil_8, square_sys_8):
     ok = ExpmvRequest(pencil=Pencil(3.0 * p.tau, p.M, p.K.copy()), b=b, eps=1e-6,
                       analysis=analysis)
     assert ok.analysis is analysis
-    mismatched = [
-        {"seed": 1},
-        {"mode": "i"},
-    ]
-    for settings in mismatched:
-        with pytest.raises(ValueError, match="settings differ"):
-            expmv_controlled(ExpmvRequest(pencil=p, b=b, eps=1e-6, analysis=analysis,
-                                          **settings))
     other_d = fem.assemble_p1(square_sys_8.mesh, d=1e-3)
     other_n = fem.assemble_p1(fem.mesh_square(6), d=0.1)
     for sysm in (other_d, other_n):
@@ -474,7 +474,9 @@ def test_expmv_rejects_mismatched_analysis(square_pencil_8, square_sys_8):
 @pytest.mark.parametrize("method", ["sub-pade", "rat-interp"])
 def test_certificate_carries_the_applied_approximant(square_sys_8, square_pencil_8, method, mode):
     p, b = square_pencil_8, square_sys_8.b0
-    x, cert = expmv_controlled(ExpmvRequest(pencil=p, b=b, eps=1e-6, method=method, mode=mode))
+    analysis = analyze_pencil(p.M, p.K, mode=mode)
+    x, cert = expmv_controlled(ExpmvRequest(pencil=p, b=b, eps=1e-6, method=method,
+                                            analysis=analysis))
     r = cert.approximant
     if method == "sub-pade":
         assert r.form is PADE45_CORE
@@ -490,7 +492,8 @@ def test_certificate_carries_the_applied_approximant(square_sys_8, square_pencil
         "schema", "rectangle", "kappa_safe", "kappa_power", "scalar_target", "achieved_bound",
         "operator_bound", "degree", "method", "mode", "eps"}
     # a second run builds its own approximant; the certificates compare and hash equal
-    _, again = expmv_controlled(ExpmvRequest(pencil=p, b=b, eps=1e-6, method=method, mode=mode))
+    _, again = expmv_controlled(ExpmvRequest(pencil=p, b=b, eps=1e-6, method=method,
+                                             analysis=analyze_pencil(p.M, p.K, mode=mode)))
     assert again == cert and hash(again) == hash(cert)
 
 

@@ -379,8 +379,10 @@ def test_advection_part_is_skew_on_interior(square_mesh_8):
 
 
 def test_assemble_rejects_nonpositive_diffusion(square_mesh_8):
-    with pytest.raises(ValueError):
-        fem.assemble_p1(square_mesh_8, d=0.0)
+    # the sweep's rule for d: finite and positive
+    for d in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            fem.assemble_p1(square_mesh_8, d=d)
 
 
 def test_square_mass_condition_number_near_four():

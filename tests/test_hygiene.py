@@ -235,7 +235,12 @@ def test_settable_surface_is_pinned():
     # every value a caller can set doubles the configurations to test; the
     # enclosure's residual tolerance, for one, is bounds.REL_RESID_TOL
     init = {f.name for f in dataclasses.fields(expmv.ExpmvRequest) if f.init}
-    assert init == {"pencil", "b", "eps", "method", "mode", "seed", "analysis"}
+    assert init == {"pencil", "b", "eps", "method", "analysis"}
+    # the analysis is the one record of how the pencil was enclosed: its mode
+    # and kappa factor live there only, and it is checked against M and K alone
+    assert tuple(f.name for f in dataclasses.fields(bounds.PencilAnalysis)) == (
+        "M", "K", "extremes", "kappa_safe", "mode")
+    assert list(inspect.signature(bounds.PencilAnalysis.check_fits).parameters) == ["self", "p"]
     # the certificate holds the applied approximant, not copies of its numbers
     init = {f.name for f in dataclasses.fields(expmv.ExpmvCertificate) if f.init}
     assert init == {"rectangle", "kappa_safe", "approximant", "mode", "eps"}
