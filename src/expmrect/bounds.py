@@ -6,19 +6,15 @@ contained in the axis-aligned rectangle whose horizontal extent is given by
 the extreme eigenvalues of the symmetric pencil (tau D, M) and whose vertical
 extent by those of the Hermitian pencil (tau C, M), where D is the symmetric
 part of K and C is the Hermitian part of its skew piece, C = (K - K^T)/(2i).
-This module computes those extreme eigenvalues with ARPACK's ``eigsh`` at
-every size. One symmetric sparse factorization of M proves M positive
-definite by its pivot signs and then serves as the solve with M; the
-maximum of a symmetric part whose pivots prove it negative definite comes
-from shift-invert about 0. Every minimum is a loose regular-mode estimate
-finished by shift-invert about a shift that the pivot signs of a second
-factor prove to lie below the spectrum (spectrum slicing by Sylvester's law
-of inertia). The module also assembles the safety-inflated rectangle,
-certifies an upper bound on the condition number of M (a row sum over a
-shift the same inertia proof places below its spectrum), and certifies
-left-half-plane location. ``analyze_pencil`` decides every enclosure: it
-computes the tau-independent part of either region mode once, for reuse
-across time steps.
+Every edge is proved the same way (``_proved_lower``): ARPACK's ``eigsh``
+estimates the extreme to a loose tolerance, the pivot signs of a shifted
+sparse factor prove a shift beyond it (spectrum slicing by Sylvester's law
+of inertia), and a bound on the factor's rounding widens that shift. The
+same routine proves the lower eigenvalue bound of M behind the certified
+condition number, and the rectangle is the tau-scaled edges rounded
+outward. The module also certifies left-half-plane location.
+``analyze_pencil`` decides every enclosure: it computes the tau-independent
+part of either region mode once, for reuse across time steps.
 """
 from __future__ import annotations
 
@@ -50,9 +46,8 @@ __all__ = [
 
 MODES = ("i", "ii")  # W(inv(M) K) itself; W of the mass-symmetrized operator
 
-# the largest relative residual an extreme Ritz pair may have; each edge of
-# the rectangle is widened by twice it
-REL_RESID_TOL = 1e-3
+# an edge that is exactly 0 (a symmetric or skew part with no nonzero
+# entry) moves outward by this much, so the rectangle keeps an interior
 INFLATION_FLOOR = 1e-12
 
 
@@ -130,22 +125,23 @@ def split(K) -> SymSkewSplit:
 
 
 # --------------------------------------------------------------------------
-# extreme eigenvalues by ARPACK
+# proved extreme eigenvalues
 # --------------------------------------------------------------------------
 
-# ARPACK's relative Ritz-value tolerance; the accepted residual is
-# REL_RESID_TOL, checked on the returned pair.
-ARPACK_TOL = 1e-10
-# A minimum is first estimated in regular mode to this looser tolerance;
-# shift-invert about a shift proved to lie below the spectrum then reaches
-# ARPACK_TOL in a few solves. On square/64 that is 81 solves with M plus 21
-# shift-invert solves, against 341 solves with M in regular mode alone.
+# ARPACK estimates every extreme to this loose relative tolerance; the
+# inertia proof that follows decides the edge, so the estimate only has to
+# land within BRACKET_DELTA of the extreme.
 BRACKET_TOL = 1e-4
-# That shift lies BRACKET_DELTA * |theta| below the estimate theta; when the
-# inertia does not prove it below the spectrum, the distance grows fourfold,
-# at most BRACKET_WIDENINGS times (``_proved_shift``).
+# The proved shift lies BRACKET_DELTA * max(|theta|, scale) beyond the
+# estimate theta; when the inertia does not prove it, the distance grows
+# fourfold, at most BRACKET_WIDENINGS times (``_proved_shift``).
 BRACKET_DELTA = 1e-3
 BRACKET_WIDENINGS = 3
+# scale is ZERO_STEP times the largest estimate's magnitude: the absolute
+# step that proves an extreme at 0 (a singular symmetric part), too small to
+# move any other edge (the smallest one, mu_max on star/4, is 3e-4 times
+# the largest).
+ZERO_STEP = 1e-6
 
 
 def _operator(n, matvec):
@@ -153,36 +149,19 @@ def _operator(n, matvec):
 
 
 def _ritz_pair(what, A, tol, seed, **kwargs):
-    """The one Ritz pair of ``eigsh(A, k=1, tol=tol, **kwargs)``, started
-    from ``kwargs["v0"]`` if given, else from
-    ``default_rng(seed).standard_normal(n)``; ARPACK failures become
+    """The one Ritz value of ``eigsh(A, k=1, tol=tol, **kwargs)``, started
+    from ``default_rng(seed).standard_normal(n)``; ARPACK failures become
     ``NoConvergence`` naming ``what`` and n. ``eigsh`` needs k < n, so
     fewer than 2 unknowns raise ValueError."""
     n = A.shape[0]
     if n < 2:
         raise ValueError(f"enclosing {what} needs at least 2 unknowns, got n={n}")
-    if "v0" not in kwargs:
-        kwargs["v0"] = np.random.default_rng(seed).standard_normal(n)
+    v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        w, X = spla.eigsh(A, k=1, tol=tol, **kwargs)
+        w = spla.eigsh(A, k=1, tol=tol, v0=v0, return_eigenvectors=False, **kwargs)
     except spla.ArpackError as exc:  # ArpackNoConvergence derives from it
         raise NoConvergence(f"eigsh failed on {what} (n={n}): {exc}") from exc
-    return float(w[0]), X[:, 0]
-
-
-def _residual(theta, Bx, Mx) -> float:
-    """The scale-free residual ||B x - theta M x|| / (|theta| ||M x|| + ||B x||)."""
-    denom = abs(theta) * np.linalg.norm(Mx) + np.linalg.norm(Bx)
-    return float(np.linalg.norm(Bx - theta * Mx) / denom) if denom > 0.0 else 0.0
-
-
-def _accepted(what, theta, Bx, Mx) -> tuple[float, float]:
-    """(theta, resid) with resid the ``_residual`` of the pair, if it is at
-    most ``REL_RESID_TOL``."""
-    resid = _residual(theta, Bx, Mx)
-    if not resid <= REL_RESID_TOL:
-        raise NoConvergence(f"{what}: residual {resid:.3e} above {REL_RESID_TOL:.1e}")
-    return theta, resid
+    return float(w[0])
 
 
 def _mass_solve(M):
@@ -195,15 +174,16 @@ def _mass_solve(M):
     return fac.solve
 
 
-def _proved_shift(B, mass, theta):
+def _proved_shift(B, mass, theta, scale):
     """(sigma, factor of B - sigma mass) for the first sigma = theta -
-    delta |theta| whose pivots prove it below the spectrum of (B, mass)
-    (Sylvester's law of inertia, ``linalg.definite_factor``), else the
-    factor None. delta grows fourfold from ``BRACKET_DELTA``, at most
-    ``BRACKET_WIDENINGS`` times."""
+    delta max(|theta|, scale) whose pivots prove it below the spectrum of
+    the Hermitian pencil (B, mass) (Sylvester's law of inertia,
+    ``linalg.definite_factor``), else the factor None. delta grows fourfold
+    from ``BRACKET_DELTA``, at most ``BRACKET_WIDENINGS`` times."""
+    step = max(abs(theta), scale)
     delta = BRACKET_DELTA
     for _ in range(BRACKET_WIDENINGS + 1):
-        sigma = theta - delta * abs(theta)
+        sigma = theta - delta * step
         fac = definite_factor(B - sigma * mass, 1.0)
         if fac is not None:
             break
@@ -211,64 +191,127 @@ def _proved_shift(B, mass, theta):
     return sigma, fac
 
 
-def _sym_extreme(B, M, M_solve, which, seed) -> tuple[float, float]:
-    """Extreme eigenvalue of the symmetric pencil B x = theta M x, ``which``
-    "min" or "max", as (theta, achieved_residual), given ``M_solve``.
+def _proved_lower(what, B, mass, theta, scale, floor) -> float:
+    """A proved lower bound on the smallest eigenvalue of the Hermitian
+    pencil (B, mass), from an estimate theta of it and a proved
+    floor <= lambda_min(mass). This is every edge of the enclosure, and the
+    bound on lambda_min(M) behind kappa.
 
-    ARPACK's tolerance is ``ARPACK_TOL``; ``seed`` sets the start vector.
-    The maximum of a B whose pivots prove it negative definite
-    (``linalg.definite_factor``) comes from shift-invert about 0. A minimum
-    estimated in regular mode at ``BRACKET_TOL`` is kept if its
-    ``_residual`` meets ``ARPACK_TOL``, else finished by shift-invert,
-    from the estimate's vector, about a shift ``_proved_shift`` proves below
-    the spectrum. Without a factor, regular mode runs to the full
-    tolerance. The pair is accepted only if its relative residual is at
-    most ``REL_RESID_TOL``; otherwise, or when ARPACK fails,
-    ``NoConvergence`` is raised.
+    ``_proved_shift`` proves sigma below the spectrum for the computed
+    factor. Forming A = B - sigma mass rounds each entry by at most
+    gamma_2 (|B| + |sigma| |mass|), whose 2-norm is at most that matrix's
+    largest row sum rho. The factor is the exact L D L^H of A + E with
+    |E| <= g |L| D |L|^H, g = (n+1) u / (1 - (n+1) u) (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, Thms 9.3 and 10.3). That
+    semidefinite matrix has 2-norm at most its trace, trace(A + E) <= t /
+    (1 - g) with t the computed trace of A, so with the trace's own
+    rounding ||E|| <= 2 g t when (n+1) u <= 0.1. The whole perturbation is
+    at most e = 2 g t + 3 u rho, so B - sigma mass > -e I >= -(e / floor)
+    mass: the smallest eigenvalue exceeds sigma - e / floor, which is
+    returned rounded down by one ulp. Complex arithmetic rounds a product
+    or quotient by at most sqrt(2) gamma_4 (Higham, Lemma 3.5), so a
+    complex B takes 6 u for the unit roundoff u. An unproved ladder raises
+    ``NoConvergence`` naming ``what`` and n.
     """
     n = B.shape[0]
-    what = f"the {which}imum of a symmetric pencil"
-    regular = {"M": M, "Minv": _operator(n, M_solve), "which": "SA" if which == "min" else "LA"}
-    if which == "min":
-        theta, x = _ritz_pair(what, B, BRACKET_TOL, seed, **regular)
-        if _residual(theta, B @ x, M @ x) <= ARPACK_TOL:
-            return _accepted(what, theta, B @ x, M @ x)
-        sigma, fac = _proved_shift(B, M, theta)
-        start = {"v0": x}
-    else:
-        sigma, fac, start = 0.0, definite_factor(B, -1.0), {}
+    sigma, fac = _proved_shift(B, mass, theta, scale)
     if fac is None:
-        theta, x = _ritz_pair(what, B, ARPACK_TOL, seed, **regular)
-    else:
-        theta, x = _ritz_pair(what, B, ARPACK_TOL, seed, M=M, sigma=sigma,
-                              OPinv=_operator(n, fac.solve), **start)
-    return _accepted(what, theta, B @ x, M @ x)
+        raise NoConvergence(f"no shift beyond {what} was proved (n={n})")
+    u = (6.0 if np.iscomplexobj(B.data) else 1.0) * 2.0**-53
+    g = (n + 1) * u / (1.0 - (n + 1) * u)
+    t = float(np.sum(B.diagonal().real - sigma * mass.diagonal()))
+    rho = float(np.max(abs(B).sum(axis=1) + abs(sigma) * abs(mass).sum(axis=1)))
+    return float(np.nextafter(sigma - (2.0 * g * t + 3.0 * u * rho) / floor, -np.inf))
 
 
-def _skew_extreme(S, M, M_solve, seed) -> tuple[float, float]:
-    """Largest eigenvalue of the Hermitian pencil C x = theta M x, C = S/i,
-    given a solve with M, as (theta, achieved_residual).
+def _sym_estimates(D, M, regular, seed) -> tuple[float, float]:
+    """ARPACK estimates of the minimum and maximum of the symmetric pencil
+    (D, M) at ``BRACKET_TOL``; ``regular`` holds the mass and its solve.
+
+    The minimum comes from regular mode. The maximum comes from
+    shift-invert about the smallest s > 0 that ``_proved_shift`` proves
+    above the spectrum, ZERO_STEP * BRACKET_DELTA * |minimum| on the first
+    rung: the eigenvalue nearest s is then the maximum, even a zero one.
+    When no such s is proved, D has eigenvalues above it, and regular mode
+    finds the maximum.
+    """
+    n = D.shape[0]
+    lo = _ritz_pair("the minimum of a symmetric pencil", D, BRACKET_TOL, seed,
+                    which="SA", **regular)
+    what = "the maximum of a symmetric pencil"
+    neg_s, fac = _proved_shift(-D, M, 0.0, ZERO_STEP * abs(lo))
+    if fac is None:
+        hi = _ritz_pair(what, D, BRACKET_TOL, seed, which="LA", **regular)
+    else:  # D - s M = -(-D + s M), so its solve is the factor's, negated
+        hi = _ritz_pair(what, D, BRACKET_TOL, seed, M=M, sigma=-neg_s,
+                        OPinv=_operator(n, lambda v: -fac.solve(v)))
+    return lo, hi
+
+
+def _skew_estimate(S, M_solve, regular, seed) -> float:
+    """ARPACK estimate of the largest eigenvalue of the Hermitian pencil
+    (C, M), C = S/i, at ``BRACKET_TOL``, given the solve with M and
+    ``regular``, the mass and that solve as ARPACK takes them.
 
     For real skew-symmetric S the spectrum of (C, M) is symmetric about 0,
     so only the maximum is needed; it equals the largest singular value of
-    inv(L) S inv(L)^T. ARPACK's ``eigsh`` finds the largest eigenvalue of
-    the real squared pencil (S^T inv(M) S, M). Its square root is accepted
-    if the complex Ritz vector x - (i/sigma) inv(M) S x has relative
-    residual at most ``REL_RESID_TOL`` in the original pencil.
+    inv(L) S inv(L)^T, the square root of the largest eigenvalue of the
+    real squared pencil (S^T inv(M) S, M).
     """
-    if S.nnz == 0:
-        return 0.0, 0.0
-    n = S.shape[0]
-    squared = _operator(n, lambda v: -(S @ M_solve(S @ v)))
-    theta_sq, x = _ritz_pair(
-        "the skew pencil", squared, ARPACK_TOL, seed,
-        M=M, Minv=_operator(n, M_solve), which="LA",
-    )
-    sigma = float(np.sqrt(max(theta_sq, 0.0)))
-    if sigma == 0.0:
-        return 0.0, 0.0
-    xc = x - (1j / sigma) * M_solve(S @ x)
-    return _accepted("the skew pencil", sigma, (S @ xc) / 1j, M @ xc)
+    squared = _operator(S.shape[0], lambda v: -(S @ M_solve(S @ v)))
+    theta_sq = _ritz_pair("the skew pencil", squared, BRACKET_TOL, seed, which="LA", **regular)
+    return float(np.sqrt(max(theta_sq, 0.0)))
+
+
+# --------------------------------------------------------------------------
+# condition bound for M
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CondEstimate:
+    """Certified bounds on symmetric positive definite M (``cond_estimate``):
+    ``kappa_safe`` >= its spectral condition number, and 0 < ``floor`` <=
+    its smallest eigenvalue."""
+
+    kappa_safe: float
+    floor: float
+
+    def __post_init__(self):
+        if not (self.kappa_safe >= 1.0):
+            raise ValueError(f"condition number bound below 1: {self.kappa_safe}")
+        if not (self.floor > 0.0):
+            raise ValueError(f"lower eigenvalue bound not positive: {self.floor}")
+
+
+def cond_estimate(M, seed: int = 0) -> CondEstimate:
+    """Certified bounds on symmetric positive definite M: floor = lower and
+    kappa_safe = rowsum (1 + (m + 2) u) / lower.
+
+    lambda_max(M) <= rowsum = max_i sum_j |M_ij| (Gershgorin). A row's
+    additions (at most m - 1, m the most entries in a row), the product and
+    the quotient round by at most u (unit roundoff) each, which
+    1 + (m + 2) u covers to first order.
+
+    lambda_min(M) >= lower: ``_proved_lower`` proves it on the pencil
+    (M, I) from a regular-mode estimate at ``BRACKET_TOL``. Its rounding
+    term was 5.8e-8 sigma on square/128 (n = 16129).
+
+    An unproved ladder raises ``NoConvergence``, a ``lower`` that is not
+    positive ``NotSPD``; a complex or non-finite M, or fewer than 2
+    unknowns, ValueError.
+    """
+    _check_real_finite(M=M)
+    M = sp.csr_array(M)
+    n = M.shape[0]
+    theta = _ritz_pair("the minimum of M", M, BRACKET_TOL, seed, which="SA")
+    lower = _proved_lower("M's minimum", M, sp.eye_array(n), theta, 0.0, 1.0)
+    if not lower > 0.0:
+        raise NotSPD(f"the proved lower bound {lower:.6g} on M's minimum eigenvalue "
+                     f"is not positive (n={n})")
+    u = 2.0**-53  # unit roundoff of IEEE double
+    rowsum = float(np.max(abs(M).sum(axis=1)))
+    longest = int(np.max(np.diff(M.indptr)))
+    return CondEstimate(kappa_safe=rowsum * (1.0 + (longest + 2) * u) / lower, floor=lower)
 
 
 # --------------------------------------------------------------------------
@@ -280,17 +323,12 @@ class BoundingRectangle:
     """Axis-aligned rectangle [mu_min, mu_max] x [nu_min, nu_max] in C,
     symmetric about the real axis like the numerical range of a real pencil
     (``nu_min == -nu_max``, checked here; every later stage relies on it).
-
-    ``inflation`` records the relative outward widening that was applied to
-    the raw extreme eigenvalues (each endpoint moved outward by
-    max(inflation * |endpoint|, 1e-12)).
     """
 
     mu_min: float
     mu_max: float
     nu_min: float
     nu_max: float
-    inflation: float = 0.0
 
     def __post_init__(self):
         if not (self.mu_min <= self.mu_max and self.nu_min <= self.nu_max):
@@ -298,8 +336,6 @@ class BoundingRectangle:
         if self.nu_min != -self.nu_max:
             raise ValueError(f"rectangle is not symmetric about the real axis: "
                              f"nu_min={self.nu_min}, nu_max={self.nu_max}")
-        if self.inflation < 0.0:
-            raise ValueError("inflation must be nonnegative")
 
     def contains(self, z):
         """Closed-rectangle membership of z, elementwise for an array."""
@@ -317,61 +353,76 @@ class BoundingRectangle:
             "mu_max": self.mu_max,
             "nu_min": self.nu_min,
             "nu_max": self.nu_max,
-            "inflation": self.inflation,
         }
 
 
 @dataclass(frozen=True)
 class RawExtremes:
-    """tau-independent extreme eigenvalues of the pencils ((D, M), (C, M)):
-    ``mu_min`` and ``mu_max`` of (D, M), ``nu_max`` of (C, M)."""
+    """tau-independent proved edges of the pencils (D, M) and (C, M):
+    ``mu_min`` <= lambda_min(D, M), ``mu_max`` >= lambda_max(D, M) and
+    ``nu_max`` >= lambda_max(C, M). ``mass`` is the certified record of M
+    (``cond_estimate``) whose ``floor`` put the proofs' rounding into
+    eigenvalue units."""
 
     mu_min: float
     mu_max: float
     nu_max: float
+    mass: CondEstimate
 
 
 def raw_extremes(M, K, seed: int = 0) -> RawExtremes:
-    """Extreme eigenvalues of (D, M) and (C, M) for the unit time step.
+    """Proved edges of (D, M) and (C, M) for the unit time step.
 
-    ARPACK computes them at every size. One symmetric sparse factor of M
+    ``cond_estimate`` certifies M first. One symmetric sparse factor of M
     (``linalg.definite_factor``), whose pivots must prove M positive
-    definite (``NotSPD`` otherwise), is the solve with M for all three
-    extremes. A complex or non-finite M or K, or fewer than 2 unknowns,
-    raise ValueError.
+    definite (``NotSPD`` otherwise), is then the solve with M for the
+    ARPACK estimates (``_sym_estimates``, ``_skew_estimate``), and
+    ``_proved_lower`` turns each estimate into an edge: mu_min on (D, M),
+    mu_max on (-D, M) and nu_max on the Hermitian pencil (i S, M), whose
+    mass-shifted matrix sigma M + i S is positive definite exactly when
+    sigma > nu_max. A part with no nonzero entry gives its edges exactly 0
+    with no solver run. A complex or non-finite M or K, or fewer than 2
+    unknowns, raise ValueError.
     """
     _check_real_finite(M=M, K=K)
     parts = split(K)
     if M.shape != parts.D.shape:
         raise DimensionMismatch("K and M sizes differ")
+    mass = cond_estimate(M, seed)
     M_solve = _mass_solve(M)
-    mu_min, _ = _sym_extreme(parts.D, M, M_solve, "min", seed)
-    mu_max, _ = _sym_extreme(parts.D, M, M_solve, "max", seed)
-    nu_max, _ = _skew_extreme(parts.S, M, M_solve, seed)
-    return RawExtremes(mu_min=mu_min, mu_max=mu_max, nu_max=nu_max)
+    regular = {"M": M, "Minv": _operator(M.shape[0], M_solve)}
+    D, S = parts.D, parts.S
+    sym, skew = np.any(D.data), np.any(S.data)
+    lo, hi = _sym_estimates(D, M, regular, seed) if sym else (0.0, 0.0)
+    nu = _skew_estimate(S, M_solve, regular, seed) if skew else 0.0
+    scale = ZERO_STEP * max(abs(lo), abs(hi), nu)
+    if sym:
+        lo = _proved_lower("the minimum of a symmetric pencil", D, M, lo, scale, mass.floor)
+        hi = -_proved_lower("the maximum of a symmetric pencil", -D, M, -hi, scale, mass.floor)
+    if skew:
+        nu = -_proved_lower("the maximum of the skew pencil", 1j * S, M, -nu, scale, mass.floor)
+    return RawExtremes(mu_min=lo, mu_max=hi, nu_max=nu, mass=mass)
+
+
+def _outward(x, direction):
+    """x moved one ulp toward ``direction`` * inf, or to ``direction`` *
+    ``INFLATION_FLOOR`` when it is exactly 0."""
+    return direction * INFLATION_FLOOR if x == 0.0 else float(np.nextafter(x, direction * np.inf))
 
 
 def rectangle_from_extremes(ext: RawExtremes, tau: float) -> BoundingRectangle:
     """The rectangle [mu_min, mu_max] x [-nu_max, nu_max] of the unit-step
-    extremes scaled by tau, widened outward.
-
-    Each endpoint moves outward by max(2 * REL_RESID_TOL * |endpoint|,
-    ``INFLATION_FLOOR``), so that eigenvalue-solver tolerance cannot shave
-    the enclosure.
+    edges scaled by tau, each rounded outward by one ulp so that the
+    product's rounding cannot shave the enclosure. An edge that is exactly
+    0 moves outward by ``INFLATION_FLOOR`` instead, so the rectangle keeps
+    an interior.
     """
-    rel = 2.0 * REL_RESID_TOL
-
-    def margin(x):
-        return max(rel * abs(x), INFLATION_FLOOR)
-
-    mu_min, mu_max, nu_max = tau * ext.mu_min, tau * ext.mu_max, tau * ext.nu_max
-    nu_hi = nu_max + margin(nu_max)
+    nu = _outward(tau * ext.nu_max, 1.0)
     return BoundingRectangle(
-        mu_min=mu_min - margin(mu_min),
-        mu_max=mu_max + margin(mu_max),
-        nu_min=-nu_hi,
-        nu_max=nu_hi,
-        inflation=rel,
+        mu_min=_outward(tau * ext.mu_min, -1.0),
+        mu_max=_outward(tau * ext.mu_max, 1.0),
+        nu_min=-nu,
+        nu_max=nu,
     )
 
 
@@ -380,8 +431,8 @@ def bounding_rectangle(p: Pencil, seed: int = 0) -> BoundingRectangle:
 
     The horizontal extent comes from the extreme eigenvalues of (tau D, M),
     the vertical extent from the Hermitian pencil (tau C, M); for real K the
-    rectangle is symmetric about the real axis. Endpoints are widened by
-    ``rectangle_from_extremes``.
+    rectangle is symmetric about the real axis. Edges are proved by
+    ``raw_extremes`` and scaled by ``rectangle_from_extremes``.
     """
     return rectangle_from_extremes(raw_extremes(p.M, p.K, seed=seed), p.tau)
 
@@ -389,66 +440,6 @@ def bounding_rectangle(p: Pencil, seed: int = 0) -> BoundingRectangle:
 def is_lhp_certified(r: BoundingRectangle) -> bool:
     """True when the rectangle certifies a left-half-plane numerical range."""
     return r.mu_max <= 0.0
-
-
-# --------------------------------------------------------------------------
-# condition bound for M
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CondEstimate:
-    """A certified upper bound ``kappa_safe`` on the spectral condition
-    number of symmetric positive definite M (``cond_estimate``)."""
-
-    kappa_safe: float
-
-    def __post_init__(self):
-        if not (self.kappa_safe >= 1.0):
-            raise ValueError(f"condition number bound below 1: {self.kappa_safe}")
-
-
-def cond_estimate(M, seed: int = 0) -> CondEstimate:
-    """Certified upper bound on the spectral condition number of symmetric
-    positive definite M: kappa_safe = rowsum (1 + (m + 2) u) / lower.
-
-    lambda_max(M) <= rowsum = max_i sum_j |M_ij| (Gershgorin). A row's
-    additions (at most m - 1, m the most entries in a row), the subtraction
-    forming ``lower``, the product and the quotient round by at most u
-    (unit roundoff) each, which 1 + (m + 2) u covers to first order.
-
-    lambda_min(M) > lower = sigma - 2 g t, g = (n+1) u / (1 - (n+1) u):
-    ``_proved_shift`` proves sigma, below a regular-mode estimate at
-    ``BRACKET_TOL``, by the positive pivots of A = M - sigma I, and t is
-    the computed trace of A. The factor is the exact L D L^T of a
-    symmetric A + E with |E| <= g |L| D |L|^T (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, Thms 9.3 and 10.3). That
-    semidefinite matrix has 2-norm at most its trace, trace(A + E) <=
-    trace(A) / (1 - g). Adding the shift's rounding (u max A_ii) and the
-    trace's (a factor 1 + gamma_n), the perturbation is at most 2 g t when
-    (n+1) u <= 0.1, and Weyl's inequality gives the bound. No entry of the
-    factor is read; its positive diagonal makes t > 0. 2 g t was
-    5.8e-8 sigma on square/128 (n = 16129).
-
-    An unproved ladder raises ``NoConvergence``, a ``lower`` that is not
-    positive ``NotSPD``; a complex or non-finite M, or fewer than 2
-    unknowns, ValueError.
-    """
-    _check_real_finite(M=M)
-    M = sp.csr_array(M)
-    n = M.shape[0]
-    theta, _ = _ritz_pair("the minimum of M", M, BRACKET_TOL, seed, which="SA")
-    sigma, fac = _proved_shift(M, sp.eye_array(n), theta)
-    if fac is None:
-        raise NoConvergence(f"no shift below M's minimum ({theta:.6g}) was proved (n={n})")
-    u = 2.0**-53  # unit roundoff of IEEE double
-    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
-    lower = sigma - 2.0 * gamma * float(np.sum(M.diagonal() - sigma))
-    if not lower > 0.0:
-        raise NotSPD(f"the proved lower bound {lower:.6g} on M's minimum eigenvalue "
-                     f"is not positive (n={n})")
-    rowsum = float(np.max(abs(M).sum(axis=1)))
-    longest = int(np.max(np.diff(M.indptr)))
-    return CondEstimate(kappa_safe=rowsum * (1.0 + (longest + 2) * u) / lower)
 
 
 # --------------------------------------------------------------------------
@@ -464,10 +455,11 @@ class PencilAnalysis:
     """Enclosure data of the pencil (M, K) that no time step changes, and
     the one record of how it was enclosed.
 
-    ``extremes`` are the unit-step extreme eigenvalues of region ``mode``,
-    which ``rectangle_from_extremes`` scales by tau, and ``kappa_safe`` is
-    the certificate's kappa factor: the certified condition bound of M in
-    mode "ii", 1.0 in mode "i". One analysis serves every tau of the pencil.
+    ``extremes`` are the unit-step proved edges of region ``mode``, which
+    ``rectangle_from_extremes`` scales by tau, and ``kappa_safe`` is the
+    certificate's kappa factor: the certified condition bound of M that the
+    edges' proof already took in mode "ii", 1.0 in mode "i". One analysis
+    serves every tau of the pencil.
     """
 
     M: sp.csr_array
@@ -483,11 +475,13 @@ class PencilAnalysis:
 
 
 def analyze_pencil(M, K, seed: int = 0, mode: str = "ii") -> PencilAnalysis:
-    """Enclose the pencil (M, K) once: unit-step extremes and kappa(M) in
-    mode "ii". Mode "i" encloses W(inv(M) K) itself and needs no kappa:
-    with x = M y, x* inv(M) K x / x* x = y* (K M) y / y* (M M) y, so it is
-    the numerical range of the sparse pencil (K M, M M), whose mass M M is
-    symmetric positive definite with M.
+    """Enclose the pencil (M, K) once: unit-step edges and kappa(M) in
+    mode "ii", where ``raw_extremes`` certifies M once for both. Mode "i"
+    encloses W(inv(M) K) itself and needs no kappa: with x = M y,
+    x* inv(M) K x / x* x = y* (K M) y / y* (M M) y, so it is the numerical
+    range of the sparse pencil (K M, M M), whose mass M M is symmetric
+    positive definite with M. Its edges are proved for the computed
+    products K M and M M.
 
     An unknown mode, or a complex or non-finite M or K (``raw_extremes``
     checks them) raise ValueError before any solver runs.
@@ -495,10 +489,11 @@ def analyze_pencil(M, K, seed: int = 0, mode: str = "ii") -> PencilAnalysis:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     mass, stiffness = (M @ M, K @ M) if mode == "i" else (M, K)
+    extremes = raw_extremes(mass, stiffness, seed=seed)
     return PencilAnalysis(
         M=sp.csr_array(M),
         K=sp.csr_array(K),
-        extremes=raw_extremes(mass, stiffness, seed=seed),
-        kappa_safe=cond_estimate(M, seed=seed).kappa_safe if mode == "ii" else 1.0,
+        extremes=extremes,
+        kappa_safe=extremes.mass.kappa_safe if mode == "ii" else 1.0,
         mode=mode,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -343,7 +344,7 @@ def cmd_bound(args) -> int:
     analysis = analyze_pencil(p.M, p.K, seed=args.seed)
     rect = rectangle_from_extremes(analysis.extremes, tau)
     payload = {
-        "schema": "expmrect/bound-v2",
+        "schema": "expmrect/bound-v3",
         "rectangle": rect.as_dict(),
         "lhp_certified": is_lhp_certified(rect),
         "kappa_safe": analysis.kappa_safe,
@@ -361,13 +362,10 @@ def cmd_expmv(args) -> int:
     M, K, b, h_bar, meta = _load_system(args)
     tau = _resolve_tau(args, h_bar)
     p = Pencil(tau=tau, M=M, K=K)
-    req = ExpmvRequest(
-        pencil=p,
-        b=b,
-        eps=args.eps,
-        method=args.method,
-        analysis=analyze_pencil(p.M, p.K, seed=args.seed, mode=args.mode),
-    )
+    # the request checks b and eps before the enclosure runs
+    req = ExpmvRequest(pencil=p, b=b, eps=args.eps, method=args.method)
+    req = dataclasses.replace(
+        req, analysis=analyze_pencil(p.M, p.K, seed=args.seed, mode=args.mode))
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -375,7 +373,7 @@ def cmd_expmv(args) -> int:
         x, cert = expmv_controlled(req)
     except ToleranceUnreachable as exc:
         failure = {
-            "schema": "expmrect/certificate-v1",
+            "schema": "expmrect/certificate-v2",
             "status": type(exc).__name__,
             "message": str(exc),
             "context": exc.context,

@@ -13,9 +13,10 @@ encloses the numerical range and that range is a (1 + sqrt(2))-spectral set,
 the result satisfies ||x - exp(tau inv(M) K) b|| <= eps * ||b|| whenever the
 certificate holds. The power 1/2 (``KAPPA_POWER``) is exact: the similarity
 A_hat = M^(1/2) A M^(-1/2) costs the factor kappa(M)^(1/2) and no more;
-``kappa_safe`` is a certified upper bound on kappa(M). The rectangle edges
-(2 * ``bounds.REL_RESID_TOL``) and the scalar sup
-(``rational.SAMPLING_SAFETY``) still rest on heuristic margins.
+``kappa_safe`` is a certified upper bound on kappa(M), and every rectangle
+edge is proved by an inertia proof widened by its rounding bound. Only the
+scalar sup (``rational.SAMPLING_SAFETY``) still rests on a heuristic
+margin.
 
 Two region modes exist, and both enclose at any scale through one call,
 ``bounds.analyze_pencil``, whose tau-independent result a request may carry
@@ -301,7 +302,7 @@ class ExpmvCertificate:
 
     def to_json(self) -> str:
         payload = {
-            "schema": "expmrect/certificate-v1",
+            "schema": "expmrect/certificate-v2",
             "rectangle": self.rectangle.as_dict(),
             "kappa_safe": self.kappa_safe,
             "kappa_power": self.kappa_power,

@@ -120,25 +120,28 @@ def lu_factor(A, symmetric: bool = False) -> LuFactor:
 
 
 def definite_factor(B, sign: float) -> LuFactor | None:
-    """SuperLU factor of square sparse B if its pivots prove ``sign * B``
-    positive definite, else None.
+    """SuperLU factor of square sparse Hermitian B if its pivots prove
+    ``sign * B`` positive definite, else None.
 
     SuperLU runs in symmetric mode with ``diag_pivot_thresh=0``, so it keeps
-    diagonal pivots; when the row and column permutations agree,
-    P B P^T = L U with U = diag(U) L^T, and by Sylvester's law of inertia B
-    has as many positive and negative eigenvalues as U has pivots of each
-    sign. A diagonal entry of the wrong sign rules B out without a
-    factorization.
+    diagonal pivots, in the minimum degree order on B^T + B that
+    ``lu_factor``'s symmetric mode takes. When the row and column
+    permutations agree, P B P^T = L U with U = diag(U) L^H and a real
+    diag(U), and by Sylvester's law of inertia B has as many positive and
+    negative eigenvalues as U has pivots of each sign. A complex B's pivots
+    are real only up to rounding, so their real parts decide. A diagonal
+    entry of the wrong sign rules B out without a factorization.
     """
-    if np.any(sign * B.diagonal() <= 0.0):
+    if np.any(sign * B.diagonal().real <= 0.0):
         return None
     try:
         fac = spla.splu(
-            sp.csc_matrix(B), diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+            sp.csc_matrix(B), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True}
         )
     except RuntimeError:  # exactly singular
         return None
-    if np.array_equal(fac.perm_r, fac.perm_c) and np.all(sign * fac.U.diagonal() > 0.0):
+    if np.array_equal(fac.perm_r, fac.perm_c) and np.all(sign * fac.U.diagonal().real > 0.0):
         return LuFactor(shape=B.shape, dtype=B.dtype, _splu=fac)
     return None
 

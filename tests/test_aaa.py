@@ -184,8 +184,7 @@ def test_aaa_poles_golden_rectangle():
 
 
 def _enclosed_rect(mu_min, mu_max, nu_max):
-    return BoundingRectangle(mu_min=mu_min, mu_max=mu_max, nu_min=-nu_max, nu_max=nu_max,
-                             inflation=0.002)
+    return BoundingRectangle(mu_min=mu_min, mu_max=mu_max, nu_min=-nu_max, nu_max=nu_max)
 
 
 _EPS_2, _EPS_6 = 0.002020927287067057, 2.0209272870670566e-07  # eps / (CROUZEIX kappa**0.5)
@@ -457,8 +456,7 @@ def test_aaa_pole_on_a_support_point_is_not_fatal():
     # the mode-"i" rectangle of star/4 d=1e-3, tau=30h, where a pole landed
     # exactly on the support point at mu_max and AAA raised ValueError
     rect = BoundingRectangle(mu_min=-65.67238866668586, mu_max=11.845887824377824,
-                             nu_min=-153.196183971747, nu_max=153.196183971747,
-                             inflation=0.002)
+                             nu_min=-153.196183971747, nu_max=153.196183971747)
     try:
         poles = aaa_poles(boundary_samples(rect, 125), 1e-8 / CROUZEIX_CONSTANT, 128)
     except DegreeExhausted:

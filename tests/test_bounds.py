@@ -1,7 +1,8 @@
 """Pencil rectangles, generalized extreme eigenvalues, condition bounds.
 
 Dense eigendecompositions computed directly in the tests serve as oracles
-for the module's one eigensolver path, ARPACK.
+for the module's one eigensolver path, ARPACK, and for the inertia proofs
+that turn its estimates into edges.
 """
 from __future__ import annotations
 
@@ -68,12 +69,31 @@ def _dense_skew_max(S, M):
     return float(w[-1])
 
 
+# the widest shift the ladder tries, relative to the estimate
+WIDEST = 4**bounds.BRACKET_WIDENINGS * bounds.BRACKET_DELTA
+
+
+def _assert_edge(edge, exact, side, scale=0.0):
+    """A proved edge lies beyond the exact extreme (``side`` -1 below a
+    minimum, +1 above a maximum) and within WIDEST * max(|exact|, scale)
+    of it."""
+    assert side * (edge - exact) > 0.0, (edge, exact)
+    assert side * (edge - exact) <= WIDEST * max(abs(exact), scale), (edge, exact)
+
+
+def _assert_edges(ext, D, S, M, scale=0.0):
+    lo, hi = _dense_pencil_extremes(D, M)
+    _assert_edge(ext.mu_min, lo, -1.0, scale)
+    _assert_edge(ext.mu_max, hi, 1.0, scale)
+    _assert_edge(ext.nu_max, _dense_skew_max(S, M), 1.0, scale)
+
+
 def test_sym_pencil_dense_matches_oracle(random_pencil_60):
     p = random_pencil_60
     lo, hi = _dense_pencil_extremes(split(p.K).D, p.M)
     ext = raw_extremes(p.M, p.K)
-    assert math.isclose(ext.mu_min, lo, rel_tol=1e-12)
-    assert math.isclose(ext.mu_max, hi, rel_tol=1e-12)
+    _assert_edge(ext.mu_min, lo, -1.0)
+    _assert_edge(ext.mu_max, hi, 1.0)
 
 
 @pytest.mark.parametrize("which", ["min", "max"])
@@ -82,26 +102,37 @@ def test_sym_pencil_iterative_agrees_with_dense(which):
     M = random_spd_sparse(150, rng)
     D = split(random_nonsym_sparse(150, rng)).D
     dense = _dense_pencil_extremes(D, M)[0 if which == "min" else 1]
-    iterative, resid = bounds._sym_extreme(D, M, bounds._mass_solve(M), which, 0)
-    assert resid <= bounds.REL_RESID_TOL
-    assert abs(iterative - dense) <= 1e-6 * abs(dense)
+    ext = raw_extremes(M, D)
+    if which == "min":
+        _assert_edge(ext.mu_min, dense, -1.0)
+    else:
+        _assert_edge(ext.mu_max, dense, 1.0)
 
 
 def test_skew_pencil_dense_matches_oracle(random_pencil_60):
     p = random_pencil_60
     want = _dense_skew_max(split(p.K).S, p.M)
-    got = raw_extremes(p.M, p.K).nu_max
-    assert math.isclose(got, want, rel_tol=1e-11)
+    _assert_edge(raw_extremes(p.M, p.K).nu_max, want, 1.0)
 
 
 def test_skew_pencil_iterative_agrees_with_dense():
     rng = np.random.default_rng(11)
     M = random_spd_sparse(150, rng)
     S = split(random_nonsym_sparse(150, rng)).S
-    dense = _dense_skew_max(S, M)
-    iterative, resid = bounds._skew_extreme(S, M, bounds._mass_solve(M), 0)
-    assert resid <= 1e-3
-    assert abs(iterative - dense) <= 1e-3 * abs(dense)
+    ext = raw_extremes(M, S)
+    assert ext.mu_min == ext.mu_max == 0.0  # S has no symmetric part
+    _assert_edge(ext.nu_max, _dense_skew_max(S, M), 1.0)
+
+
+@pytest.mark.parametrize("sigma_factor, proved", [(1.0001, True), (0.9999, False)])
+def test_hermitian_skew_form_decides_the_skew_edge(square_sys_8, sigma_factor, proved):
+    # sigma M + i S is Hermitian and positive definite exactly when sigma
+    # exceeds the largest eigenvalue of (S/i, M); its pivots decide it
+    s = square_sys_8
+    S = split(s.K).S
+    sigma = sigma_factor * _dense_skew_max(S, s.M)
+    fac = bounds.definite_factor(sp.csr_array(sigma * s.M + 1j * S), 1.0)
+    assert (fac is not None) == proved
 
 
 def test_shift_invert_needs_negative_definite_symmetric_part(square_sys_8):
@@ -114,8 +145,8 @@ def test_shift_invert_needs_negative_definite_symmetric_part(square_sys_8):
         lo, hi = _dense_pencil_extremes(split(K).D, s.M)
         iterative = raw_extremes(s.M, K)
         assert (lo < 0.0 < hi) == (K is not s.K)
-        for got, want in ((iterative.mu_min, lo), (iterative.mu_max, hi)):
-            assert math.isclose(got, want, rel_tol=1e-10)
+        _assert_edge(iterative.mu_min, lo, -1.0)
+        _assert_edge(iterative.mu_max, hi, 1.0)
 
 
 @pytest.mark.parametrize("d", [1e-1, 1e-3])
@@ -126,10 +157,7 @@ def test_iterative_enclosure_agrees_with_dense_on_reference_systems(domain, d):
     s = fem.assemble_p1(mesh, d=d, domain=domain)
     # (kappa(M) is checked in test_cond_estimate_matches_dense_eigvalsh)
     parts = split(s.K)
-    dense = (*_dense_pencil_extremes(parts.D, s.M), _dense_skew_max(parts.S, s.M))
-    ext = raw_extremes(s.M, s.K)
-    for got, want in zip((ext.mu_min, ext.mu_max, ext.nu_max), dense):
-        assert math.isclose(got, want, rel_tol=1e-10)
+    _assert_edges(raw_extremes(s.M, s.K), parts.D, parts.S, s.M)
 
 
 def _no_convergence(*args, **kwargs):
@@ -144,101 +172,99 @@ def _arpack_error(*args, **kwargs):
 def test_arpack_failure_raises_no_convergence(fail, square_sys_8, monkeypatch):
     s = square_sys_8
     M_solve = bounds._mass_solve(s.M)
+    regular = {"M": s.M, "Minv": bounds._operator(s.n, M_solve)}
     monkeypatch.setattr(spla, "eigsh", fail)
     with pytest.raises(NoConvergence, match=r"minimum of a symmetric pencil \(n=49\)"):
-        bounds._sym_extreme(split(s.K).D, s.M, M_solve, "min", 0)
+        bounds._sym_estimates(split(s.K).D, s.M, regular, 0)
     with pytest.raises(NoConvergence, match=r"skew pencil \(n=49\)"):
-        bounds._skew_extreme(split(s.K).S, s.M, M_solve, 0)
+        bounds._skew_estimate(split(s.K).S, M_solve, regular, 0)
     with pytest.raises(NoConvergence, match="n=49"):
         raw_extremes(s.M, s.K)
     with pytest.raises(NoConvergence, match="n=49"):
         cond_estimate(s.M)
 
 
-def test_iterative_residual_above_tolerance_raises_no_convergence(square_sys_8, monkeypatch):
-    # ARPACK's pair is accepted only if its relative residual meets the
-    # tolerance; a Ritz value 1% off leaves a residual far above 1e-3
-    eigsh = spla.eigsh
+def _shifted_estimates(monkeypatch, shift):
+    """Make every ARPACK estimate of the pencil (D, M)'s minimum come out
+    ``shift`` * |theta| above the true theta, that is inward; record the
+    factors ``definite_factor`` returns."""
+    ritz_pair, factor = bounds._ritz_pair, bounds.definite_factor
+    factors = []
 
-    def off_by_one_percent(*args, **kwargs):
-        w, X = eigsh(*args, **kwargs)
-        return 1.01 * w, X
+    def inward(what, A, tol, seed, **kwargs):
+        theta = ritz_pair(what, A, tol, seed, **kwargs)
+        if what == "the minimum of a symmetric pencil":
+            theta += shift * abs(theta)
+        return theta
 
-    monkeypatch.setattr(spla, "eigsh", off_by_one_percent)
-    with pytest.raises(NoConvergence, match="minimum of a symmetric pencil: residual"):
-        raw_extremes(square_sys_8.M, square_sys_8.K)
+    def recording(A, sign):
+        factors.append(factor(A, sign))
+        return factors[-1]
+
+    monkeypatch.setattr(bounds, "_ritz_pair", inward)
+    monkeypatch.setattr(bounds, "definite_factor", recording)
+    return factors
+
+
+def test_inward_estimate_is_widened_not_accepted(square_sys_8, monkeypatch):
+    # an estimate 0.5% inside the minimum: the first two shifts (0.1% and
+    # 0.4% beyond it) lie inside the spectrum too, and their pivots refuse
+    # them; the third (1.6%) is proved, and the edge lies below the minimum
+    s = square_sys_8
+    D = split(s.K).D
+    factors = _shifted_estimates(monkeypatch, 5e-3)
+    ext = raw_extremes(s.M, s.K)
+    _assert_edge(ext.mu_min, _dense_pencil_extremes(D, s.M)[0], -1.0)
+    # the factors of M's floor, of M and of the shift-invert estimate of the
+    # maximum come first
+    assert [f is not None for f in factors[3:6]] == [False, False, True]
+
+
+def test_unprovable_estimate_raises_no_convergence(square_sys_8, monkeypatch):
+    # an estimate 50% inside the minimum puts every shift of the ladder, even
+    # the widest (6.4%), inside the spectrum: no edge is proved
+    s = square_sys_8
+    factors = _shifted_estimates(monkeypatch, 0.5)
+    with pytest.raises(NoConvergence,
+                       match=r"no shift beyond the minimum of a symmetric pencil .*\(n=49\)"):
+        raw_extremes(s.M, s.K)
+    assert factors[3:] == [None] * (bounds.BRACKET_WIDENINGS + 1)
 
 
 def _dense_min(B, M):
-    """Smallest eigenvalue of (B, M) by dense ``eigh``."""
+    """Smallest eigenvalue of the Hermitian pencil (B, M) by dense ``eigh``."""
     return sla.eigh(B.toarray(), M.toarray(), eigvals_only=True)[0]
-
-
-def _recorded_minima(monkeypatch):
-    """Record (B, M, theta) of every minimum ``_sym_extreme`` returns, and
-    the tolerance and keyword arguments of every ``_ritz_pair`` call."""
-    minima, ritz_calls = [], []
-    sym_extreme, ritz_pair = bounds._sym_extreme, bounds._ritz_pair
-
-    def recording_sym_extreme(B, M, M_solve, which, seed):
-        theta, resid = sym_extreme(B, M, M_solve, which, seed)
-        if which == "min":
-            minima.append((B, M, theta))
-        return theta, resid
-
-    def recording_ritz_pair(what, A, tol, seed, **kwargs):
-        ritz_calls.append(dict(kwargs, tol=tol))
-        return ritz_pair(what, A, tol, seed, **kwargs)
-
-    monkeypatch.setattr(bounds, "_sym_extreme", recording_sym_extreme)
-    monkeypatch.setattr(bounds, "_ritz_pair", recording_ritz_pair)
-    return minima, ritz_calls
 
 
 @pytest.mark.parametrize("mode", ["ii", "i"])
 @pytest.mark.parametrize("domain", ["square", "star"])
 def test_every_minimum_agrees_with_dense_eigh(domain, mode, monkeypatch):
-    # square/8 and star/1. Mode "ii" takes the minimum of (D, M), mode "i"
-    # that of (sym(K M), M M). On square/8 the loose regular-mode estimate
-    # is finished in shift-invert from its own vector; on star/1 (n=7) it
-    # already meets ARPACK_TOL and is kept. kappa(M), in mode "ii" only,
-    # takes one loose estimate of M's minimum and no finish: the shift its
-    # inertia proves is the bound.
+    # square/8 and star/1. Every edge, and the floor of the mass behind
+    # kappa, is the proved lower bound on the smallest eigenvalue of a
+    # Hermitian pencil (B, mass): mode "ii" proves (M, I), (D, M), (-D, M)
+    # and (i S, M), mode "i" the same with M M for M and sym(K M) for D.
+    # Each starts from one ARPACK estimate at BRACKET_TOL, with no finish.
     mesh = fem.mesh_square(8) if domain == "square" else fem.mesh_star(refine=1)
     s = fem.assemble_p1(mesh, d=0.1, domain=domain)
-    minima, ritz_calls = _recorded_minima(monkeypatch)
+    proofs, ritz_calls = [], []
+    proved_lower, ritz_pair = bounds._proved_lower, bounds._ritz_pair
+
+    def recording_proof(what, B, mass, theta, scale, floor):
+        proofs.append((B, mass, proved_lower(what, B, mass, theta, scale, floor)))
+        return proofs[-1][2]
+
+    def recording_ritz_pair(what, A, tol, seed, **kwargs):
+        ritz_calls.append(tol)
+        return ritz_pair(what, A, tol, seed, **kwargs)
+
+    monkeypatch.setattr(bounds, "_proved_lower", recording_proof)
+    monkeypatch.setattr(bounds, "_ritz_pair", recording_ritz_pair)
     analyze_pencil(s.M, s.K, mode=mode)
-    ((B, M, theta),) = minima
-    assert math.isclose(theta, _dense_min(B, M), rel_tol=1e-12)
-    finishes = [kw for kw in ritz_calls if "v0" in kw]
-    assert len(finishes) == (1 if domain == "square" else 0)
-    assert all(kw["sigma"] < theta for kw in finishes)
-    of_m_alone = [kw for kw in ritz_calls if "M" not in kw]
-    assert of_m_alone == ([{"which": "SA", "tol": bounds.BRACKET_TOL}] if mode == "ii" else [])
-
-
-def test_unproved_bracket_falls_back_to_regular_mode(square_sys_8, monkeypatch):
-    # a loose estimate above the minimum puts every shift, even the widest,
-    # above it too: no factor proves one below the spectrum, and the
-    # minimum comes from regular mode at the full tolerance
-    s = square_sys_8
-    B, M, M_solve = split(s.K).D, s.M, bounds._mass_solve(s.M)
-    ritz_pair, factor = bounds._ritz_pair, bounds.definite_factor
-    brackets = []
-
-    def estimate_above(what, A, tol, seed, **kwargs):
-        theta, x = ritz_pair(what, A, tol, seed, **kwargs)
-        return (theta + 0.5 * abs(theta) if tol == bounds.BRACKET_TOL else theta), x
-
-    def recording_factor(A, sign):
-        brackets.append(factor(A, sign))
-        return brackets[-1]
-
-    monkeypatch.setattr(bounds, "_ritz_pair", estimate_above)
-    monkeypatch.setattr(bounds, "definite_factor", recording_factor)
-    theta, _ = bounds._sym_extreme(B, M, M_solve, "min", 0)
-    assert brackets == [None] * (bounds.BRACKET_WIDENINGS + 1)
-    assert math.isclose(theta, _dense_min(B, M), rel_tol=1e-12)
+    assert len(proofs) == 4
+    for B, mass, bound in proofs:
+        exact = _dense_min(B, mass)
+        assert exact - WIDEST * abs(exact) <= bound < exact
+    assert ritz_calls == [bounds.BRACKET_TOL] * 4
 
 
 def _raising(*args, **kwargs):
@@ -251,19 +277,53 @@ def test_raw_extremes_calls_no_dense_eigensolver(domain, monkeypatch):
     mesh = fem.mesh_square(8) if domain == "square" else fem.mesh_star(refine=1)
     s = fem.assemble_p1(mesh, d=0.1, domain=domain)
     parts = split(s.K)
-    lo, hi = _dense_pencil_extremes(parts.D, s.M)
-    nu = _dense_skew_max(parts.S, s.M)
     monkeypatch.setattr(np.linalg, "eigh", _raising)
     monkeypatch.setattr(sla, "eigh", _raising)
     ext = raw_extremes(s.M, s.K)
-    for got, want in ((ext.mu_min, lo), (ext.mu_max, hi), (ext.nu_max, nu)):
-        assert math.isclose(got, want, rel_tol=1e-13)
+    monkeypatch.undo()
+    _assert_edges(ext, parts.D, parts.S, s.M)
 
 
 def test_raw_extremes_of_symmetric_k_has_zero_height(square_sys_8):
     K = split(square_sys_8.K).D
     assert split(K).S.nnz == 0
     assert raw_extremes(square_sys_8.M, K).nu_max == 0.0
+
+
+def degenerate_pencils():
+    """Pencils on square/16 over all 289 vertices whose symmetric part is
+    singular or zero: pure-Neumann diffusion (c = 0, D negative
+    semidefinite with maximum 0, S = 0), pure transport (K its own skew
+    part, D = 0) and K = 0."""
+    mesh = fem.mesh_square(16)
+    M, K = fem.assemble_p1_full(mesh, d=0.1, c=(0.0, 0.0))
+    _, K_adv = fem.assemble_p1_full(mesh, d=0.1, c=(1.0, 1.0))
+    return M, {"neumann": K, "transport": split(K_adv).S, "zero": sp.csr_array(M.shape)}
+
+
+def assert_degenerate_edges(edges, mass, stiffness):
+    """One-sided checks of (mu_min, mu_max, nu_max) against dense eigh; a
+    part with no nonzero entry must give its edges exactly 0."""
+    parts = split(stiffness)
+    exact = (*_dense_pencil_extremes(parts.D, mass), _dense_skew_max(parts.S, mass))
+    scale = bounds.ZERO_STEP * max(map(abs, exact))
+    for edge, want, side, part in zip(edges, exact, (-1.0, 1.0, 1.0), (parts.D, parts.D, parts.S)):
+        if np.any(part.data):
+            _assert_edge(edge, want, side, scale)
+        else:
+            assert edge == 0.0 and abs(want) <= 1e-12 * max(map(abs, exact), default=0.0)
+
+
+@pytest.mark.parametrize("mode", ["ii", "i"])
+@pytest.mark.parametrize("name", ["neumann", "transport", "zero"])
+def test_singular_symmetric_part_encloses(name, mode):
+    # these raised NoConvergence (a residual of 0.71 on the zero maximum) or
+    # ARPACK error -9 (a zero operator) before the edges were proved
+    M, pencils = degenerate_pencils()
+    K = pencils[name]
+    ext = analyze_pencil(M, K, mode=mode).extremes
+    mass, stiffness = (M @ M, K @ M) if mode == "i" else (M, K)
+    assert_degenerate_edges((ext.mu_min, ext.mu_max, ext.nu_max), mass, stiffness)
 
 
 # --------------------------------------------------------------------------
@@ -323,16 +383,15 @@ def test_indefinite_mass_raises_not_spd(square_sys_8):
 
 
 def test_rectangle_tau_linearity_without_inflation(square_sys_8):
-    # the endpoints are the unit-step extremes times tau, widened by
-    # max(rel * |endpoint|, 1e-12); here every rel * |endpoint| exceeds the floor
+    # the endpoints are the unit-step edges times tau, each product rounded
+    # outward by one ulp and by nothing more
     s = square_sys_8
     ext = raw_extremes(s.M, s.K)
-    rel = 2e-3
-    for tau in (1.0, 3.0):
+    for tau in (1.0, 3.0, 0.1):
         r = rectangle_from_extremes(ext, tau)
-        assert r.mu_min == tau * ext.mu_min - rel * abs(tau * ext.mu_min)
-        assert r.mu_max == tau * ext.mu_max + rel * abs(tau * ext.mu_max)
-        assert r.nu_max == tau * ext.nu_max + rel * abs(tau * ext.nu_max)
+        assert r.mu_min == np.nextafter(tau * ext.mu_min, -np.inf)
+        assert r.mu_max == np.nextafter(tau * ext.mu_max, np.inf)
+        assert r.nu_max == np.nextafter(tau * ext.nu_max, np.inf)
         assert r.nu_min == -r.nu_max
 
 
@@ -342,7 +401,10 @@ def test_rectangle_inflation_widens_every_endpoint(square_pencil_8):
     wide = bounding_rectangle(p)
     assert wide.mu_min < p.tau * ext.mu_min <= p.tau * ext.mu_max < wide.mu_max
     assert wide.nu_max > p.tau * ext.nu_max
-    assert wide.inflation == 2e-3
+    assert set(wide.as_dict()) == {"mu_min", "mu_max", "nu_min", "nu_max"}
+    # an edge that is exactly 0 keeps the rectangle an interior
+    flat = rectangle_from_extremes(bounds.RawExtremes(-1.0, 0.0, 0.0, ext.mass), 2.0)
+    assert (flat.mu_max, flat.nu_max) == (bounds.INFLATION_FLOOR, bounds.INFLATION_FLOOR)
 
 
 def test_rectangle_contains_dense_spectrum(square_pencil_8):
@@ -388,7 +450,7 @@ def _dense_plain_range_edges(p):
 ])
 def test_plain_range_rectangle_matches_dense_range_of_a(domain, size, d, tau_factor):
     # mode "i" encloses W(tau inv(M) K) through the pencil (K M, M M); its
-    # edges before inflation are those of A's symmetric and skew parts, and
+    # edges lie just outside those of A's symmetric and skew parts, and
     # W(A) reaches into the right half plane on the advective pencils
     mesh = fem.mesh_square(size) if domain == "square" else fem.mesh_star(refine=size)
     s = fem.assemble_p1(mesh, d=d, domain=domain)
@@ -396,8 +458,8 @@ def test_plain_range_rectangle_matches_dense_range_of_a(domain, size, d, tau_fac
     analysis = analyze_pencil(p.M, p.K, mode="i")
     ext = analysis.extremes
     got = [p.tau * e for e in (ext.mu_min, ext.mu_max, ext.nu_max)]
-    for g, want in zip(got, _dense_plain_range_edges(p)):
-        assert math.isclose(g, want, rel_tol=1e-10)
+    for g, want, side in zip(got, _dense_plain_range_edges(p), (-1.0, 1.0, 1.0)):
+        _assert_edge(g, want, side)
     assert (got[1] > 0.0) == (d == 1e-3)
     assert ext == raw_extremes(p.M @ p.M, p.K @ p.M)
     assert analysis.kappa_safe == 1.0
@@ -434,7 +496,8 @@ def test_cond_estimate_matches_dense_eigvalsh():
 
 def test_cond_estimate_iterative_margin(square_sys_8, monkeypatch):
     # kappa_safe is the row sum over the proved shift less the stated
-    # backward-error margin 2 gamma_{n+1} trace(M - sigma I)
+    # rounding margin 2 gamma_{n+1} trace(M - sigma I) + 3 u rho, rho the
+    # largest row sum of |M| + sigma I, rounded down by one ulp
     M, shifts = square_sys_8.M, []
     proved_shift = bounds._proved_shift
 
@@ -443,15 +506,17 @@ def test_cond_estimate_iterative_margin(square_sys_8, monkeypatch):
         return shifts[-1]
 
     monkeypatch.setattr(bounds, "_proved_shift", recording)
-    kappa = cond_estimate(M).kappa_safe
+    est = cond_estimate(M)
     ((sigma, fac),) = shifts
     n, u = M.shape[0], np.finfo(float).eps / 2.0
     gamma = (n + 1) * u / (1.0 - (n + 1) * u)
-    margin = 2.0 * gamma * np.sum(M.diagonal() - sigma)
+    rho = np.max(abs(M).sum(axis=1) + sigma)
+    margin = 2.0 * gamma * np.sum(M.diagonal() - sigma) + 3.0 * u * rho
     assert fac is not None and 0.0 < margin < 1e-12 * sigma
     assert sigma < np.linalg.eigvalsh(M.toarray())[0]
+    assert est.floor == np.nextafter(sigma - margin, -np.inf)
     rowsum = np.max(abs(M).sum(axis=1))
-    assert kappa == rowsum * (1.0 + 9 * u) / (sigma - margin)  # 7 entries in a row
+    assert est.kappa_safe == rowsum * (1.0 + 9 * u) / est.floor  # 7 entries in a row
 
 
 def test_cond_estimate_rejects_indefinite():
@@ -472,7 +537,9 @@ def test_cond_estimate_unproved_ladder_raises_no_convergence(square_sys_8, monke
 def test_cond_estimate_validation():
     for bad in (0.5, np.nan):
         with pytest.raises(ValueError, match="condition number bound below 1"):
-            CondEstimate(kappa_safe=bad)
+            CondEstimate(kappa_safe=bad, floor=1.0)
+        with pytest.raises(ValueError, match="lower eigenvalue bound not positive"):
+            CondEstimate(kappa_safe=2.0, floor=bad - 0.5)
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from expmrect.errors import NoConvergence, ToleranceUnreachable
 from expmrect.expmv import expm_dense_oracle
 from expmrect.linalg import LuFactor, lu_factor, norm2
 
+from test_bounds import assert_degenerate_edges, degenerate_pencils
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -75,7 +77,7 @@ def test_bound_reports_lhp_rectangle(tmp_path, capsys):
                  "--out", str(tmp_path))
     assert rc == 0
     payload = json.loads((tmp_path / "rectangle.json").read_text())
-    assert payload["schema"] == "expmrect/bound-v2"
+    assert payload["schema"] == "expmrect/bound-v3"
     assert set(payload) == {"schema", "rectangle", "lhp_certified", "kappa_safe", "tau"}
     assert payload["lhp_certified"] is True
     assert payload["rectangle"]["mu_max"] < 0.0
@@ -92,7 +94,7 @@ def test_expmv_writes_result_and_certificate(tmp_path, capsys):
     )
     assert rc == 0
     cert = json.loads((out / "certificate.json").read_text())
-    assert cert["schema"] == "expmrect/certificate-v1"
+    assert cert["schema"] == "expmrect/certificate-v2"
     assert cert["achieved_bound"] <= cert["scalar_target"]
     x = mmio.read_vector(out / "result.txt")
     rows = (out / "run.csv").read_text().splitlines()
@@ -146,6 +148,34 @@ def test_expmv_rejects_non_finite_file_input(operand, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: ValueError: {operand} contains NaN or Inf entries"]
     assert not (out / "result.txt").exists()
+
+
+@pytest.mark.parametrize("name", ["neumann", "transport", "zero"])
+def test_bound_encloses_a_singular_symmetric_part_from_files(name, tmp_path):
+    M, pencils = degenerate_pencils()
+    K = pencils[name]
+    mmio.write_matrix_market(tmp_path / "M.mtx", M, symmetric=True)
+    mmio.write_matrix_market(tmp_path / "K.mtx", K)
+    mmio.write_vector(tmp_path / "b.txt", np.ones(M.shape[0]))
+    rc = run_cli("bound", "--m", str(tmp_path / "M.mtx"), "--k", str(tmp_path / "K.mtx"),
+                 "--b", str(tmp_path / "b.txt"), "--tau", "1", "--out", str(tmp_path))
+    assert rc == 0
+    rect = json.loads((tmp_path / "rectangle.json").read_text())["rectangle"]
+    # tau = 1, and an edge that is exactly 0 comes out as +-INFLATION_FLOOR
+    edges = [0.0 if abs(rect[key]) == bounds.INFLATION_FLOOR else rect[key]
+             for key in ("mu_min", "mu_max", "nu_max")]
+    assert_degenerate_edges(edges, M, K)
+
+
+def test_expmv_checks_eps_before_enclosing(tmp_path, capsys, monkeypatch):
+    def enclosing(*args, **kwargs):
+        raise AssertionError("the pencil was enclosed before eps was checked")
+
+    monkeypatch.setattr(cli, "analyze_pencil", enclosing)
+    out = tmp_path / "run"
+    assert run_cli("expmv", "--divisions", "8", "--eps", "2", "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: ValueError: eps must lie in (0, 1)"]
+    assert not out.exists()
 
 
 def test_expmv_verifies_a_zero_b(tmp_path, capsys):
@@ -272,9 +302,11 @@ def test_sweep_encloses_each_system_once(monkeypatch):
         "methods": ["sub-pade", "rat-interp"],
         "modes": ["ii", "i"],
     })
-    # one enclosure per mode; only mode "ii" needs kappa(M)
+    # one enclosure per mode, and each certifies its own mass once: M in
+    # mode "ii", whose kappa the analysis keeps, and M M in mode "i"
     assert len(rows) == 8 and all(row["status"] == "ok" for row in rows)
-    assert len(enclosures) == 2 and len(kappas) == 1
+    assert len(enclosures) == 2 and len(kappas) == 2
+    assert all(kappa[0] is enclosure[0] for kappa, enclosure in zip(kappas, enclosures))
 
 
 def test_sweep_kappa_column_is_kappa_safe_beyond_dense_cutoff(monkeypatch):
@@ -481,8 +513,11 @@ def test_sweep_verifies_a_convection_dominated_cell_past_the_step_cap(monkeypatc
         "verify": True,
     })
     assert len(steps) > 1
-    assert [row["status"] for row in rows] == ["ok", "ok"]
-    for row in rows:
+    # the eps=1e-6 row is a degree-91 partial fraction form whose rounding
+    # term is most of its target: scaling its rectangle by 1 +- 1e-5 flips
+    # the refit between ok and RefitFailed, and on this rectangle it fails
+    assert [row["status"] for row in rows] == ["ok", "RefitFailed"]
+    for row in rows[:1]:
         assert float(row["measured_error"]) <= float(row["certified_bound"])
 
 
@@ -508,7 +543,7 @@ def test_expmv_writes_its_result_before_a_failing_reference(tmp_path, monkeypatc
     out = tmp_path / "run"
     assert run_cli("expmv", "--divisions", "8", "--verify", "--out", str(out)) == 1
     assert mmio.read_vector(out / "result.txt").shape == (49,)
-    assert json.loads((out / "certificate.json").read_text())["schema"] == "expmrect/certificate-v1"
+    assert json.loads((out / "certificate.json").read_text())["schema"] == "expmrect/certificate-v2"
     assert not (out / "run.csv").exists()
 
 

@@ -379,7 +379,7 @@ def test_driver_certificate_json(square_pencil_8):
     import json
 
     payload = json.loads(cert.to_json())
-    assert payload["schema"] == "expmrect/certificate-v1"
+    assert payload["schema"] == "expmrect/certificate-v2"
     assert payload["degree"] == cert.degree
     assert payload["operator_bound"] == cert.operator_bound
     assert payload["rectangle"]["mu_max"] < 0.0

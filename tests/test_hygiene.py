@@ -9,7 +9,9 @@ own definition. ``__init__.__all__`` lists exactly the names it imports,
 only ``linalg.py`` calls SuperLU, only ``definite_factor`` and
 ``LuFactor.lower``/``upper`` read a factor's triangles, only ``bounds.py``
 calls the eigensolver (and only through ``_ritz_pair``) or decides an
-enclosure, and only ``bounds.py`` compares ``nu_min`` with ``-nu_max``.
+enclosure, ``bounds.py`` reaches ``definite_factor`` only through its proof
+routine and its mass solve, and only ``bounds.py`` compares ``nu_min`` with
+``-nu_max``.
 Importing the CLI leaves ``scipy.io`` unloaded. The settings a caller can
 give a run are pinned, so that a new one changes a test on purpose.
 """
@@ -196,6 +198,21 @@ def test_bounds_reaches_eigsh_only_through_ritz_pair():
     assert any(isinstance(n, ast.Attribute) and n.attr == "eigsh" for n in ast.walk(ritz))
 
 
+def test_bounds_reaches_definite_factor_only_through_the_proof_routine():
+    # every edge and M's floor come from _proved_shift's ladder, and the
+    # solve with M from _mass_solve; a third caller would be a second path
+    # to a definiteness claim
+    tree = ast.parse((PACKAGE / "bounds.py").read_text())
+    allowed = [n for n in tree.body if isinstance(n, ast.FunctionDef)
+               and n.name in {"_proved_shift", "_mass_solve"}]
+    inside = {id(n) for f in allowed for n in ast.walk(f)}
+    outside = [n.lineno for n in ast.walk(tree)
+               if isinstance(n, ast.Name) and n.id == "definite_factor" and id(n) not in inside]
+    assert not outside, f"bounds.py calls definite_factor outside the proof on lines {outside}"
+    assert all(any(isinstance(n, ast.Name) and n.id == "definite_factor" for n in ast.walk(f))
+               for f in allowed)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_bounds_decides_the_enclosure(path):
     # analyze_pencil picks the pencils each region mode encloses; a second
@@ -232,8 +249,7 @@ SYSTEM_OPTIONS = {"-h", "--help", "--m", "--k", "--b", "--domain", "--divisions"
 
 
 def test_settable_surface_is_pinned():
-    # every value a caller can set doubles the configurations to test; the
-    # enclosure's residual tolerance, for one, is bounds.REL_RESID_TOL
+    # every value a caller can set doubles the configurations to test
     init = {f.name for f in dataclasses.fields(expmv.ExpmvRequest) if f.init}
     assert init == {"pencil", "b", "eps", "method", "analysis"}
     # the analysis is the one record of how the pencil was enclosed: its mode
@@ -244,8 +260,11 @@ def test_settable_surface_is_pinned():
     # the certificate holds the applied approximant, not copies of its numbers
     init = {f.name for f in dataclasses.fields(expmv.ExpmvCertificate) if f.init}
     assert init == {"rectangle", "kappa_safe", "approximant", "mode", "eps"}
-    # kappa(M) is one certified number, with no margin to set beside it
-    assert tuple(f.name for f in dataclasses.fields(bounds.CondEstimate)) == ("kappa_safe",)
+    # kappa(M) and the floor of M's spectrum are certified numbers, with no
+    # margin to set beside them, and so is every rectangle edge
+    assert tuple(f.name for f in dataclasses.fields(bounds.CondEstimate)) == ("kappa_safe", "floor")
+    assert tuple(f.name for f in dataclasses.fields(bounds.BoundingRectangle)) == (
+        "mu_min", "mu_max", "nu_min", "nu_max")
     assert list(inspect.signature(bounds.analyze_pencil).parameters) == ["M", "K", "seed", "mode"]
     (subs,) = [a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction)]
