@@ -9,7 +9,8 @@ part of K and C is the Hermitian part of its skew piece, C = (K - K^T)/(2i).
 Every edge is proved the same way (``_proved_lower``): ARPACK's ``eigsh``
 estimates the extreme to a loose tolerance, the pivot signs of a shifted
 sparse factor prove a shift beyond it (spectrum slicing by Sylvester's law
-of inertia), and a bound on the factor's rounding widens that shift. The
+of inertia), and bounds on the rounding of the factor
+(``linalg.inertia_gap``) and of the matrices it factors widen that shift. The
 same routine proves the lower eigenvalue bound of M behind the certified
 condition number, and the rectangle is the tau-scaled edges rounded
 outward. The module also certifies left-half-plane location.
@@ -25,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, NoConvergence, NotSPD, NotSymmetric
-from .linalg import definite_factor
+from .linalg import definite_factor, inertia_gap
 
 __all__ = [
     "Pencil",
@@ -191,26 +192,21 @@ def _proved_shift(B, mass, theta, scale):
     return sigma, fac
 
 
-def _proved_lower(what, B, mass, theta, scale, floor) -> float:
+def _proved_lower(what, B, mass, theta, scale, floor, err) -> float:
     """A proved lower bound on the smallest eigenvalue of the Hermitian
-    pencil (B, mass), from an estimate theta of it and a proved
-    floor <= lambda_min(mass). This is every edge of the enclosure, and the
-    bound on lambda_min(M) behind kappa.
+    pencil (B + F, mass) for every F with ||F||_2 <= err, from an estimate
+    theta of it and a proved floor <= lambda_min(mass). This is every edge
+    of the enclosure, and the bound on lambda_min(M) behind kappa.
 
-    ``_proved_shift`` proves sigma below the spectrum for the computed
-    factor. Forming A = B - sigma mass rounds each entry by at most
+    ``_proved_shift`` factors the computed A = B - sigma mass, whose pivots
+    prove the Hermitian X of ``linalg.inertia_gap`` positive definite, and
+    ||A - X||_2 <= gap. Forming A rounds each entry by at most
     gamma_2 (|B| + |sigma| |mass|), whose 2-norm is at most that matrix's
-    largest row sum rho. The factor is the exact L D L^H of A + E with
-    |E| <= g |L| D |L|^H, g = (n+1) u / (1 - (n+1) u) (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, Thms 9.3 and 10.3). That
-    semidefinite matrix has 2-norm at most its trace, trace(A + E) <= t /
-    (1 - g) with t the computed trace of A, so with the trace's own
-    rounding ||E|| <= 2 g t when (n+1) u <= 0.1. The whole perturbation is
-    at most e = 2 g t + 3 u rho, so B - sigma mass > -e I >= -(e / floor)
-    mass: the smallest eigenvalue exceeds sigma - e / floor, which is
-    returned rounded down by one ulp. Complex arithmetic rounds a product
-    or quotient by at most sqrt(2) gamma_4 (Higham, Lemma 3.5), so a
-    complex B takes 6 u for the unit roundoff u. An unproved ladder raises
+    largest row sum rho. So B + F - sigma mass > -e I >= -(e / floor) mass
+    with e = gap + 3 u rho + err, and the smallest eigenvalue exceeds
+    sigma - e / floor; 1 + 4 u covers the rounding of e / floor, and the
+    difference is rounded down by one ulp. A complex B takes 6 u for the
+    unit roundoff u, as in ``inertia_gap``. An unproved ladder raises
     ``NoConvergence`` naming ``what`` and n.
     """
     n = B.shape[0]
@@ -218,10 +214,14 @@ def _proved_lower(what, B, mass, theta, scale, floor) -> float:
     if fac is None:
         raise NoConvergence(f"no shift beyond {what} was proved (n={n})")
     u = (6.0 if np.iscomplexobj(B.data) else 1.0) * 2.0**-53
-    g = (n + 1) * u / (1.0 - (n + 1) * u)
-    t = float(np.sum(B.diagonal().real - sigma * mass.diagonal()))
     rho = float(np.max(abs(B).sum(axis=1) + abs(sigma) * abs(mass).sum(axis=1)))
-    return float(np.nextafter(sigma - (2.0 * g * t + 3.0 * u * rho) / floor, -np.inf))
+    e = (inertia_gap(fac) + 3.0 * u * rho + err) / floor * (1.0 + 4.0 * u)
+    return float(np.nextafter(sigma - e, -np.inf))
+
+
+def _rowsum(A) -> float:
+    """max_i sum_j |A_ij|, a bound on ||A||_2 for Hermitian |A|."""
+    return float(np.max(abs(A).sum(axis=1))) if A.nnz else 0.0
 
 
 def _sym_estimates(D, M, regular, seed) -> tuple[float, float]:
@@ -229,22 +229,24 @@ def _sym_estimates(D, M, regular, seed) -> tuple[float, float]:
     (D, M) at ``BRACKET_TOL``; ``regular`` holds the mass and its solve.
 
     The minimum comes from regular mode. The maximum comes from
-    shift-invert about the smallest s > 0 that ``_proved_shift`` proves
-    above the spectrum, ZERO_STEP * BRACKET_DELTA * |minimum| on the first
-    rung: the eigenvalue nearest s is then the maximum, even a zero one.
-    When no such s is proved, D has eigenvalues above it, and regular mode
-    finds the maximum.
+    shift-invert about s = ZERO_STEP * BRACKET_DELTA * |minimum| when the
+    pivots of D - s M prove s above the spectrum: the eigenvalue nearest s
+    is then the maximum, even a zero one. Otherwise D has eigenvalues near
+    or above s, and regular mode finds the maximum. The shift only steers
+    the estimate, so one factorization is tried, not ``_proved_shift``'s
+    ladder.
     """
     n = D.shape[0]
     lo = _ritz_pair("the minimum of a symmetric pencil", D, BRACKET_TOL, seed,
                     which="SA", **regular)
     what = "the maximum of a symmetric pencil"
-    neg_s, fac = _proved_shift(-D, M, 0.0, ZERO_STEP * abs(lo))
+    s = ZERO_STEP * BRACKET_DELTA * abs(lo)
+    fac = definite_factor(D - s * M, -1.0)
     if fac is None:
         hi = _ritz_pair(what, D, BRACKET_TOL, seed, which="LA", **regular)
-    else:  # D - s M = -(-D + s M), so its solve is the factor's, negated
-        hi = _ritz_pair(what, D, BRACKET_TOL, seed, M=M, sigma=-neg_s,
-                        OPinv=_operator(n, lambda v: -fac.solve(v)))
+    else:
+        hi = _ritz_pair(what, D, BRACKET_TOL, seed, M=M, sigma=s,
+                        OPinv=_operator(n, fac.solve))
     return lo, hi
 
 
@@ -294,7 +296,7 @@ def cond_estimate(M, seed: int = 0) -> CondEstimate:
 
     lambda_min(M) >= lower: ``_proved_lower`` proves it on the pencil
     (M, I) from a regular-mode estimate at ``BRACKET_TOL``. Its rounding
-    term was 5.8e-8 sigma on square/128 (n = 16129).
+    term was 7.3e-11 sigma on square/128 (n = 16129).
 
     An unproved ladder raises ``NoConvergence``, a ``lower`` that is not
     positive ``NotSPD``; a complex or non-finite M, or fewer than 2
@@ -304,12 +306,12 @@ def cond_estimate(M, seed: int = 0) -> CondEstimate:
     M = sp.csr_array(M)
     n = M.shape[0]
     theta = _ritz_pair("the minimum of M", M, BRACKET_TOL, seed, which="SA")
-    lower = _proved_lower("M's minimum", M, sp.eye_array(n), theta, 0.0, 1.0)
+    lower = _proved_lower("M's minimum", M, sp.eye_array(n), theta, 0.0, 1.0, 0.0)
     if not lower > 0.0:
         raise NotSPD(f"the proved lower bound {lower:.6g} on M's minimum eigenvalue "
                      f"is not positive (n={n})")
     u = 2.0**-53  # unit roundoff of IEEE double
-    rowsum = float(np.max(abs(M).sum(axis=1)))
+    rowsum = _rowsum(M)
     longest = int(np.max(np.diff(M.indptr)))
     return CondEstimate(kappa_safe=rowsum * (1.0 + (longest + 2) * u) / lower, floor=lower)
 
@@ -380,9 +382,10 @@ def raw_extremes(M, K, seed: int = 0) -> RawExtremes:
     ``_proved_lower`` turns each estimate into an edge: mu_min on (D, M),
     mu_max on (-D, M) and nu_max on the Hermitian pencil (i S, M), whose
     mass-shifted matrix sigma M + i S is positive definite exactly when
-    sigma > nu_max. A part with no nonzero entry gives its edges exactly 0
-    with no solver run. A complex or non-finite M or K, or fewer than 2
-    unknowns, raise ValueError.
+    sigma > nu_max. Each proof also covers the rounding of ``split``, at
+    most u |D| and u |S| per entry. A part with no nonzero entry gives its
+    edges exactly 0 with no solver run. A complex or non-finite M or K, or
+    fewer than 2 unknowns, raise ValueError.
     """
     _check_real_finite(M=M, K=K)
     parts = split(K)
@@ -396,11 +399,15 @@ def raw_extremes(M, K, seed: int = 0) -> RawExtremes:
     lo, hi = _sym_estimates(D, M, regular, seed) if sym else (0.0, 0.0)
     nu = _skew_estimate(S, M_solve, regular, seed) if skew else 0.0
     scale = ZERO_STEP * max(abs(lo), abs(hi), nu)
+    u = 2.0**-53  # split rounds each entry of D and S by at most u of it
     if sym:
-        lo = _proved_lower("the minimum of a symmetric pencil", D, M, lo, scale, mass.floor)
-        hi = -_proved_lower("the maximum of a symmetric pencil", -D, M, -hi, scale, mass.floor)
+        err = 2.0 * u * _rowsum(D)
+        lo = _proved_lower("the minimum of a symmetric pencil", D, M, lo, scale, mass.floor, err)
+        hi = -_proved_lower("the maximum of a symmetric pencil", -D, M, -hi, scale, mass.floor,
+                            err)
     if skew:
-        nu = -_proved_lower("the maximum of the skew pencil", 1j * S, M, -nu, scale, mass.floor)
+        nu = -_proved_lower("the maximum of the skew pencil", 1j * S, M, -nu, scale, mass.floor,
+                            2.0 * u * _rowsum(S))
     return RawExtremes(mu_min=lo, mu_max=hi, nu_max=nu, mass=mass)
 
 
@@ -474,6 +481,44 @@ class PencilAnalysis:
             raise ValueError("the pencil analysis was computed for a different pencil")
 
 
+def _product_error(A, B) -> float:
+    """A bound on ||fl(A B) - A B||_2: each entry is a sum of at most m
+    products, m the most entries in a row of A, so it rounds by at most
+    gamma_m (|A| |B|), whose largest row or column sum bounds the 2-norm;
+    gamma_{m + 2} covers the sums' own rounding."""
+    A, B = sp.csr_array(A), sp.csr_array(B)
+    m = int(np.max(np.diff(A.indptr))) + 2
+    absA, absB = abs(A), abs(B)
+    ones = np.ones(A.shape[0])
+    sums = max(np.max(absA @ (absB @ ones)), np.max(absB.T @ (absA.T @ ones)))
+    return float(sums) * m * 2.0**-53 / (1.0 - m * 2.0**-53)
+
+
+def _widened(ext: RawExtremes, err: float, mass_err: float) -> RawExtremes:
+    """ext's edges moved out to hold for the pencils (K + F, M + G) of
+    every ||F||_2 <= err and ||G||_2 <= mass_err, where ext encloses (K, M).
+
+    With mu an edge, x^H (D + herm F) x - mu x^H (M + G) x exceeds
+    x^H (D - mu M) x - (err + |mu| mass_err) ||x||^2, and M + G has the
+    floor ``ext.mass.floor`` - mass_err, so each edge moves outward by
+    (err + |mu| mass_err) / that floor, the skew pencil's alike; 1 + 4 u
+    covers the rounding of that step, one ulp that of the sum, and a zero
+    step leaves the edge as it is. ``NotSPD`` when the floor is not
+    positive.
+    """
+    floor = ext.mass.floor - mass_err
+    if not floor > 0.0:
+        raise NotSPD(f"the rounding {mass_err:.3g} of the mass exceeds its floor "
+                     f"{ext.mass.floor:.3g}")
+
+    def out(x, direction):
+        step = (err + abs(x) * mass_err) / floor * (1.0 + 4.0 * 2.0**-53)
+        return float(np.nextafter(x + direction * step, direction * np.inf)) if step else x
+
+    return RawExtremes(mu_min=out(ext.mu_min, -1.0), mu_max=out(ext.mu_max, 1.0),
+                       nu_max=out(ext.nu_max, 1.0), mass=ext.mass)
+
+
 def analyze_pencil(M, K, seed: int = 0, mode: str = "ii") -> PencilAnalysis:
     """Enclose the pencil (M, K) once: unit-step edges and kappa(M) in
     mode "ii", where ``raw_extremes`` certifies M once for both. Mode "i"
@@ -481,15 +526,18 @@ def analyze_pencil(M, K, seed: int = 0, mode: str = "ii") -> PencilAnalysis:
     x* inv(M) K x / x* x = y* (K M) y / y* (M M) y, so it is the numerical
     range of the sparse pencil (K M, M M), whose mass M M is symmetric
     positive definite with M. Its edges are proved for the computed
-    products K M and M M.
+    products and then widened by their rounding (``_widened``).
 
     An unknown mode, or a complex or non-finite M or K (``raw_extremes``
     checks them) raise ValueError before any solver runs.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    mass, stiffness = (M @ M, K @ M) if mode == "i" else (M, K)
-    extremes = raw_extremes(mass, stiffness, seed=seed)
+    if mode == "i":
+        extremes = _widened(raw_extremes(M @ M, K @ M, seed=seed), _product_error(K, M),
+                            _product_error(M, M))
+    else:
+        extremes = raw_extremes(M, K, seed=seed)
     return PencilAnalysis(
         M=sp.csr_array(M),
         K=sp.csr_array(K),

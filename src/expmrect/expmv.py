@@ -46,7 +46,8 @@ from .bounds import (
     bounding_rectangle,
     rectangle_from_extremes,
 )
-from .errors import DimensionMismatch, SingularMatrix, SingularShift, ToleranceUnreachable
+from .errors import (DimensionMismatch, RefitFailed, SingularMatrix, SingularShift,
+                     ToleranceUnreachable)
 from .linalg import lu_factor
 from .rational import (
     CertifiedApproximant,
@@ -79,6 +80,12 @@ __all__ = [
 CROUZEIX_CONSTANT = 1.0 + math.sqrt(2.0)
 KAPPA_POWER = 0.5  # the similarity transform's exact cost: kappa(M)**(1/2)
 AAA_SAMPLES_PER_SIDE = 125  # coarse grid for pole placement; refit gets the dense one
+# AAA's poles jump with the rectangle: moving an edge by 1e-4 of its length
+# can move the outer pole column of a tall rectangle by several units, and
+# the partial fraction form's amplitude (its rounding term) thirtyfold. A
+# refit that fails is retried on poles placed on the rectangle grown by each
+# of these fractions of its sides (``_rat_interp``).
+POLE_GROWTHS = (0.0, 1e-4, 3e-4)
 ORACLE_CUTOFF = 3000  # largest n expm_dense_oracle accepts
 
 
@@ -317,6 +324,37 @@ class ExpmvCertificate:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _grown(rect: BoundingRectangle, growth: float) -> BoundingRectangle:
+    """rect with its vertical sides moved outward by ``growth`` times its
+    width, and its horizontal sides by ``growth`` times its height."""
+    dmu, dnu = growth * (rect.mu_max - rect.mu_min), growth * 2.0 * rect.nu_max
+    return BoundingRectangle(rect.mu_min - dmu, rect.mu_max + dmu,
+                             rect.nu_min - dnu, rect.nu_max + dnu)
+
+
+def _rat_interp(rect: BoundingRectangle, target: float) -> CertifiedApproximant:
+    """The first partial fraction form certified below ``target`` on rect
+    whose poles AAA placed on rect grown by one of ``POLE_GROWTHS``.
+
+    Poles outside a grown rectangle lie outside rect, and every refit is
+    certified on rect itself, so a growth changes which form is found, not
+    what its certificate means. The first growth's failure is the one
+    raised: a ``DegreeExhausted`` there ends the search, and the later
+    growths only retry a ``RefitFailed``.
+    """
+    first = None
+    for growth in POLE_GROWTHS:
+        try:
+            poles = aaa_poles(boundary_samples(_grown(rect, growth), AAA_SAMPLES_PER_SIDE),
+                              target)
+            return refit_partial_fractions(poles, boundary_samples(rect), target)
+        except ToleranceUnreachable as exc:
+            if first is None and not isinstance(exc, RefitFailed):
+                raise
+            first = first or exc
+    raise first
+
+
 def expmv_controlled(req: ExpmvRequest) -> tuple[np.ndarray, ExpmvCertificate]:
     """Compute x ~= exp(tau inv(M) K) b with ||x - exact|| <= eps * ||b||.
 
@@ -340,8 +378,7 @@ def expmv_controlled(req: ExpmvRequest) -> tuple[np.ndarray, ExpmvCertificate]:
                 scaling=s,
             )
         else:
-            poles = aaa_poles(boundary_samples(rect, AAA_SAMPLES_PER_SIDE), target)
-            approximant = refit_partial_fractions(poles, boundary_samples(rect), target)
+            approximant = _rat_interp(rect, target)
     except ToleranceUnreachable as exc:
         exc.context.update({"rectangle": rect.as_dict(), "kappa_safe": analysis.kappa_safe,
                             "scalar_target": target, "method": req.method,

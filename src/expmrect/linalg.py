@@ -2,9 +2,10 @@
 
 Thin, contract-checked wrappers around the SuperLU factorizations the rest
 of the package builds on: LU factors with explicit singularity detection,
-the symmetric factor whose pivot signs prove a matrix definite, and the
-Euclidean norm. Matrices are scipy.sparse arrays (a dense array given to
-``lu_factor`` is converted to CSC first); vectors are 1-d numpy arrays.
+the symmetric factor whose pivot signs prove a matrix definite, a bound on
+that factor's rounding, and the Euclidean norm. Matrices are scipy.sparse
+arrays (a dense array given to ``lu_factor`` is converted to CSC first);
+vectors are 1-d numpy arrays.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ __all__ = [
     "PIVOT_RTOL",
     "LuFactor",
     "definite_factor",
+    "inertia_gap",
     "lu_factor",
     "norm2",
 ]
@@ -126,11 +128,12 @@ def definite_factor(B, sign: float) -> LuFactor | None:
     SuperLU runs in symmetric mode with ``diag_pivot_thresh=0``, so it keeps
     diagonal pivots, in the minimum degree order on B^T + B that
     ``lu_factor``'s symmetric mode takes. When the row and column
-    permutations agree, P B P^T = L U with U = diag(U) L^H and a real
-    diag(U), and by Sylvester's law of inertia B has as many positive and
-    negative eigenvalues as U has pivots of each sign. A complex B's pivots
-    are real only up to rounding, so their real parts decide. A diagonal
-    entry of the wrong sign rules B out without a factorization.
+    permutations agree, P B P^T = L U, and the Hermitian matrix
+    X = P^T L D L^H P with D = Re diag(U) has, by Sylvester's law of
+    inertia, as many positive and negative eigenvalues as U has pivots of
+    each sign. X is B only up to rounding; ``inertia_gap`` bounds how far
+    apart they are. A diagonal entry of the wrong sign rules B out without
+    a factorization.
     """
     if np.any(sign * B.diagonal().real <= 0.0):
         return None
@@ -144,6 +147,39 @@ def definite_factor(B, sign: float) -> LuFactor | None:
     if np.array_equal(fac.perm_r, fac.perm_c) and np.all(sign * fac.U.diagonal().real > 0.0):
         return LuFactor(shape=B.shape, dtype=B.dtype, _splu=fac)
     return None
+
+
+def inertia_gap(fac: LuFactor) -> float:
+    """An upper bound on ||B - X||_2 for the matrix B that ``definite_factor``
+    factored into ``fac`` and the Hermitian X whose inertia its pivots give.
+
+    SuperLU's computed factors satisfy P B P^T + E = L U with
+    |E| <= g |L| |U|, g = gamma_n = n u / (1 - n u) for any order of the
+    updates (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    Thm 9.3), so P B P^T - L D L^H = L N - E with N = U - D L^H. N is formed
+    here, rounding each entry by at most g (|U| + |D| |L^H|), so
+    |B - X| <= |L| (|N| + 2 g (|U| + |D| |L^H|)) after the permutation, and
+    the 2-norm is at most that matrix's largest row or column sum. The sums
+    take at most 2n additions of nonnegative terms, covered by the factor
+    1 / (1 - 3 g). Complex arithmetic rounds a product by at most
+    sqrt(2) gamma_2 (Higham, Lemma 3.5), so a complex factor takes 6 u for
+    the unit roundoff u.
+    """
+    n = fac.shape[0]
+    L, U = fac._splu.L.tocsc(), fac._splu.U.tocsc()
+    u = (6.0 if fac.dtype.kind == "c" else 1.0) * 2.0**-53
+    g = n * u / (1.0 - n * u)
+    d = U.diagonal().real
+    # D L^H in CSR shares L's CSC index arrays, row j scaled by d_j
+    N = U - sp.csr_array((np.conj(L.data) * np.repeat(d, np.diff(L.indptr)), L.indices,
+                          L.indptr), shape=(n, n))
+    aL, aU, aN = (type(A)((np.abs(A.data), A.indices, A.indptr), shape=(n, n))
+                  for A in (L, U, N))
+    ones = np.ones(n)
+    w = aL.T @ ones
+    rows = aL @ (aN @ ones + 2.0 * g * (aU @ ones + np.abs(d) * w))
+    cols = aN.T @ w + 2.0 * g * (aU.T @ w + aL @ (np.abs(d) * w))
+    return float(max(rows.max(), cols.max())) / (1.0 - 3.0 * g)
 
 
 def norm2(x: np.ndarray) -> float:

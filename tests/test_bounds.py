@@ -30,6 +30,7 @@ from expmrect.bounds import (
     split,
 )
 from expmrect.errors import DimensionMismatch, NoConvergence, NotSPD, NotSymmetric
+from expmrect.linalg import inertia_gap
 
 from conftest import random_nonsym_sparse, random_spd_sparse
 
@@ -220,6 +221,24 @@ def test_inward_estimate_is_widened_not_accepted(square_sys_8, monkeypatch):
     assert [f is not None for f in factors[3:6]] == [False, False, True]
 
 
+def test_maximum_estimate_takes_one_shift_factor(monkeypatch):
+    # Neumann advection-diffusion on square/8: D has positive eigenvalues,
+    # so the pivots refuse the tiny shift above 0 and regular mode finds the
+    # maximum; the shift only steers the estimate, so one factor is tried
+    M, K = fem.assemble_p1_full(fem.mesh_square(8), d=0.1, c=(1.0, 1.0))
+    D = split(K).D
+    regular = {"M": M, "Minv": bounds._operator(M.shape[0], bounds._mass_solve(M))}
+    factors, factor = [], bounds.definite_factor
+    monkeypatch.setattr(bounds, "definite_factor",
+                        lambda A, sign: factors.append(factor(A, sign)) or factors[-1])
+    lo, hi = bounds._sym_estimates(D, M, regular, 0)
+    assert factors == [None]
+    want = _dense_pencil_extremes(D, M)
+    assert want[1] > 0.0
+    assert hi == pytest.approx(want[1], rel=10 * bounds.BRACKET_TOL)
+    assert lo == pytest.approx(want[0], rel=10 * bounds.BRACKET_TOL)
+
+
 def test_unprovable_estimate_raises_no_convergence(square_sys_8, monkeypatch):
     # an estimate 50% inside the minimum puts every shift of the ladder, even
     # the widest (6.4%), inside the spectrum: no edge is proved
@@ -249,8 +268,8 @@ def test_every_minimum_agrees_with_dense_eigh(domain, mode, monkeypatch):
     proofs, ritz_calls = [], []
     proved_lower, ritz_pair = bounds._proved_lower, bounds._ritz_pair
 
-    def recording_proof(what, B, mass, theta, scale, floor):
-        proofs.append((B, mass, proved_lower(what, B, mass, theta, scale, floor)))
+    def recording_proof(what, B, mass, theta, scale, floor, err):
+        proofs.append((B, mass, proved_lower(what, B, mass, theta, scale, floor, err)))
         return proofs[-1][2]
 
     def recording_ritz_pair(what, A, tol, seed, **kwargs):
@@ -461,8 +480,22 @@ def test_plain_range_rectangle_matches_dense_range_of_a(domain, size, d, tau_fac
     for g, want, side in zip(got, _dense_plain_range_edges(p), (-1.0, 1.0, 1.0)):
         _assert_edge(g, want, side)
     assert (got[1] > 0.0) == (d == 1e-3)
-    assert ext == raw_extremes(p.M @ p.M, p.K @ p.M)
+    # the edges of the computed products, widened by their rounding
+    assert ext == bounds._widened(raw_extremes(p.M @ p.M, p.K @ p.M),
+                                  bounds._product_error(p.K, p.M),
+                                  bounds._product_error(p.M, p.M))
     assert analysis.kappa_safe == 1.0
+
+
+def test_product_error_bounds_the_rounding_of_mode_i_products(square_sys_8):
+    # mode "i" widens its edges by these bounds; check them against the
+    # products formed in extended precision
+    K, M = square_sys_8.K, square_sys_8.M
+    for A, B in ((K, M), (M, M)):
+        exact = A.toarray().astype(np.longdouble) @ B.toarray().astype(np.longdouble)
+        rounding = np.linalg.norm(((A @ B).toarray() - exact).astype(float), 2)
+        assert 0.0 < rounding <= bounds._product_error(A, B) <= 1e-14 * np.linalg.norm(
+            (A @ B).toarray(), 2)
 
 
 # --------------------------------------------------------------------------
@@ -496,8 +529,8 @@ def test_cond_estimate_matches_dense_eigvalsh():
 
 def test_cond_estimate_iterative_margin(square_sys_8, monkeypatch):
     # kappa_safe is the row sum over the proved shift less the stated
-    # rounding margin 2 gamma_{n+1} trace(M - sigma I) + 3 u rho, rho the
-    # largest row sum of |M| + sigma I, rounded down by one ulp
+    # rounding margin (gap + 3 u rho)(1 + 4 u), gap the factor's inertia gap
+    # and rho the largest row sum of |M| + sigma I, rounded down by one ulp
     M, shifts = square_sys_8.M, []
     proved_shift = bounds._proved_shift
 
@@ -508,10 +541,9 @@ def test_cond_estimate_iterative_margin(square_sys_8, monkeypatch):
     monkeypatch.setattr(bounds, "_proved_shift", recording)
     est = cond_estimate(M)
     ((sigma, fac),) = shifts
-    n, u = M.shape[0], np.finfo(float).eps / 2.0
-    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+    u = np.finfo(float).eps / 2.0
     rho = np.max(abs(M).sum(axis=1) + sigma)
-    margin = 2.0 * gamma * np.sum(M.diagonal() - sigma) + 3.0 * u * rho
+    margin = (inertia_gap(fac) + 3.0 * u * rho) * (1.0 + 4.0 * u)
     assert fac is not None and 0.0 < margin < 1e-12 * sigma
     assert sigma < np.linalg.eigvalsh(M.toarray())[0]
     assert est.floor == np.nextafter(sigma - margin, -np.inf)

@@ -18,8 +18,14 @@ import scipy.sparse.linalg as spla
 
 from expmrect import expmv, fem
 from expmrect.aaa import aaa_poles, refit_partial_fractions
-from expmrect.bounds import Pencil, analyze_pencil, bounding_rectangle
-from expmrect.errors import DimensionMismatch, ScalingExhausted, SingularShift
+from expmrect.bounds import BoundingRectangle, Pencil, analyze_pencil, bounding_rectangle
+from expmrect.errors import (
+    DegreeExhausted,
+    DimensionMismatch,
+    RefitFailed,
+    ScalingExhausted,
+    SingularShift,
+)
 from expmrect.expmv import (
     ExpmvRequest,
     apply_partial_fraction,
@@ -369,6 +375,63 @@ def test_rat_interp_certifies_a_pencil_with_symmetric_k(tau_factor, eps):
     exact = expm_dense_oracle(_dense_A(p)) @ s.b0
     err = np.linalg.norm(x - exact) / np.linalg.norm(s.b0)
     assert err <= cert.operator_bound <= eps
+
+
+def _rat_interp_calls(monkeypatch, failures):
+    """Record the rectangles ``_rat_interp`` places poles on and certifies
+    on; the refit raises the given failures first, then runs."""
+    placed, certified, failures = [], [], list(failures)
+
+    def poles(boundary, target):
+        placed.append(boundary.rectangle)
+        return aaa_poles(boundary, target)
+
+    def refit(poles, boundary, target):
+        certified.append(boundary.rectangle)
+        if failures:
+            raise failures.pop(0)
+        return refit_partial_fractions(poles, boundary, target)
+
+    monkeypatch.setattr(expmv, "aaa_poles", poles)
+    monkeypatch.setattr(expmv, "refit_partial_fractions", refit)
+    return placed, certified
+
+
+def test_rat_interp_retries_a_failed_refit_on_a_grown_rectangle(monkeypatch):
+    rect = BoundingRectangle(-4.0, -0.5, -3.0, 3.0)
+    placed, certified = _rat_interp_calls(monkeypatch, [RefitFailed("first")])
+    approximant = expmv._rat_interp(rect, 1e-6)
+    assert approximant.sup_error_estimate <= 1e-6
+    assert certified == [rect, rect]
+    grown = expmv._grown(rect, expmv.POLE_GROWTHS[1])
+    assert placed == [rect, grown]
+    # the grown rectangle's sides moved outward by 1e-4 of width and height
+    assert grown.mu_min < rect.mu_min and grown.mu_max > rect.mu_max
+    assert grown.nu_max == pytest.approx(3.0 + 6e-4, rel=1e-12)
+    assert grown.mu_max == pytest.approx(-0.5 + 3.5e-4, rel=1e-12)
+
+
+def test_rat_interp_raises_the_first_failure(monkeypatch):
+    rect = BoundingRectangle(-4.0, -0.5, -3.0, 3.0)
+    failures = [RefitFailed(f"growth {g}") for g in expmv.POLE_GROWTHS]
+    placed, _ = _rat_interp_calls(monkeypatch, failures)
+    with pytest.raises(RefitFailed, match="growth 0.0"):
+        expmv._rat_interp(rect, 1e-6)
+    assert len(placed) == len(expmv.POLE_GROWTHS)
+
+
+def test_rat_interp_does_not_retry_a_degree_exhausted_fit(monkeypatch):
+    rect = BoundingRectangle(-4.0, -0.5, -3.0, 3.0)
+    placed = []
+
+    def exhausted(boundary, target):
+        placed.append(boundary.rectangle)
+        raise DegreeExhausted("cap")
+
+    monkeypatch.setattr(expmv, "aaa_poles", exhausted)
+    with pytest.raises(DegreeExhausted):
+        expmv._rat_interp(rect, 1e-6)
+    assert placed == [rect]
 
 
 def test_driver_certificate_json(square_pencil_8):

@@ -6,12 +6,13 @@ Each module except ``__init__.py`` (which only re-exports) is parsed with
 ``__all__`` entry must be defined at module level, and every private
 module-level name must be referenced somewhere in the package outside its
 own definition. ``__init__.__all__`` lists exactly the names it imports,
-only ``linalg.py`` calls SuperLU, only ``definite_factor`` and
-``LuFactor.lower``/``upper`` read a factor's triangles, only ``bounds.py``
-calls the eigensolver (and only through ``_ritz_pair``) or decides an
-enclosure, ``bounds.py`` reaches ``definite_factor`` only through its proof
-routine and its mass solve, and only ``bounds.py`` compares ``nu_min`` with
-``-nu_max``.
+only ``linalg.py`` calls SuperLU, only ``definite_factor``,
+``inertia_gap`` and ``LuFactor.lower``/``upper`` read a factor's
+triangles, only ``bounds.py`` calls the eigensolver (and only through
+``_ritz_pair``) or decides an enclosure, ``bounds.py`` reaches
+``definite_factor`` only through its proof routine, its mass solve and
+the shift of its maximum's estimate, and only ``bounds.py`` compares
+``nu_min`` with ``-nu_max``.
 Importing the CLI leaves ``scipy.io`` unloaded. The settings a caller can
 give a run are pinned, so that a new one changes a test on purpose.
 """
@@ -148,9 +149,10 @@ def test_only_linalg_calls_superlu(path):
 
 def test_only_the_inertia_proof_reads_a_factors_triangles():
     # reading SuperLU's L or U makes SciPy build CSC copies of both, as large
-    # as the factor: definite_factor needs every pivot's sign, and
-    # LuFactor.lower/upper serve tests and the benchmark's fill count
-    allowed = {"definite_factor", "lower", "upper"}
+    # as the factor: definite_factor needs every pivot's sign, inertia_gap
+    # both triangles, and LuFactor.lower/upper serve tests and the
+    # benchmark's fill count
+    allowed = {"definite_factor", "inertia_gap", "lower", "upper"}
     found = []
     for path in MODULES:
         tree = ast.parse(path.read_text())
@@ -199,12 +201,13 @@ def test_bounds_reaches_eigsh_only_through_ritz_pair():
 
 
 def test_bounds_reaches_definite_factor_only_through_the_proof_routine():
-    # every edge and M's floor come from _proved_shift's ladder, and the
-    # solve with M from _mass_solve; a third caller would be a second path
-    # to a definiteness claim
+    # every edge and M's floor come from _proved_shift's ladder, the solve
+    # with M from _mass_solve, and _sym_estimates' one factor only steers
+    # an estimate; a fourth caller would be a second path to a definiteness
+    # claim
     tree = ast.parse((PACKAGE / "bounds.py").read_text())
     allowed = [n for n in tree.body if isinstance(n, ast.FunctionDef)
-               and n.name in {"_proved_shift", "_mass_solve"}]
+               and n.name in {"_proved_shift", "_mass_solve", "_sym_estimates"}]
     inside = {id(n) for f in allowed for n in ast.walk(f)}
     outside = [n.lineno for n in ast.walk(tree)
                if isinstance(n, ast.Name) and n.id == "definite_factor" and id(n) not in inside]

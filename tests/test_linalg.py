@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from expmrect import mmio
 from expmrect.bounds import split
 from expmrect.errors import DimensionMismatch, SingularMatrix
-from expmrect.linalg import definite_factor, lu_factor, norm2
+from expmrect.linalg import definite_factor, inertia_gap, lu_factor, norm2
 
 
 def test_dense_lu_solve():
@@ -210,6 +210,35 @@ def test_definite_factor_refuses_singular():
                                     offsets=[-1, 0, 1]))
     assert np.linalg.matrix_rank(B.toarray()) == 4
     assert definite_factor(B, 1.0) is None
+
+
+def _pivot_form(fac):
+    """The Hermitian X = P^T L D L^H P, D = Re diag(U), of a definite
+    factor, whose inertia its pivots give, densely."""
+    L, d = fac.lower.toarray(), fac.upper.diagonal().real
+    p = fac._splu.perm_r
+    return ((L * d) @ L.conj().T)[np.ix_(p, p)]
+
+
+@pytest.mark.parametrize("shifted", ["mass", "skew"])
+def test_inertia_gap_bounds_the_distance_to_the_pivot_form(square_sys_8, shifted):
+    # square/8: M itself, and sigma M + i S, whose complex pivots are real
+    # only up to rounding; the gap covers B - X and stays near rounding
+    s = square_sys_8
+    S = split(s.K).S
+    if shifted == "mass":
+        B = s.M
+    else:
+        C = np.linalg.cholesky(s.M.toarray())
+        sigma = 1.01 * np.linalg.norm(np.linalg.solve(C, np.linalg.solve(C, S.toarray()).T), 2)
+        B = sp.csr_array(sigma * s.M + 1j * S)
+    fac = definite_factor(B, 1.0)
+    assert fac is not None
+    gap, dense = inertia_gap(fac), B.toarray()
+    assert np.linalg.norm(dense - _pivot_form(fac), 2) <= gap
+    assert gap <= 1e-12 * np.linalg.norm(dense, 2)
+    if shifted == "skew":
+        assert gap >= np.max(np.abs(fac.upper.diagonal().imag))
 
 
 def test_norm2_plain_euclidean():
