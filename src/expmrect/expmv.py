@@ -156,7 +156,8 @@ def _shift_factor(pattern: _ShiftPattern, beta: complex, tau: float):
         raise SingularShift(f"shift {beta} makes the pencil singular") from exc
 
 
-def _apply(form: PartialFractionRational, scaling: int, p: Pencil, b: np.ndarray) -> np.ndarray:
+def apply_partial_fraction(r: PartialFractionRational, p: Pencil, b: np.ndarray,
+                           scaling: int = 1) -> np.ndarray:
     """Apply r(tau inv(M) K / s)**s to b, s = ``scaling``, as s passes of
     x <- gamma*x + sum_k w_k (beta_k M - (tau/s) K)^{-1} M x.
 
@@ -176,7 +177,7 @@ def _apply(form: PartialFractionRational, scaling: int, p: Pencil, b: np.ndarray
     kept: dict = {}
 
     def solves(i, rhs, last):
-        fac = kept.pop(i) if i in kept else _shift_factor(pattern, complex(form.poles[i]), tau_step)
+        fac = kept.pop(i) if i in kept else _shift_factor(pattern, complex(r.poles[i]), tau_step)
         if not last:
             kept[i] = fac
         return [fac.solve(v) for v in rhs]
@@ -186,35 +187,19 @@ def _apply(form: PartialFractionRational, scaling: int, p: Pencil, b: np.ndarray
         last = k == scaling - 1
         parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
         Mx = [p.M @ part for part in parts]
-        xs = [form.gamma * part.astype(float) for part in parts]
-        for i in form.real_poles:
-            xs = [y + form.weights[i].real * z.real for y, z in zip(xs, solves(i, Mx, last))]
-        for i, _ in form.pairs:
-            xs = [y + 2.0 * (form.weights[i] * z).real for y, z in zip(xs, solves(i, Mx, last))]
+        xs = [r.gamma * part.astype(float) for part in parts]
+        for i in r.real_poles:
+            xs = [y + r.weights[i].real * z.real for y, z in zip(xs, solves(i, Mx, last))]
+        for i, _ in r.pairs:
+            xs = [y + 2.0 * (r.weights[i] * z).real for y, z in zip(xs, solves(i, Mx, last))]
         x = xs[0] + 1j * xs[1] if len(xs) == 2 else xs[0]
     return x
 
 
-def apply_partial_fraction(r: PartialFractionRational, p: Pencil, b: np.ndarray) -> np.ndarray:
-    """Apply r(tau inv(M) K) to b via shifted sparse solves.
-
-    Each real pole and each conjugate pair costs one factorization of
-    (beta_k M - tau K) and one solve with M b (two for a complex b, one per
-    part). Each factor is released as soon as its solves return, so peak
-    memory does not grow with the degree.
-    """
-    return _apply(r, 1, p, b)
-
-
 def apply_scaled_pade(pade: PadeRational, p: Pencil, b: np.ndarray) -> np.ndarray:
-    """Apply (r45(tau inv(M) K / s))**s to b, one partial fraction pass per
-    power.
-
-    The shifts are the same in every pass, so the three factors of r45 (one
-    real pole and two conjugate pairs) are taken once, in the first pass,
-    and kept until their solves in the last.
-    """
-    return _apply(PADE45_CORE, pade.scaling, p, b)
+    """Apply (r45(tau inv(M) K / s))**s to b: ``PADE45_CORE`` in s passes,
+    its three factors (one real pole and two conjugate pairs) taken once."""
+    return apply_partial_fraction(PADE45_CORE, p, b, pade.scaling)
 
 
 # --------------------------------------------------------------------------
@@ -384,11 +369,7 @@ def expmv_controlled(req: ExpmvRequest) -> tuple[np.ndarray, ExpmvCertificate]:
                             "scalar_target": target, "method": req.method,
                             "mode": analysis.mode, "eps": req.eps})
         raise
-    b = np.asarray(req.b)
-    if approximant.method == "sub-pade":
-        x = apply_scaled_pade(pade45(scaling=approximant.scaling), p, b)
-    else:
-        x = apply_partial_fraction(approximant.form, p, b)
+    x = apply_partial_fraction(approximant.form, p, np.asarray(req.b), approximant.scaling)
     return x, ExpmvCertificate(rect, analysis.kappa_safe, approximant, analysis.mode, req.eps)
 
 

@@ -8,7 +8,9 @@ fraction representation
 
     r(z) = gamma + sum_k weights[k] / (poles[k] - z),
 
-which is the form the matrix driver can apply through shifted linear solves.
+which is the form the matrix driver can apply through shifted linear solves,
+and the form evaluated and certified here; the Pade approximant is its core
+at z/s raised to the power s.
 
 Accuracy claims are certified by sampling |r(z) - exp(z)| on the boundary of
 the rectangle: the error function is analytic inside whenever no pole lies in
@@ -17,11 +19,12 @@ interior sup. Sampling is Chebyshev-clustered toward the corners and the
 observed maximum is inflated by a safety factor to account for the finite
 sample density. A partial fraction form whose terms far exceed its value
 is evaluated with rounding noise of the size of its error, so its
-certificate also adds a rounding term.
+certificate also adds a rounding term, carried through the power.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -63,22 +66,24 @@ UNIT_ROUNDOFF = 2.0**-53
 
 # Closed form for the (4,5) Pade approximant of exp: numerator degree 4,
 # denominator degree 5, coefficients in ascending order, p(0) = q(0) = 1.
-PADE45_NUM = np.array([
-    factorial(9 - j) * factorial(4) / (factorial(9) * factorial(j) * factorial(4 - j))
-    for j in range(5)
-])
-PADE45_DEN = np.array([
-    (-1) ** j * factorial(9 - j) * factorial(5) / (factorial(9) * factorial(j) * factorial(5 - j))
-    for j in range(6)
-])
+# Exact, and rounded once; they serve only to build ``PADE45_CORE``.
+_PADE45_P = [Fraction(factorial(9 - j) * factorial(4),
+                      factorial(9) * factorial(j) * factorial(4 - j))
+             for j in range(5)]
+_PADE45_Q = [Fraction((-1) ** j * factorial(9 - j) * factorial(5),
+                      factorial(9) * factorial(j) * factorial(5 - j))
+             for j in range(6)]
+PADE45_NUM = np.array([float(c) for c in _PADE45_P])
+PADE45_DEN = np.array([float(c) for c in _PADE45_Q])
 
 
 @dataclass(frozen=True)
 class PadeRational:
     """The (4,5) Pade approximant of exp, optionally scaled-and-powered.
 
-    Represents r(z) = (p(z/s)/q(z/s))**s with ``scaling`` = s >= 1, where p
-    and q have the coefficients ``PADE45_NUM`` and ``PADE45_DEN``.
+    Represents r(z) = (PADE45_CORE(z/s))**s with ``scaling`` = s >= 1: the
+    partial fractions of p/q, p and q with the coefficients ``PADE45_NUM``
+    and ``PADE45_DEN``, the form that ``expmv.apply_scaled_pade`` applies.
     """
 
     scaling: int = 1
@@ -170,15 +175,27 @@ def classify_conjugate_poles(poles: np.ndarray):
 
 def _pade45_core() -> PartialFractionRational:
     # The denominator roots are simple: one real and two conjugate pairs, all
-    # with positive real part.
+    # with positive real part. np.roots leaves them 5e-14 and the weights
+    # -p/q' 5e-12 off (the form 5e-13 off p/q), so the real and upper roots
+    # take Newton steps, and the weights are formed, in extended precision
+    # from the exact coefficients; the lower roots are their conjugates.
+    p, q = (np.array([np.longdouble(c.numerator) / c.denominator for c in cs])
+            for cs in (_PADE45_P, _PADE45_Q))
+    dq = npoly.polyder(q)
     roots = np.roots(PADE45_DEN[::-1])
-    weights = -npoly.polyval(roots, PADE45_NUM) / npoly.polyval(roots, npoly.polyder(PADE45_DEN))
+    upper = roots[roots.imag >= 0.0].astype(np.clongdouble)
+    for _ in range(3):
+        upper = upper - npoly.polyval(upper, q) / npoly.polyval(upper, dq)
+    weights = -npoly.polyval(upper, p) / npoly.polyval(upper, dq)
+    pair = upper.imag != 0.0
+    roots = np.concatenate([upper, np.conj(upper[pair])]).astype(complex)
+    weights = np.concatenate([weights, np.conj(weights[pair])]).astype(complex)
     order = np.lexsort((roots.imag, roots.real))
     return PartialFractionRational(gamma=0.0, poles=roots[order], weights=weights[order])
 
 
-# Partial fraction form of the unscaled (4,5) core p/q; any outer scaling and
-# powering is the caller's.
+# Partial fraction form of the unscaled (4,5) core p/q; ``PadeRational``
+# scales and powers it.
 PADE45_CORE = _pade45_core()
 
 
@@ -199,7 +216,7 @@ class RegionBoundary:
 def _lobatto(a: float, b: float, n: int) -> np.ndarray:
     # Chebyshev-Lobatto points on [a, b], endpoints included, clustered at
     # both ends. Returned in increasing order.
-    if n <= 1 or a == b:
+    if a == b:
         return np.array([0.5 * (a + b)])
     theta = np.pi * np.arange(n) / (n - 1)
     return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)[::-1]
@@ -212,8 +229,10 @@ def boundary_samples(rect, n_per_side: int = DEFAULT_SAMPLES_PER_SIDE) -> Region
     is exactly closed under conjugation, like the rectangle. Degenerate
     rectangles are handled: a horizontal or vertical segment is sampled
     along its length, a point yields a single sample. Corners appear
-    exactly once.
+    exactly once. ``n_per_side`` below 2 would miss them: ValueError.
     """
+    if n_per_side < 2:
+        raise ValueError(f"n_per_side must be at least 2, got {n_per_side}")
     mu0, mu1 = rect.mu_min, rect.mu_max
     nu0, nu1 = rect.nu_min, rect.nu_max
 
@@ -240,11 +259,12 @@ def boundary_samples(rect, n_per_side: int = DEFAULT_SAMPLES_PER_SIDE) -> Region
 # evaluation and certification
 # --------------------------------------------------------------------------
 
-def _effective_poles(r) -> np.ndarray:
+def _core(r) -> tuple[PartialFractionRational, int]:
+    """The partial fraction form that r raises at z/s to the power s, and s."""
     if isinstance(r, PadeRational):
-        return r.scaling * PADE45_CORE.poles
+        return PADE45_CORE, r.scaling
     if isinstance(r, PartialFractionRational):
-        return r.poles
+        return r, 1
     raise TypeError(f"not a rational form: {type(r)!r}")
 
 
@@ -259,24 +279,14 @@ def _pf_terms(pf: PartialFractionRational, z: np.ndarray) -> np.ndarray:
 def eval_rational(r, z):
     """Evaluate a rational form at scalar or array argument z.
 
-    ``PadeRational`` with scaling s is evaluated as (p(z/s)/q(z/s))**s via
-    the stable polynomial ratio; ``PartialFractionRational`` by direct pole
-    summation.
+    A ``PartialFractionRational`` is summed pole by pole; a ``PadeRational``
+    with scaling s is its core ``PADE45_CORE``, summed the same way at z/s
+    and raised to the power s.
     """
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    if isinstance(r, PadeRational):
-        w = zz / r.scaling
-        den = npoly.polyval(w, PADE45_DEN)
-        if np.any(np.abs(den) == 0.0):
-            raise PoleEvaluation("evaluation point coincides with a pole")
-        vals = (npoly.polyval(w, PADE45_NUM) / den) ** r.scaling
-    elif isinstance(r, PartialFractionRational) and not r.poles.size:
-        vals = np.full(zz.shape, r.gamma, dtype=complex)
-    elif isinstance(r, PartialFractionRational):
-        vals = r.gamma + _pf_terms(r, zz).sum(axis=-1)
-    else:
-        raise TypeError(f"not a rational form: {type(r)!r}")
+    form, s = _core(r)
+    vals = (form.gamma + _pf_terms(form, zz / s).sum(axis=-1)) ** s
     return vals[0] if scalar else vals
 
 
@@ -291,30 +301,32 @@ def sup_error_on_rectangle(
     maximum principle applies and boundary sampling is sound; otherwise
     ``PoleInsideRegion`` is raised. The sampled maximum is multiplied by
     ``SAMPLING_SAFETY`` to cover the gaps between samples, and the rounding
-    bound of ``_sup_on_samples`` is added that many times for the sampled
-    values plus once for any evaluation between them.
+    bound of ``_sup_on_samples`` is added at the sampled values and once
+    more for any evaluation between them.
     """
-    if np.any(rect.contains(_effective_poles(r))):
+    form, s = _core(r)
+    if np.any(rect.contains(s * form.poles)):
         raise PoleInsideRegion("a pole lies inside or on the rectangle")
     boundary = boundary_samples(rect, n_per_side)
     return _sup_on_samples(r, boundary.samples)
 
 
 def _sup_on_samples(r, samples: np.ndarray) -> float:
-    """SAMPLING_SAFETY max |r - exp| over the samples, plus (1 +
-    SAMPLING_SAFETY) u max (|gamma| + sum_k |w_k / (p_k - z)|), the rounding
-    error of a partial fraction form, whose terms can exceed its value
-    (about |exp(z)|) by 10**9. The Pade ratio form sums no such terms."""
-    rounding = 0.0
+    """SAMPLING_SAFETY max |r - exp| over the samples plus the largest
+    rounding bound there.
+
+    r is its core v = gamma + sum_k w_k / (p_k - z/s) raised to the power s.
+    The terms can exceed v (about |exp(z/s)|) by 10**9, so v is off by up to
+    delta = (1 + SAMPLING_SAFETY) u (|gamma| + sum_k |w_k / (p_k - z/s)|),
+    and v**s by up to s (|v| + delta)**(s - 1) delta."""
+    form, s = _core(r)
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(r, PartialFractionRational) and r.poles.size:
-            terms = _pf_terms(r, samples)
-            vals = r.gamma + terms.sum(axis=-1)
-            rounding = UNIT_ROUNDOFF * float(np.max(abs(r.gamma) + np.abs(terms).sum(axis=-1)))
-        else:
-            vals = eval_rational(r, samples)
-        err = np.abs(vals - np.exp(samples))
-    return SAMPLING_SAFETY * float(np.max(err)) + (1.0 + SAMPLING_SAFETY) * rounding
+        terms = _pf_terms(form, samples / s)
+        v = form.gamma + terms.sum(axis=-1)
+        sampled = SAMPLING_SAFETY * float(np.max(np.abs(v**s - np.exp(samples))))
+        amp = abs(form.gamma) + np.abs(terms).sum(axis=-1)
+        delta = (1.0 + SAMPLING_SAFETY) * (UNIT_ROUNDOFF * amp)
+        return sampled + float(np.max(s * (np.abs(v) + delta) ** (s - 1) * delta))
 
 
 def select_scaling(
@@ -333,12 +345,14 @@ def select_scaling(
     """
     if target <= 0.0:
         raise ValueError("target must be positive")
-    boundary = boundary_samples(rect, n_per_side)
+    samples = boundary_samples(rect, n_per_side).samples
     for s in range(1, int(s_max) + 1):
-        cand = pade45(scaling=s)
-        if np.any(rect.contains(_effective_poles(cand))):
+        if np.any(rect.contains(s * PADE45_CORE.poles)):
             continue
-        if _sup_on_samples(cand, boundary.samples) <= target:
+        cand = pade45(scaling=s)
+        # a subset's bound is at most the full one, so it may reject s first
+        if (_sup_on_samples(cand, samples[::10]) <= target
+                and _sup_on_samples(cand, samples) <= target):
             return s
     raise ScalingExhausted(
         f"no scaling up to {s_max} meets target {target:.3e} on {rect}",

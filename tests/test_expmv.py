@@ -13,6 +13,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -361,6 +362,54 @@ def test_driver_meets_eps(square_pencil_8, method, mode):
         # method should settle on a compact denominator.  A blowup here means
         # pole selection or certification regressed.
         assert cert.degree <= 18
+
+
+@pytest.fixture(scope="module")
+def square_sys_16():
+    mesh = fem.mesh_square(16)
+    return mesh, fem.assemble_p1(mesh, d=0.1)
+
+
+@pytest.mark.parametrize("case", ["tau=1e-8h", "tau=1e-6h", "tau=1e-4h", "K=0"])
+def test_certificate_covers_the_applied_form_near_the_identity(square_sys_16, case):
+    # The rectangle shrinks toward 0, where the certified r45 and the applied
+    # one must agree to working precision: with np.roots' partial fractions
+    # every sub-pade cell here measured 4.9e-13 against a bound of 5.9e-16 to
+    # 2.3e-15. Both methods and both modes, against dense expm.
+    mesh, S = square_sys_16
+    if case == "K=0":
+        tau, K = mesh.h_bar, sp.csr_array(S.K.shape)
+    else:
+        tau, K = float(case[4:-1]) * mesh.h_bar, S.K
+    p = Pencil(tau, S.M, K)
+    exact = scipy.linalg.expm(_dense_A(p)) @ S.b0
+    for mode in ("ii", "i"):
+        analysis = analyze_pencil(S.M, K, mode=mode)
+        for method in ("sub-pade", "rat-interp"):
+            x, cert = expmv_controlled(ExpmvRequest(pencil=p, b=S.b0, eps=1e-6, method=method,
+                                                    analysis=analysis))
+            err = np.linalg.norm(x - exact) / np.linalg.norm(S.b0)
+            assert err <= cert.operator_bound, (mode, method, err, cert.operator_bound)
+
+
+@pytest.mark.parametrize("method", ["sub-pade", "rat-interp"])
+def test_driver_applies_the_certified_core_and_scaling(square_pencil_8, monkeypatch, method):
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return apply_orig(*args)
+
+    apply_orig = expmv.apply_partial_fraction
+    monkeypatch.setattr(expmv, "apply_partial_fraction", recording)
+    p = square_pencil_8
+    b = np.ones(p.n)
+    _, cert = expmv_controlled(ExpmvRequest(pencil=p, b=b, eps=1e-8, method=method))
+    [(form, pencil, vector, scaling)] = calls
+    assert form is cert.approximant.form and scaling == cert.approximant.scaling
+    assert pencil is p and np.array_equal(vector, b)
+    if method == "sub-pade":
+        assert form is PADE45_CORE and scaling > 1
 
 
 @pytest.mark.parametrize("tau_factor", [1, 10])

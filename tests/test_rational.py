@@ -69,10 +69,13 @@ def test_pade45_gap_at_one():
 
 
 def test_pade45_taylor_match_order():
-    # p/q agrees with exp through order 9, so the gap at z shrinks like
-    # |z|^10 near the origin.
-    r = pade45()
-    gap = lambda z: abs(eval_rational(r, np.array([z]))[0] - np.exp(z))
+    # the coefficients' ratio p/q agrees with exp through order 9, so the gap
+    # at z shrinks like |z|^10 near the origin
+    def gap(z):
+        ratio = np.polynomial.polynomial.polyval(z, PADE45_NUM) / np.polynomial.polynomial.polyval(
+            z, PADE45_DEN)
+        return abs(ratio - np.exp(z))
+
     assert gap(0.1) <= 4e-16  # truncation ~6e-19 is invisible under roundoff
     ratio = gap(0.5) / gap(1.0)
     assert ratio < 2.0 ** (-9)
@@ -92,13 +95,34 @@ def test_pade_scaling_validation():
 # partial fraction form
 # --------------------------------------------------------------------------
 
+def _exact_ratio(z):
+    # p(z)/q(z) from the exact coefficients, in extended precision
+    p, q = exact_pade45_coefficients()
+    num, den = (np.polynomial.polynomial.polyval(
+        np.asarray(z, dtype=np.clongdouble),
+        np.array([np.longdouble(c.numerator) / c.denominator for c in cs])) for cs in (p, q))
+    return (num / den).astype(complex)
+
+
 def test_partial_fraction_matches_ratio_form():
-    r = pade45()
-    pf = PADE45_CORE
     pts = np.array([0.0, 1.0, -1.0, 1j, -10.0], dtype=complex)
-    ratio = eval_rational(r, pts)
-    parts = eval_rational(pf, pts)
-    assert np.max(np.abs(ratio - parts)) <= 1e-12
+    assert np.max(np.abs(eval_rational(PADE45_CORE, pts) - _exact_ratio(pts))) <= 1e-12
+
+
+def test_pade45_core_is_the_ratio_to_working_precision():
+    # np.roots alone left the form 5.2e-13 from p/q on the unit disk; the
+    # polished poles and weights leave the rounding of the sum, about 2e-14
+    pts = np.concatenate([r * np.exp(2j * np.pi * np.arange(64) / 64) for r in (0.0, 0.5, 1.0)])
+    assert np.max(np.abs(eval_rational(PADE45_CORE, pts) - _exact_ratio(pts))) <= 5e-14
+
+
+def test_scaled_pade_is_the_powered_core():
+    # the certified form is the applied one: PADE45_CORE at z/s, to the power s
+    zs = boundary_samples(UNIT_RECT, 20).samples
+    core = PADE45_CORE.gamma + (PADE45_CORE.weights / (PADE45_CORE.poles - zs[:, None] / 3)).sum(
+        axis=1)
+    assert np.array_equal(eval_rational(pade45(3), zs), core**3)
+    assert np.array_equal(eval_rational(pade45(1), zs), eval_rational(PADE45_CORE, zs))
 
 
 def test_pade_poles_are_conjugate_closed_right_half_plane():
@@ -189,6 +213,20 @@ def test_sup_error_zero_for_exact_function():
     assert sup4 < sup1 * 1e-3
 
 
+def test_fewer_than_two_samples_per_side_are_refused():
+    # one sample per side gave mid-bottom and mid-top only, no corner, and a
+    # "certified" sup of 1.73e-7 from those two points
+    rect = BoundingRectangle(mu_min=-2.0, mu_max=-1.0, nu_min=-1.0, nu_max=1.0)
+    for n in (0, 1):
+        for call in (lambda: boundary_samples(rect, n),
+                     lambda: sup_error_on_rectangle(pade45(1), rect, n),
+                     lambda: select_scaling(rect, 1e-6, n_per_side=n)):
+            with pytest.raises(ValueError, match="n_per_side"):
+                call()
+    corners = {complex(rect.mu_min, rect.nu_min), complex(rect.mu_max, rect.nu_max)}
+    assert corners <= set(boundary_samples(rect, 2).samples.tolist())
+
+
 def test_sup_error_rejects_pole_inside():
     pf = PartialFractionRational(
         gamma=0.0, poles=np.array([-0.5 + 0.0j]), weights=np.array([1.0 + 0.0j])
@@ -231,9 +269,16 @@ def test_rounding_term_covers_evaluation_noise():
     with np.errstate(over="ignore", invalid="ignore"):
         sampled = np.abs(eval_rational(pf, zs) - np.exp(zs)).max()
     assert _sup_on_samples(pf, zs) == SAMPLING_SAFETY * sampled + (1.0 + SAMPLING_SAFETY) * rounding
-    # the Pade ratio form adds no rounding term
-    assert _sup_on_samples(pade45(4), zs) == SAMPLING_SAFETY * np.abs(
-        eval_rational(pade45(4), zs) - np.exp(zs)).max()
+    # a scaled form carries its core's rounding term delta at z/s through the
+    # power s: s (|v| + delta)**(s - 1) delta, v the core's value
+    core = PADE45_CORE
+    terms = core.weights / (core.poles - zs[:, None] / 4)
+    v = terms.sum(axis=1)
+    delta = (1.0 + SAMPLING_SAFETY) * UNIT_ROUNDOFF * np.abs(terms).sum(axis=1)
+    powered = 4 * (np.abs(v) + delta) ** 3 * delta
+    sampled = np.abs(v**4 - np.exp(zs)).max()
+    assert _sup_on_samples(pade45(4), zs) == SAMPLING_SAFETY * sampled + powered.max()
+    assert powered.max() > 0.0
 
 
 def test_select_scaling_monotone_in_target():
