@@ -320,11 +320,21 @@ def cond_estimate(M, seed: int = 0) -> CondEstimate:
 # rectangles
 # --------------------------------------------------------------------------
 
+def _lobatto(a: float, b: float, n: int) -> np.ndarray:
+    # Chebyshev-Lobatto points on [a, b], endpoints included, clustered at
+    # both ends. Returned in increasing order.
+    if a == b:
+        return np.array([0.5 * (a + b)])
+    theta = np.pi * np.arange(n) / (n - 1)
+    return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)[::-1]
+
+
 @dataclass(frozen=True)
 class BoundingRectangle:
     """Axis-aligned rectangle [mu_min, mu_max] x [nu_min, nu_max] in C,
     symmetric about the real axis like the numerical range of a real pencil
     (``nu_min == -nu_max``, checked here; every later stage relies on it).
+    Other modules reach its boundary only through its methods.
     """
 
     mu_min: float
@@ -348,6 +358,41 @@ class BoundingRectangle:
             & (self.nu_min <= z.imag)
             & (z.imag <= self.nu_max)
         )
+
+    def samples(self, n_per_side: int) -> np.ndarray:
+        """Boundary samples for sup-norm estimation: ``n_per_side``
+        Chebyshev-Lobatto points per side, clustered toward the corners.
+
+        The vertical samples are made exactly antisymmetric, so the sample
+        set is exactly closed under conjugation, like the rectangle.
+        Degenerate rectangles are handled: a horizontal or vertical segment
+        is sampled along its length, a point yields a single sample. Corners
+        appear exactly once. ``n_per_side`` below 2 would miss them:
+        ValueError.
+        """
+        if n_per_side < 2:
+            raise ValueError(f"n_per_side must be at least 2, got {n_per_side}")
+        mu0, mu1 = self.mu_min, self.mu_max
+        nu0, nu1 = self.nu_min, self.nu_max
+
+        def antisymmetric_ys(n):
+            ys = _lobatto(nu0, nu1, n)
+            return 0.5 * (ys - ys[::-1])
+
+        if nu1 <= nu0:  # a real segment, or a point
+            return _lobatto(mu0, mu1, 2 * n_per_side) + 1j * nu0
+        if mu1 <= mu0:
+            return mu0 + 1j * antisymmetric_ys(2 * n_per_side)
+        xs, ys = _lobatto(mu0, mu1, n_per_side), antisymmetric_ys(n_per_side)[1:-1]
+        return np.concatenate([xs + 1j * nu0, xs + 1j * nu1, mu0 + 1j * ys, mu1 + 1j * ys])
+
+    def grown(self, growth: float) -> BoundingRectangle:
+        """This rectangle with its vertical sides moved outward by ``growth``
+        times its width, and its horizontal sides by ``growth`` times its
+        height."""
+        dmu, dnu = growth * (self.mu_max - self.mu_min), growth * 2.0 * self.nu_max
+        return BoundingRectangle(self.mu_min - dmu, self.mu_max + dmu,
+                                 self.nu_min - dnu, self.nu_max + dnu)
 
     def as_dict(self) -> dict:
         return {

@@ -107,16 +107,19 @@ def _build_system(domain: str, divisions: int, refine: int, d: float):
 
 
 def _load_system(args):
-    """System from files (--m/--k/--b) or generator parameters, not both."""
+    """System from files (--m/--k, and --b where the command takes a vector;
+    b is None otherwise) or generator parameters, not both."""
     given = {k: getattr(args, k) for k in GENERATOR_DEFAULTS if getattr(args, k) is not None}
-    if args.m or args.k or args.b:
-        if not (args.m and args.k and args.b):
-            raise SystemExit("file input needs all of --m, --k and --b")
+    files = {k: getattr(args, k) for k in ("m", "k", "b") if hasattr(args, k)}
+    if any(files.values()):
+        if not all(files.values()):
+            *head, last = ("--" + k for k in files)
+            raise SystemExit(f"file input needs all of {', '.join(head)} and {last}")
         if given:
             raise SystemExit(f"file input would ignore {', '.join('--' + k for k in given)}")
         M = mmio.read_matrix_market(args.m)
         K = mmio.read_matrix_market(args.k)
-        b = mmio.read_vector(args.b)
+        b = mmio.read_vector(args.b) if "b" in files else None
         h_bar = None
         params = Path(args.m).with_name("params.json")
         if params.exists():
@@ -168,10 +171,15 @@ def _reference(p: Pencil, b):
     seeded with 0 for the call and then restored, so the reference is
     reproducible and leaves the caller's random state alone.
 
+    A complex b is taken by linearity, as ref(b.real) + 1j ref(b.imag), the
+    way ``expmv.apply_partial_fraction`` applies it.
+
     Raises ``NoConvergence`` naming n, gamma and the last difference when a
     run's basis meets the rule for no substep down to tau /
     2**``REFERENCE_MAX_HALVINGS``.
     """
+    if np.iscomplexobj(b):
+        return _reference(p, b.real) + 1j * _reference(p, b.imag)
     M = p.M
     skew = abs(0.5 * (p.K - p.K.T))
     nu_hat = p.tau * float(np.max(np.asarray(skew.sum(axis=1)).ravel() / M.diagonal()))
@@ -320,7 +328,7 @@ def cmd_generate(args) -> int:
     mmio.write_vector(out / "b0.txt", system.b0)
     fem.write_mesh(out / "mesh.txt", mesh)
     params = {
-        "schema": "expmrect/params-v1",
+        "schema": "expmrect/params-v2",
         "domain": args.domain,
         "divisions": args.divisions if args.domain == "square" else None,
         "refine": args.refine if args.domain == "star" else None,
@@ -330,7 +338,6 @@ def cmd_generate(args) -> int:
         "n_vertices": int(mesh.n_vertices),
         "n_triangles": int(mesh.n_triangles),
         "h_bar": mesh.h_bar,
-        "seed": args.seed,
     }
     (out / "params.json").write_text(json.dumps(params, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.domain} system (n={system.n}, h_bar={mesh.h_bar:.6g}) to {out}")
@@ -425,10 +432,11 @@ def _sweep_config(args) -> dict:
 
 def cmd_sweep(args) -> int:
     config = _sweep_config(args)
-    rows = run_sweep(config)
     out = Path(args.out or "sweep.csv")
     if out.is_dir():
         out = out / "sweep.csv"
+    out.parent.mkdir(parents=True, exist_ok=True)  # before any run, not after the grid
+    rows = run_sweep(config)
     with open(out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
@@ -555,7 +563,6 @@ def run_sweep(config: dict) -> list[dict]:
 def _add_system_args(sub):
     sub.add_argument("--m", help="mass matrix file (Matrix Market)")
     sub.add_argument("--k", help="stiffness matrix file (Matrix Market)")
-    sub.add_argument("--b", help="initial vector file (one value per line)")
     _add_generator_args(sub, dict.fromkeys(GENERATOR_DEFAULTS))
 
 
@@ -586,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = subs.add_parser("generate", help="build and write a FEM test system")
     _add_generator_args(g)
-    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True, help="output directory")
     g.set_defaults(func=cmd_generate)
 
@@ -598,6 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = subs.add_parser("expmv", help="run the certified driver once")
     _add_system_args(e)
+    e.add_argument("--b", help="initial vector file (one value per line)")
     _add_run_args(e)
     e.add_argument("--eps", type=float, default=1e-6)
     e.add_argument("--method", choices=METHODS, default="sub-pade")
@@ -622,7 +629,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ExpmrectError, ValueError) as exc:
+    except (ExpmrectError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

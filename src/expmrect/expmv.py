@@ -84,7 +84,7 @@ AAA_SAMPLES_PER_SIDE = 125  # coarse grid for pole placement; refit gets the den
 # can move the outer pole column of a tall rectangle by several units, and
 # the partial fraction form's amplitude (its rounding term) thirtyfold. A
 # refit that fails is retried on poles placed on the rectangle grown by each
-# of these fractions of its sides (``_rat_interp``).
+# of these fractions of its sides (``_rat_interp``, ``BoundingRectangle.grown``).
 POLE_GROWTHS = (0.0, 1e-4, 3e-4)
 ORACLE_CUTOFF = 3000  # largest n expm_dense_oracle accepts
 
@@ -168,8 +168,11 @@ def apply_partial_fraction(r: PartialFractionRational, p: Pencil, b: np.ndarray,
     f(b.real) + 1j f(b.imag): each pole's factor solves both parts, and the
     two real sums run in the same order as for a real b. A pole's factor is
     taken in the first pass and released after its solves in the last, so
-    one pass holds at most one factor at any time.
+    one pass holds at most one factor at any time. A ``scaling`` below 1
+    raises ValueError, as in ``PadeRational``.
     """
+    if scaling < 1:
+        raise ValueError("scaling must be a positive integer")
     if b.shape[0] != p.n:
         raise DimensionMismatch(f"vector of shape {b.shape} does not fit n={p.n}")
     pattern = _shift_pattern(p)
@@ -309,14 +312,6 @@ class ExpmvCertificate:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _grown(rect: BoundingRectangle, growth: float) -> BoundingRectangle:
-    """rect with its vertical sides moved outward by ``growth`` times its
-    width, and its horizontal sides by ``growth`` times its height."""
-    dmu, dnu = growth * (rect.mu_max - rect.mu_min), growth * 2.0 * rect.nu_max
-    return BoundingRectangle(rect.mu_min - dmu, rect.mu_max + dmu,
-                             rect.nu_min - dnu, rect.nu_max + dnu)
-
-
 def _rat_interp(rect: BoundingRectangle, target: float) -> CertifiedApproximant:
     """The first partial fraction form certified below ``target`` on rect
     whose poles AAA placed on rect grown by one of ``POLE_GROWTHS``.
@@ -330,7 +325,7 @@ def _rat_interp(rect: BoundingRectangle, target: float) -> CertifiedApproximant:
     first = None
     for growth in POLE_GROWTHS:
         try:
-            poles = aaa_poles(boundary_samples(_grown(rect, growth), AAA_SAMPLES_PER_SIDE),
+            poles = aaa_poles(boundary_samples(rect.grown(growth), AAA_SAMPLES_PER_SIDE),
                               target)
             return refit_partial_fractions(poles, boundary_samples(rect), target)
         except ToleranceUnreachable as exc:

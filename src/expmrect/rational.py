@@ -15,11 +15,11 @@ at z/s raised to the power s.
 Accuracy claims are certified by sampling |r(z) - exp(z)| on the boundary of
 the rectangle: the error function is analytic inside whenever no pole lies in
 the rectangle, so by the maximum principle the boundary sup bounds the
-interior sup. Sampling is Chebyshev-clustered toward the corners and the
-observed maximum is inflated by a safety factor to account for the finite
-sample density. A partial fraction form whose terms far exceed its value
-is evaluated with rounding noise of the size of its error, so its
-certificate also adds a rounding term, carried through the power.
+interior sup. The samples (``BoundingRectangle.samples``) cluster toward the
+corners, and the observed maximum is inflated by a safety factor to account
+for the finite sample density. A partial fraction form whose terms far
+exceed its value is evaluated with rounding noise of the size of its error,
+so its certificate also adds a rounding term, carried through the power.
 """
 from __future__ import annotations
 
@@ -200,59 +200,22 @@ PADE45_CORE = _pade45_core()
 
 
 # --------------------------------------------------------------------------
-# rectangle boundary sampling
+# rectangle boundary samples
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RegionBoundary:
-    """Boundary samples of a rectangle, corner-clustered and exactly closed
-    under conjugation."""
+    """A rectangle with its boundary samples, as the AAA fit and refit take
+    them: corner-clustered and exactly closed under conjugation."""
 
     rectangle: BoundingRectangle
     samples: np.ndarray
     n_per_side: int
 
 
-def _lobatto(a: float, b: float, n: int) -> np.ndarray:
-    # Chebyshev-Lobatto points on [a, b], endpoints included, clustered at
-    # both ends. Returned in increasing order.
-    if a == b:
-        return np.array([0.5 * (a + b)])
-    theta = np.pi * np.arange(n) / (n - 1)
-    return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)[::-1]
-
-
 def boundary_samples(rect, n_per_side: int = DEFAULT_SAMPLES_PER_SIDE) -> RegionBoundary:
-    """Sample the boundary of a rectangle for sup-norm estimation.
-
-    The vertical samples are made exactly antisymmetric, so the sample set
-    is exactly closed under conjugation, like the rectangle. Degenerate
-    rectangles are handled: a horizontal or vertical segment is sampled
-    along its length, a point yields a single sample. Corners appear
-    exactly once. ``n_per_side`` below 2 would miss them: ValueError.
-    """
-    if n_per_side < 2:
-        raise ValueError(f"n_per_side must be at least 2, got {n_per_side}")
-    mu0, mu1 = rect.mu_min, rect.mu_max
-    nu0, nu1 = rect.nu_min, rect.nu_max
-
-    def antisymmetric_ys(n):
-        ys = _lobatto(nu0, nu1, n)
-        return 0.5 * (ys - ys[::-1])
-
-    if nu1 <= nu0:  # a real segment, or a point
-        pts = _lobatto(mu0, mu1, 2 * n_per_side) + 1j * nu0
-    elif mu1 <= mu0:
-        pts = mu0 + 1j * antisymmetric_ys(2 * n_per_side)
-    else:
-        xs = _lobatto(mu0, mu1, n_per_side)
-        ys = antisymmetric_ys(n_per_side)
-        bottom = xs + 1j * nu0
-        top = xs + 1j * nu1
-        left = mu0 + 1j * ys[1:-1]
-        right = mu1 + 1j * ys[1:-1]
-        pts = np.concatenate([bottom, top, left, right])
-    return RegionBoundary(rectangle=rect, samples=pts, n_per_side=int(n_per_side))
+    """The rectangle's boundary samples (``BoundingRectangle.samples``)."""
+    return RegionBoundary(rect, rect.samples(n_per_side), int(n_per_side))
 
 
 # --------------------------------------------------------------------------
@@ -307,8 +270,7 @@ def sup_error_on_rectangle(
     form, s = _core(r)
     if np.any(rect.contains(s * form.poles)):
         raise PoleInsideRegion("a pole lies inside or on the rectangle")
-    boundary = boundary_samples(rect, n_per_side)
-    return _sup_on_samples(r, boundary.samples)
+    return _sup_on_samples(r, rect.samples(n_per_side))
 
 
 def _sup_on_samples(r, samples: np.ndarray) -> float:
@@ -345,7 +307,7 @@ def select_scaling(
     """
     if target <= 0.0:
         raise ValueError("target must be positive")
-    samples = boundary_samples(rect, n_per_side).samples
+    samples = rect.samples(n_per_side)
     for s in range(1, int(s_max) + 1):
         if np.any(rect.contains(s * PADE45_CORE.poles)):
             continue

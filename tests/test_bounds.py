@@ -368,6 +368,21 @@ def test_rectangle_rejects_asymmetry_about_the_real_axis():
     assert BoundingRectangle(mu_min=-1.0, mu_max=0.0, nu_min=-0.0, nu_max=0.0).nu_max == 0.0
 
 
+@pytest.mark.parametrize("edges, count", [
+    ((-2.0, -1.0, -3.0, 3.0), 4 * 8 - 4),  # a box: every corner once
+    ((-2.0, -1.0, 0.0, 0.0), 2 * 8),       # a real segment
+    ((-1.0, -1.0, -3.0, 3.0), 2 * 8),      # a vertical segment
+    ((-1.0, -1.0, 0.0, 0.0), 1),           # a point
+])
+def test_rectangle_samples_its_boundary_closed_under_conjugation(edges, count):
+    r = BoundingRectangle(*edges)
+    z = r.samples(8)
+    assert z.size == count and r.contains(z).all()
+    assert {complex(s) for s in z} == {complex(s) for s in np.conj(z)}
+    with pytest.raises(ValueError, match="n_per_side"):
+        r.samples(1)
+
+
 def test_raw_extremes_rejects_size_mismatch(random_pencil_60):
     with pytest.raises(DimensionMismatch):
         raw_extremes(sp.eye_array(3).tocsr(), random_pencil_60.K)

@@ -33,7 +33,8 @@ def test_generate_writes_complete_system(tmp_path):
     for name in ("M.mtx", "K.mtx", "b0.txt", "mesh.txt", "params.json"):
         assert (out / name).exists()
     params = json.loads((out / "params.json").read_text())
-    assert params["schema"] == "expmrect/params-v1"
+    assert params["schema"] == "expmrect/params-v2"
+    assert "seed" not in params  # generate draws no random number
     assert params["n"] == 49
     assert params["divisions"] == 8 and params["refine"] is None
     M = mmio.read_matrix_market(out / "M.mtx")
@@ -60,10 +61,11 @@ def test_generate_refuses_a_non_finite_d(tmp_path, capsys, d):
     assert not (out / "K.mtx").exists() and not (out / "params.json").exists()
 
 
-@pytest.mark.parametrize("flag", ["--m", "--k", "--b"])
+@pytest.mark.parametrize("flag", ["--m", "--k", "--b", "--seed"])
 def test_generate_rejects_file_flags(tmp_path, flag):
     # generate builds its system from the generator flags alone, so a file
-    # flag is a usage error, not silently ignored
+    # flag is a usage error, not silently ignored; nothing in it is random,
+    # so a seed would only be echoed
     out = tmp_path / "sys"
     with pytest.raises(SystemExit) as ei:
         run_cli("generate", flag, str(tmp_path / "missing"), "--domain", "square",
@@ -156,9 +158,8 @@ def test_bound_encloses_a_singular_symmetric_part_from_files(name, tmp_path):
     K = pencils[name]
     mmio.write_matrix_market(tmp_path / "M.mtx", M, symmetric=True)
     mmio.write_matrix_market(tmp_path / "K.mtx", K)
-    mmio.write_vector(tmp_path / "b.txt", np.ones(M.shape[0]))
     rc = run_cli("bound", "--m", str(tmp_path / "M.mtx"), "--k", str(tmp_path / "K.mtx"),
-                 "--b", str(tmp_path / "b.txt"), "--tau", "1", "--out", str(tmp_path))
+                 "--tau", "1", "--out", str(tmp_path))
     assert rc == 0
     rect = json.loads((tmp_path / "rectangle.json").read_text())["rectangle"]
     # tau = 1, and an edge that is exactly 0 comes out as +-INFLATION_FLOOR
@@ -205,13 +206,76 @@ def test_file_input_refuses_generator_flags(tmp_path, command):
     # silently ignored; it is refused, naming the flags
     gen = tmp_path / "sys"
     run_cli("generate", "--domain", "square", "--divisions", "4", "--out", str(gen))
-    files = ["--m", str(gen / "M.mtx"), "--k", str(gen / "K.mtx"), "--b", str(gen / "b0.txt")]
+    files = ["--m", str(gen / "M.mtx"), "--k", str(gen / "K.mtx")]
+    if command == "expmv":
+        files += ["--b", str(gen / "b0.txt")]
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as ei:
         run_cli(command, *files, "--divisions", "8", "--d", "1e-3", "--out", str(out))
     assert "--divisions, --d" in str(ei.value.code)
     assert not out.exists()
     assert run_cli(command, *files, "--out", str(out)) == 0
+
+
+def test_bound_takes_m_and_k_alone(tmp_path, capsys):
+    # bound reads no vector, so file input is --m and --k, and --b is unknown
+    gen = tmp_path / "sys"
+    run_cli("generate", "--domain", "square", "--divisions", "4", "--out", str(gen))
+    files = ["--m", str(gen / "M.mtx"), "--k", str(gen / "K.mtx")]
+    capsys.readouterr()
+    assert run_cli("bound", *files, "--tau", "0.1") == 0
+    assert json.loads(capsys.readouterr().out)["tau"] == 0.1
+    with pytest.raises(SystemExit) as ei:
+        run_cli("bound", *files, "--b", str(gen / "b0.txt"), "--tau", "0.1")
+    assert ei.value.code == 2
+    with pytest.raises(SystemExit, match="needs all of --m and --k"):
+        run_cli("bound", "--m", str(gen / "M.mtx"), "--tau", "0.1")
+
+
+def test_expmv_verifies_a_complex_b(tmp_path, capsys):
+    # the reference takes b.real and b.imag by linearity, as the driver does;
+    # a real-only reference measured 5.4e-1 here
+    gen = tmp_path / "sys"
+    run_cli("generate", "--domain", "square", "--divisions", "8", "--out", str(gen))
+    b0 = mmio.read_vector(gen / "b0.txt")
+    mmio.write_vector(gen / "b0c.txt", b0 + 1j * b0)
+    out = tmp_path / "run"
+    assert run_cli("expmv", "--m", str(gen / "M.mtx"), "--k", str(gen / "K.mtx"),
+                   "--b", str(gen / "b0c.txt"), "--verify", "--out", str(out)) == 0
+    with open(out / "run.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["measured_error"]) <= float(row["certified_bound"]) <= 1e-6
+    M, K = (mmio.read_matrix_market(gen / f"{name}.mtx") for name in ("M", "K"))
+    p = Pencil(tau=json.loads((gen / "params.json").read_text())["h_bar"], M=M, K=K)
+    b = b0 + 1j * b0
+    exact = scipy.linalg.expm(p.tau * np.linalg.solve(M.toarray(), K.toarray())) @ b
+    assert norm2(cli._reference(p, b) - exact) <= 1e-13 * norm2(b)
+    assert np.array_equal(cli._reference(p, b0), cli._reference(p, b).real)
+
+
+@pytest.mark.parametrize("argv", [
+    ("expmv", "--m", "nope.mtx", "--k", "nope.mtx", "--b", "nope.txt"),
+    ("bound", "--m", "nope.mtx", "--k", "nope.mtx", "--tau", "1"),
+    ("sweep", "--config", "missing.json"),
+], ids=["expmv", "bound", "sweep"])
+def test_main_reports_a_missing_file(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: FileNotFoundError: ")
+
+
+def test_sweep_makes_the_directory_of_out_before_any_run(tmp_path, monkeypatch):
+    # a missing directory used to fail only after the whole grid had run
+    out = tmp_path / "missing" / "dir" / "s.csv"
+
+    def run_sweep(config):
+        assert out.parent.is_dir()
+        return []
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    assert run_cli("sweep", "--out", str(out)) == 0
+    assert out.read_text().splitlines() == [",".join(cli.SWEEP_COLUMNS)]
 
 
 def test_expmv_failure_writes_status_certificate(tmp_path, capsys):

@@ -124,6 +124,14 @@ def test_apply_complex_vector_matches_dense(square_pencil_8):
     assert np.allclose(got, want, rtol=0.0, atol=1e-11 * np.linalg.norm(b))
 
 
+@pytest.mark.parametrize("scaling", [0, -1])
+def test_apply_partial_fraction_refuses_a_scaling_below_one(square_pencil_8, scaling):
+    # -1 ran no pass and returned b, 0 divided tau by zero
+    b = np.ones(square_pencil_8.n)
+    with pytest.raises(ValueError, match="scaling must be a positive integer"):
+        apply_partial_fraction(PADE45_CORE, square_pencil_8, b, scaling)
+
+
 def test_apply_scaled_pade_matches_dense_power(square_pencil_8):
     p = square_pencil_8
     pade = pade45(scaling=3)
@@ -452,7 +460,7 @@ def test_rat_interp_retries_a_failed_refit_on_a_grown_rectangle(monkeypatch):
     approximant = expmv._rat_interp(rect, 1e-6)
     assert approximant.sup_error_estimate <= 1e-6
     assert certified == [rect, rect]
-    grown = expmv._grown(rect, expmv.POLE_GROWTHS[1])
+    grown = rect.grown(expmv.POLE_GROWTHS[1])
     assert placed == [rect, grown]
     # the grown rectangle's sides moved outward by 1e-4 of width and height
     assert grown.mu_min < rect.mu_min and grown.mu_max > rect.mu_max

@@ -11,8 +11,9 @@ only ``linalg.py`` calls SuperLU, only ``definite_factor``,
 triangles, only ``bounds.py`` calls the eigensolver (and only through
 ``_ritz_pair``) or decides an enclosure, ``bounds.py`` reaches
 ``definite_factor`` only through its proof routine, its mass solve and
-the shift of its maximum's estimate, and only ``bounds.py`` compares
-``nu_min`` with ``-nu_max``.
+the shift of its maximum's estimate, only ``bounds.py`` compares
+``nu_min`` with ``-nu_max``, and only ``bounds.py`` reads a rectangle's
+corner fields.
 Importing the CLI leaves ``scipy.io`` unloaded. The settings a caller can
 give a run are pinned, so that a new one changes a test on purpose.
 """
@@ -237,6 +238,25 @@ def test_only_bounds_decides_rectangle_symmetry(path):
         assert found is None, f"{path.name} compares nu_min with -nu_max: {found.group(0)!r}"
 
 
+CORNER_FIELDS = {"mu_min", "mu_max", "nu_min", "nu_max"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_bounds_reads_a_corner(path):
+    # the rectangle owns its boundary: other modules reach it through
+    # contains, samples and grown, so sampling and growth live in bounds
+    # alone and a region of another shape changes one module
+    if path.name != "bounds.py":
+        tree = ast.parse(path.read_text())
+        found = [f"{n.lineno} .{n.attr}" for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and n.attr in CORNER_FIELDS]
+        found += [f"{n.value.lineno} {n.arg}=" for n in ast.walk(tree)
+                  if isinstance(n, ast.keyword) and n.arg in CORNER_FIELDS]
+        found += [f"{n.lineno} {n.value!r}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and n.value in CORNER_FIELDS]
+        assert not found, f"{path.name} reads corner fields (line, use): {found}"
+
+
 def test_init_all_matches_its_imports():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     imported = set(_imported_names(tree))
@@ -247,8 +267,8 @@ def test_init_all_matches_its_imports():
     )
 
 
-SYSTEM_OPTIONS = {"-h", "--help", "--m", "--k", "--b", "--domain", "--divisions", "--refine",
-                  "--d", "--tau", "--tau-factor", "--seed", "--out"}
+GENERATOR_OPTIONS = {"-h", "--help", "--domain", "--divisions", "--refine", "--d", "--out"}
+SYSTEM_OPTIONS = GENERATOR_OPTIONS | {"--m", "--k", "--tau", "--tau-factor", "--seed"}
 
 
 def test_settable_surface_is_pinned():
@@ -275,5 +295,6 @@ def test_settable_surface_is_pinned():
     def options(command):
         return {s for a in subs.choices[command]._actions for s in a.option_strings}
 
+    assert options("generate") == GENERATOR_OPTIONS
     assert options("bound") == SYSTEM_OPTIONS
-    assert options("expmv") == SYSTEM_OPTIONS | {"--eps", "--method", "--mode", "--verify"}
+    assert options("expmv") == SYSTEM_OPTIONS | {"--b", "--eps", "--method", "--mode", "--verify"}
